@@ -44,9 +44,7 @@ from .evolution import (
     CflViolation,
     KhatEvolver,
     NonIntegrableSymbol,
-    NVEvolver,
     Trajectory,
-    VorticityEvolver,
     evolve,
 )
 from .quadrature import (

@@ -9,6 +9,7 @@ numbers; identical manifest and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -26,14 +27,7 @@ from .conservation import (
     verify_current,
     verify_multiplier,
 )
-from .evolution import (
-    CflViolation,
-    KhatEvolver,
-    NonIntegrableSymbol,
-    NVEvolver,
-    VorticityEvolver,
-    evolve,
-)
+from .evolution import CflViolation, EvolutionError, KhatEvolver, NonIntegrableSymbol, evolve
 from .grids import GridField, TimeFunction, evaluate_on_grid
 from .jetexpr import JetExpr
 from .parsing import ParseError, parse_expr
@@ -47,11 +41,15 @@ EXIT_USAGE = 2
 EXIT_CONSTRAINT = 3
 
 
+class UsageError(ValueError):
+    """Bad command-line or manifest input; exits with EXIT_USAGE."""
+
+
 def _load_entry(name: str, params: dict | None):
     if name.endswith(".yaml") or name.endswith(".yml"):
         entry = cat.load_entry_file(name)
         if params:
-            raise SystemExit("--params is not supported with entry files; "
+            raise UsageError("--params is not supported with entry files; "
                              "bind values inside the document")
         return entry
     if params:
@@ -63,7 +61,7 @@ def _parse_params(pairs) -> dict:
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise SystemExit(f"--params expects name=value, got {item!r}")
+            raise UsageError(f"--params expects name=value, got {item!r}")
         k, _, v = item.partition("=")
         out[k.strip()] = v.strip()
     return out
@@ -208,7 +206,30 @@ def cmd_potential(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def _numeric_params(entry, manifest) -> dict:
+MANIFEST_KEYS = {"pde", "params", "grid", "u0", "t_end", "samples", "cfl", "dt", "f",
+                 "interp", "seed", "out", "constraints", "charges", "checks"}
+CHECK_TYPES = ("mass", "balance")
+
+
+def _read_manifest(path) -> dict:
+    """The manifest document, refusing keys and check types it does not know."""
+    manifest = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise UsageError(f"{path}: a manifest is a mapping")
+    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    if unknown:
+        raise UsageError(f"{path}: unknown manifest key(s) {', '.join(unknown)}")
+    for spec in manifest.get("checks") or []:
+        if spec.get("type") not in CHECK_TYPES:
+            raise UsageError(f"{path}: unknown check type {spec.get('type')!r} "
+                             f"(known: {', '.join(CHECK_TYPES)})")
+    if (manifest.get("charges") or manifest.get("checks")) and not \
+            float(manifest.get("t_end", 0.0)) > 0:
+        raise UsageError(f"{path}: charges and checks need t_end > 0")
+    return manifest
+
+
+def _numeric_params(manifest) -> dict:
     out = {}
     for name, value in (manifest.get("params") or {}).items():
         text = str(value).strip()
@@ -224,7 +245,7 @@ def _initial_data(manifest, dim: int, symbols) -> GridField:
     shape = tuple(int(n) for n in grid_spec["resolutions"])
     periods = tuple(float(p) for p in grid_spec["periods"])
     if len(shape) != dim or len(periods) != dim:
-        raise SystemExit(f"grid must have {dim} resolutions and periods")
+        raise UsageError(f"grid must have {dim} resolutions and periods")
     data = np.zeros(shape)
     coords = []
     fld = GridField(data, periods)
@@ -249,14 +270,6 @@ def _initial_data(manifest, dim: int, symbols) -> GridField:
         e = parse_expr(u0["expr"], dim, symbols)
         data = data + evaluate_on_grid(e, fld)
     return GridField(data, periods)
-
-
-def _make_evolver(entry, grid, params):
-    if entry.name == "vorticity":
-        return VorticityEvolver(grid, mu=params.get("mu", 0.0))
-    if entry.name == "nv":
-        return NVEvolver(grid, alpha=params["alpha"], beta=params["beta"])
-    return KhatEvolver(entry.pde, grid, params)
 
 
 def _halved_manifest(manifest) -> dict:
@@ -306,12 +319,19 @@ def _balance_residuals(entry, traj, curve, params, method, stride: int = 1):
 
 
 def cmd_simulate(args) -> int:
-    manifest = yaml.safe_load(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_manifest(args.manifest)
     out_dir = Path(args.out or manifest.get("out") or "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     name = manifest["pde"]
-    entry = cat.get_entry(name)
-    params = _numeric_params(entry, manifest)
+    entry = _load_entry(name, None)
+    params = _numeric_params(manifest)
+    missing = sorted(set(entry.symbols.params) - set(params))
+    if missing:
+        raise UsageError(f"manifest binds no value for parameter(s) "
+                         f"{', '.join(missing)} of {name}")
+    if entry.pde.div_form is None and any(
+            spec["type"] == "balance" for spec in manifest.get("checks") or []):
+        raise UsageError(f"{name} has no divergence form to balance against")
     fun = TimeFunction.builtin(manifest.get("f", "one"))
     seed = int(manifest.get("seed", 0))
 
@@ -321,6 +341,14 @@ def cmd_simulate(args) -> int:
     cfl = float(manifest.get("cfl", 0.5))
     dt = manifest.get("dt")
     dt = float(dt) if dt is not None else None
+
+    def run(u: GridField):
+        return evolve(KhatEvolver(entry.pde, u, params), u, t_end, n_samples=samples,
+                      cfl=cfl, dt=dt)
+
+    @functools.cache
+    def halved():
+        return run(_initial_data(_halved_manifest(manifest), entry.dim, entry.symbols))
 
     reports: list[ChargeReport] = []
     worst = EXIT_OK
@@ -343,8 +371,7 @@ def cmd_simulate(args) -> int:
     traj = None
     if t_end > 0:
         try:
-            evolver = _make_evolver(entry, u0, params)
-            traj = evolve(evolver, u0, t_end, n_samples=samples, cfl=cfl, dt=dt)
+            traj = run(u0)
         except NonIntegrableSymbol as exc:
             reports.append(
                 ChargeReport(
@@ -356,23 +383,18 @@ def cmd_simulate(args) -> int:
         except CflViolation as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESIDUAL
+        except EvolutionError as exc:
+            raise UsageError(f"{name}: {exc}") from exc
 
     if traj is not None:
         method = manifest.get("interp", "cubic")
-        halved = None
         for spec in manifest.get("charges") or []:
             curve = CurveSpec.rectangle(*spec["curve"]["rect"])
             vals = _charge_series(entry, traj, spec["id"], curve, params, fun, method)
             if spec.get("tolerance") is not None:
                 tol = float(spec["tolerance"])
             else:
-                if halved is None:
-                    u0_half = _initial_data(_halved_manifest(manifest), entry.dim,
-                                            entry.symbols)
-                    ev_half = _make_evolver(entry, u0_half, params)
-                    halved = evolve(ev_half, u0_half, t_end, n_samples=samples,
-                                    cfl=cfl, dt=dt)
-                vals_half = _charge_series(entry, halved, spec["id"], curve, params,
+                vals_half = _charge_series(entry, halved(), spec["id"], curve, params,
                                            fun, method)
                 diff = max(abs(a - b) for a, b in zip(vals, vals_half))
                 tol = 10.0 * max(diff, 1e-13)
@@ -398,19 +420,13 @@ def cmd_simulate(args) -> int:
                 )
                 if verdict == "failed":
                     worst = max(worst, EXIT_RESIDUAL)
-            elif spec["type"] == "balance":
+            else:
                 curve = CurveSpec.rectangle(*spec["curve"]["rect"])
                 times, resid = _balance_residuals(entry, traj, curve, params, method)
                 if spec.get("tolerance") is not None:
                     tol = float(spec["tolerance"])
                 else:
-                    if halved is None:
-                        u0_half = _initial_data(_halved_manifest(manifest), entry.dim,
-                                                entry.symbols)
-                        ev_half = _make_evolver(entry, u0_half, params)
-                        halved = evolve(ev_half, u0_half, t_end, n_samples=samples,
-                                        cfl=cfl, dt=dt)
-                    _, resid_half = _balance_residuals(entry, halved, curve, params,
+                    _, resid_half = _balance_residuals(entry, halved(), curve, params,
                                                        method)
                     diff_grid = max(abs(a - b) for a, b in zip(resid, resid_half))
                     # time-sampling part of the doubling difference: compare the
@@ -457,14 +473,13 @@ def main(argv=None) -> int:
         p.add_argument("--pde", dest="pde_flag", help=argparse.SUPPRESS)
         p.add_argument("--object", dest="object_flag", help=argparse.SUPPRESS)
         p.add_argument("--params", nargs="*", metavar="NAME=VALUE")
-        p.add_argument("--order-bound", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="verify a multiplier or current")
     add_common(p)
     p = sub.add_parser("reduce", help="reduce a current to spatial-flux form")
     add_common(p)
     p.add_argument("--no-certify", action="store_true")
+    p.add_argument("--order-bound", type=int, default=None)
     p = sub.add_parser("potential", help="print the spatial potential system of a charge")
     add_common(p)
     p.add_argument("--yaml", action="store_true", help="emit catalog-format text")
@@ -476,7 +491,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="run a manifest-driven numerical check")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     if hasattr(args, "pde_flag") and args.pde_flag:
@@ -499,7 +513,7 @@ def main(argv=None) -> int:
             return cmd_reduce(args)
         if args.command == "potential":
             return cmd_potential(args)
-    except (KeyError, cat.ConstraintViolation) as exc:
+    except (KeyError, cat.ConstraintViolation, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except cat.CatalogCorrupt as exc:

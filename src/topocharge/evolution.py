@@ -1,12 +1,18 @@
-"""Periodic-grid evolution of catalog PDEs.
+"""Periodic-grid evolution of catalog PDEs in the form P(D) u_t = N(u).
 
-PDEs with a first-order divergence form evolve through the nonlocal
-evolution equation u_t = F^k + (D_k)^{-1} (sum of transverse D_j F^j);
-the inverse spectral division pins the k_k = 0 modes to zero and a
-nonzero mean fed to it raises NonIntegrableSymbol instead of being
-projected away (that failure is the integral-constraint mechanism and
-must stay visible).  The vorticity and Novikov-Veselov equations evolve
-derived fields (Lap u and u_xy) with spectral inversion back to u.
+P is a constant-coefficient spatial operator and N a polynomial in
+spatial u-jets, both read off the verified G.  With a first-order
+divergence form factor * (D_k u_t - Div F) = G, P = D_k and
+
+    u_t = F^k + P^{-1} (sum over j != k of D_j F^j),
+
+so F^k passes straight through.  Without one, P collects the terms of G
+linear in t-order-1 u-jets (the Laplacian for vorticity, D_x D_y for
+Novikov-Veselov) and u_t = P^{-1} N with N = P(D) u_t - G.  The state is
+the 2/3-masked spectrum of u.  P^{-1} is pinned to zero on the zero set
+of P's symbol, and weight fed to it there raises NonIntegrableSymbol
+instead of being projected away (that failure is the integral-constraint
+mechanism and must stay visible).
 
 Time stepping is classical RK4 with a step controlled by the largest
 linear spectral symbol over the 2/3-dealiased modes plus an advective
@@ -21,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, dealias_mask
+from .grids import GridField, SpectralEvaluator, dealias_mask, ik_symbol
 from .jetexpr import JetExpr, T
 from .pde import PdeSpec
+from .printing import to_source
 
 RK4_IMAG_LIMIT = 2.8
 
@@ -52,7 +59,7 @@ class Trajectory:
 
 
 def _compile_terms(e: JetExpr, params: dict) -> list:
-    """[(float coeff, ((multi-index, power), ...))] with parameters bound."""
+    """[(float coeff, ((jet multi-index, power), ...))] with parameters bound."""
     out = []
     for mono, coeff in e.terms:
         c = float(coeff)
@@ -68,55 +75,9 @@ def _compile_terms(e: JetExpr, params: dict) -> list:
         for key, p in mono[1]:
             if key[0] != "u" or key[1][T] != 0:
                 raise EvolutionError("evolution right-hand sides must be spatial u-jets")
-            jets.append((key[1][1:], p))
+            jets.append((key[1], p))
         out.append((c, tuple(jets)))
     return out
-
-
-class _SpectralWorkspace:
-    def __init__(self, grid: GridField):
-        self.grid = grid
-        self.mask = dealias_mask(grid.shape)
-        self.k = [grid.wavenumbers(a) for a in range(grid.dim)]
-        self.kmax_dealiased = [
-            float(np.max(np.abs(self.k[a] * self.mask))) for a in range(grid.dim)
-        ]
-
-    def ik_pow(self, mi_spatial: tuple) -> np.ndarray:
-        out = np.ones(self.grid.shape, dtype=complex)
-        for axis, n in enumerate(mi_spatial[: self.grid.dim]):
-            if n:
-                out = out * (1j * self.k[axis]) ** n
-        return out
-
-
-class _TermEvaluator:
-    """Evaluates compiled polynomial terms from a spectral state."""
-
-    def __init__(self, ws: _SpectralWorkspace):
-        self.ws = ws
-        self._cache: dict[tuple, np.ndarray] = {}
-        self._hat = None
-
-    def reset(self, u_hat: np.ndarray):
-        self._hat = u_hat
-        self._cache.clear()
-
-    def jet(self, mi_spatial: tuple) -> np.ndarray:
-        got = self._cache.get(mi_spatial)
-        if got is None:
-            got = np.real(np.fft.ifftn(self._hat * self.ws.ik_pow(mi_spatial)))
-            self._cache[mi_spatial] = got
-        return got
-
-    def nonlinear(self, terms: list) -> np.ndarray:
-        out = np.zeros(self.ws.grid.shape)
-        for c, jets in terms:
-            val = np.full(self.ws.grid.shape, c)
-            for mi, p in jets:
-                val = val * self.jet(mi) ** p
-            out += val
-        return out
 
 
 def _split_linear(terms: list):
@@ -131,205 +92,125 @@ def _split_linear(terms: list):
     return linear, nonlinear
 
 
+def _split_time_part(pde: PdeSpec) -> tuple[JetExpr, JetExpr]:
+    """(P(D) u, N) with G == P(D) u_t - N, or EvolutionError."""
+    P, N = [], []
+    for mono, coeff in pde.G.terms:
+        timed = [key for key, _p in mono[1] if key[1][T]]
+        if not timed:
+            N.append((-coeff, mono))
+            continue
+        key = timed[0]
+        if len(mono[1]) != 1 or mono[1][0][1] != 1 or key[1][T] != 1:
+            raise EvolutionError(
+                f"{pde.name}: G is not of the form P(D) u_t = N(u) "
+                f"(u_t enters a term of {to_source(JetExpr(((mono, coeff),)))})"
+            )
+        P.append((coeff, (mono[0], (((key[0], (0,) + key[1][1:]), 1),), mono[2], mono[3])))
+    return JetExpr.from_pairs(P), JetExpr.from_pairs(N)
+
+
+def _unit(axis: int) -> tuple:
+    """Spatial multi-index of D_axis (axis 0 is x)."""
+    return tuple(int(a == axis) for a in range(3))
+
+
+def _linear(blocks: list):
+    """Total linear symbol of (outer, linear, nonlinear) term blocks."""
+    return sum((L if outer is None else outer * L) for outer, L, _nl in blocks)
+
+
 class KhatEvolver:
-    """Evolver for PDEs in the first-order divergence form D_k u_t = Div F."""
+    """Evolver for P(D) u_t = N(u); P and N are read off the PDE's G.
+
+    Terms of N that P^{-1} need not touch (F^k of a divergence form) pass
+    straight through; the others go through the pinned inverse of P.
+    """
 
     def __init__(self, pde: PdeSpec, grid: GridField, params: dict | None = None,
                  mean_tol: float = 1e-8):
-        if pde.div_form is None:
-            raise EvolutionError(f"{pde.name} has no first-order divergence form")
         params = params or {}
         self.pde = pde
         self.dim = grid.dim
         if pde.dim != grid.dim:
             raise EvolutionError("grid dimension does not match the PDE")
-        self.k_axis = pde.div_form.k_axis - 1
-        self.ws = _SpectralWorkspace(grid)
-        self.ev = _TermEvaluator(self.ws)
+        self.grid = grid
+        self.mask = dealias_mask(grid.shape)
+        self.ev = SpectralEvaluator(grid)
         self.mean_tol = mean_tol
-        factor = _compile_terms(pde.div_form.factor, params)
-        if len(factor) != 1 or factor[0][1]:
-            raise EvolutionError("divergence-form factor must be a numeric unit")
 
-        self.linear = []
-        self.nonlinear = []
-        for comp in pde.div_form.F:
-            lin, nl = _split_linear(_compile_terms(comp, params))
-            L = np.zeros(grid.shape, dtype=complex)
-            for c, mi in lin:
-                L = L + c * self.ws.ik_pow(mi)
-            self.linear.append(L)
-            self.nonlinear.append(nl)
+        div = pde.div_form
+        if div is not None:
+            factor = _compile_terms(div.factor, params)
+            if len(factor) != 1 or factor[0][1]:
+                raise EvolutionError("divergence-form factor must be a numeric unit")
+            k = div.k_axis - 1
+            P_u = JetExpr.jet("u", (0,) + _unit(k))
+            through = [(None, div.F[k])]
+            inverted = [(ik_symbol(grid, _unit(j)), div.F[j])
+                        for j in range(self.dim) if j != k]
+        else:
+            P_u, N = _split_time_part(pde)
+            through, inverted = [], [(None, N)]
+        self.through = [self._block(outer, e, params) for outer, e in through]
+        self.inverted = [self._block(outer, e, params) for outer, e in inverted]
 
-        kk = self.ws.k[self.k_axis]
-        self._kk = kk
-        self._zero_plane = np.broadcast_to(np.abs(kk) < 1e-12, grid.shape)
+        P = self._symbol(_split_linear(_compile_terms(P_u, params))[0])
+        self._pinned = np.abs(P) < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._inv_ikk = np.where(self._zero_plane, 0.0, 1.0 / (1j * kk))
+            self._inv_P = np.where(self._pinned, 0.0, 1.0 / P)
+        self._P_text = to_source(P_u)
         # effective linear symbol for the time-step estimate
-        Ltot = self.linear[self.k_axis].copy()
-        for j in range(self.dim):
-            if j == self.k_axis:
-                continue
-            contrib = (1j * self.ws.k[j]) * self.linear[j] * self._inv_ikk
-            Ltot = Ltot + contrib
-        self._sym_max = float(np.max(np.abs(Ltot * self.ws.mask)))
-        self._kmax = max(self.ws.kmax_dealiased)
+        L_tot = _linear(self.through) + _linear(self.inverted) * self._inv_P
+        self._sym_max = float(np.max(np.abs(L_tot * self.mask)))
+        self._kmax = max(float(np.max(np.abs(grid.wavenumbers(a) * self.mask)))
+                         for a in range(self.dim))
+
+    def _symbol(self, linear: list) -> np.ndarray:
+        out = np.zeros(self.grid.shape, dtype=complex)
+        for c, mi in linear:
+            out = out + c * ik_symbol(self.grid, mi[1:])
+        return out
+
+    def _block(self, outer, e: JetExpr, params: dict) -> tuple:
+        """(outer symbol or None, linear symbol, nonlinear terms) of one term group."""
+        linear, nonlinear = _split_linear(_compile_terms(e, params))
+        return outer, self._symbol(linear), nonlinear
+
+    def _apply(self, blocks: list, u_hat: np.ndarray):
+        out = 0.0
+        for outer, L, nonlinear in blocks:
+            F = L * u_hat
+            if nonlinear:
+                F = F + np.fft.fftn(self.ev.terms(nonlinear)) * self.mask
+            out = out + (F if outer is None else outer * F)
+        return out
 
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
-        ws = self.ws
         self.ev.reset(u_hat)
-        F_hats = []
-        for j in range(self.dim):
-            F = self.linear[j] * u_hat
-            if self.nonlinear[j]:
-                F = F + np.fft.fftn(self.ev.nonlinear(self.nonlinear[j])) * ws.mask
-            F_hats.append(F)
-        transverse = np.zeros_like(u_hat)
-        for j in range(self.dim):
-            if j != self.k_axis:
-                transverse = transverse + (1j * ws.k[j]) * F_hats[j]
-        if self.dim > 1:
-            plane = np.abs(transverse[self._zero_plane])
-            scale = float(np.max(np.abs(transverse))) if transverse.size else 0.0
+        ut_hat = self._apply(self.through, u_hat)
+        if self.inverted:
+            rest = self._apply(self.inverted, u_hat)
+            plane = np.abs(rest[self._pinned])
+            scale = float(np.max(np.abs(rest)))
             if plane.size and scale > 0 and float(plane.max()) > self.mean_tol * max(scale, 1.0):
                 raise NonIntegrableSymbol(
-                    "inverse gradient fed a nonzero mean along the "
-                    f"{'xyz'[self.k_axis]} axis (max {float(plane.max()):.3e}); "
+                    f"inverting P(D) (P(D)u = {self._P_text}) met a nonzero component "
+                    f"on the zero set of P (max {float(plane.max()):.3e}); "
                     "the initial data violate the integral constraint"
                 )
-        ut_hat = F_hats[self.k_axis] + transverse * self._inv_ikk
+            ut_hat = ut_hat + rest * self._inv_P
         if forcing is not None:
             zero = (0,) * self.dim
             ut_hat[zero] += forcing(t) * u_hat.size
         return ut_hat
 
     def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
-        u_hat = np.fft.fftn(field.data) * self.ws.mask
+        u_hat = np.fft.fftn(field.data) * self.mask
         return np.real(np.fft.ifftn(self.rhs_hat(u_hat, field.time, forcing)))
 
     def dt_estimate(self, u_hat: np.ndarray, cfl: float) -> float:
         amp = float(np.max(np.abs(np.real(np.fft.ifftn(u_hat)))))
-        rate = self._sym_max + self._kmax * (amp + amp * amp) + 1e-12
-        return cfl * RK4_IMAG_LIMIT / rate
-
-
-class VorticityEvolver:
-    """2D vorticity dynamics: evolve w = Lap u, recover u spectrally."""
-
-    def __init__(self, grid: GridField, mu: float = 0.0, mean_tol: float = 1e-8):
-        if grid.dim != 2:
-            raise EvolutionError("vorticity evolution is two-dimensional")
-        self.ws = _SpectralWorkspace(grid)
-        self.mu = float(mu)
-        kx, ky = self.ws.k
-        self.k2 = kx * kx + ky * ky
-        self._zero = self.k2 < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_lap = np.where(self._zero, 0.0, -1.0 / self.k2)
-        self.mean_tol = mean_tol
-        self._kmax = max(self.ws.kmax_dealiased)
-
-    def to_state(self, field: GridField) -> np.ndarray:
-        u_hat = np.fft.fftn(field.data) * self.ws.mask
-        return -self.k2 * u_hat
-
-    def u_hat(self, w_hat: np.ndarray) -> np.ndarray:
-        zero_amp = float(np.abs(w_hat[0, 0])) / w_hat.size
-        scale = float(np.max(np.abs(w_hat))) / w_hat.size
-        if scale > 0 and zero_amp > self.mean_tol * max(scale, 1.0):
-            raise NonIntegrableSymbol(
-                "vorticity data carry a nonzero mean; no periodic stream "
-                "potential exists"
-            )
-        return self.inv_lap * w_hat
-
-    def rhs_hat(self, w_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
-        ws = self.ws
-        kx, ky = ws.k
-        u_hat = self.u_hat(w_hat)
-        ux = np.real(np.fft.ifftn(1j * kx * u_hat))
-        uy = np.real(np.fft.ifftn(1j * ky * u_hat))
-        wx = np.real(np.fft.ifftn(1j * kx * w_hat))
-        wy = np.real(np.fft.ifftn(1j * ky * w_hat))
-        nl = np.fft.fftn(uy * wx - ux * wy) * ws.mask
-        return nl - self.mu * self.k2 * w_hat
-
-    def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
-        w_hat = self.to_state(field)
-        return np.real(np.fft.ifftn(self.inv_lap * self.rhs_hat(w_hat, field.time)))
-
-    def state_to_field(self, w_hat: np.ndarray, template: GridField, t: float) -> GridField:
-        u = np.real(np.fft.ifftn(self.u_hat(w_hat)))
-        return template.with_data(u, t)
-
-    def dt_estimate(self, w_hat: np.ndarray, cfl: float) -> float:
-        u_hat = self.u_hat(w_hat)
-        kx, ky = self.ws.k
-        vmax = max(
-            float(np.max(np.abs(np.real(np.fft.ifftn(1j * kx * u_hat))))),
-            float(np.max(np.abs(np.real(np.fft.ifftn(1j * ky * u_hat))))),
-        )
-        rate = self.mu * self._kmax ** 2 + self._kmax * vmax + 1e-12
-        return cfl * RK4_IMAG_LIMIT / rate
-
-
-class NVEvolver:
-    """Novikov-Veselov potential dynamics: evolve v = u_xy."""
-
-    def __init__(self, grid: GridField, alpha: float, beta: float, mean_tol: float = 1e-8):
-        if grid.dim != 2:
-            raise EvolutionError("NV evolution is two-dimensional")
-        self.ws = _SpectralWorkspace(grid)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        kx, ky = self.ws.k
-        self.kxky = (1j * kx) * (1j * ky)
-        self._pinned = np.abs(self.kxky) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv = np.where(self._pinned, 0.0, 1.0 / self.kxky)
-        self.mean_tol = mean_tol
-        self._sym_max = float(np.max(np.abs(((1j * kx) ** 3 + (1j * ky) ** 3) * self.ws.mask)))
-        self._kmax = max(self.ws.kmax_dealiased)
-
-    def to_state(self, field: GridField) -> np.ndarray:
-        u_hat = np.fft.fftn(field.data) * self.ws.mask
-        return self.kxky * u_hat
-
-    def u_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        plane = np.abs(v_hat[self._pinned])
-        scale = float(np.max(np.abs(v_hat))) if v_hat.size else 0.0
-        if plane.size and scale > 0 and float(plane.max()) > self.mean_tol * max(scale, 1.0):
-            raise NonIntegrableSymbol(
-                "u_xy data carry nonzero kx=0 or ky=0 modes; no periodic "
-                "potential u exists"
-            )
-        return self.inv * v_hat
-
-    def rhs_hat(self, v_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
-        ws = self.ws
-        kx, ky = ws.k
-        u_hat = self.u_hat(v_hat)
-        v = np.real(np.fft.ifftn(v_hat))
-        uxx = np.real(np.fft.ifftn((1j * kx) ** 2 * u_hat))
-        uyy = np.real(np.fft.ifftn((1j * ky) ** 2 * u_hat))
-        term = np.fft.fftn(self.alpha * v * uxx) * (1j * kx) + np.fft.fftn(
-            self.beta * v * uyy
-        ) * (1j * ky)
-        term = term * ws.mask
-        lin = -((1j * kx) ** 3 + (1j * ky) ** 3) * v_hat
-        return lin - term
-
-    def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
-        v_hat = self.to_state(field)
-        return np.real(np.fft.ifftn(self.inv * self.rhs_hat(v_hat, field.time)))
-
-    def state_to_field(self, v_hat: np.ndarray, template: GridField, t: float) -> GridField:
-        u = np.real(np.fft.ifftn(self.u_hat(v_hat)))
-        return template.with_data(u, t)
-
-    def dt_estimate(self, v_hat: np.ndarray, cfl: float) -> float:
-        amp = float(np.max(np.abs(np.real(np.fft.ifftn(v_hat)))))
         rate = self._sym_max + self._kmax * (amp + amp * amp) + 1e-12
         return cfl * RK4_IMAG_LIMIT / rate
 
@@ -343,7 +224,7 @@ def _rk4_step(rhs, state, t, dt, forcing):
 
 
 def evolve(
-    evolver,
+    evolver: KhatEvolver,
     u0: GridField,
     t_end: float,
     n_samples: int = 11,
@@ -355,23 +236,16 @@ def evolve(
 ) -> Trajectory:
     """March to t_end with RK4, sampling the trajectory at even intervals.
 
-    The evolver's state is spectral; KhatEvolver states are u itself,
-    the derived-field evolvers convert both ways.
+    The state is the masked spectrum of u.
     """
-    if isinstance(evolver, KhatEvolver):
-        state = np.fft.fftn(u0.data) * evolver.ws.mask
-        to_field = lambda s, t: u0.with_data(np.real(np.fft.ifftn(s)), t)
-    else:
-        state = evolver.to_state(u0)
-        to_field = lambda s, t: evolver.state_to_field(s, u0, t)
-
+    state = np.fft.fftn(u0.data) * evolver.mask
     sample_times = [t_end * i / (n_samples - 1) for i in range(n_samples)] if n_samples > 1 else [0.0, t_end]
     t = 0.0
     steps = 0
     traj = Trajectory([], [], [], meta={"cfl": cfl, "dealias": "2/3 rule", "scheme": "RK4"})
 
     def record(tv):
-        f = to_field(state, tv)
+        f = u0.with_data(np.real(np.fft.ifftn(state)), tv)
         traj.times.append(tv)
         traj.fields.append(f)
         traj.ut.append(evolver.ut_grid(f, forcing))

@@ -8,6 +8,7 @@ evolution right-hand side).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,11 +76,7 @@ class GridField:
         return c.reshape(shape)
 
     def wavenumbers(self, axis: int) -> np.ndarray:
-        n = self.shape[axis]
-        k = 2.0 * math.pi * np.fft.fftfreq(n, d=self.periods[axis] / n)
-        shape = [1] * self.dim
-        shape[axis] = n
-        return k.reshape(shape)
+        return _wavenumbers(self.shape, self.periods, axis)
 
     def cell_volume(self) -> float:
         return float(np.prod(self.periods))
@@ -92,6 +89,15 @@ class GridField:
 
     def with_data(self, data: np.ndarray, time: float | None = None) -> "GridField":
         return GridField(data, self.periods, self.time if time is None else time)
+
+
+def _wavenumbers(shape: tuple, periods: tuple, axis: int) -> np.ndarray:
+    """Angular wavenumbers along one axis, broadcastable against the grid."""
+    n = shape[axis]
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=periods[axis] / n)
+    out = [1] * len(shape)
+    out[axis] = n
+    return k.reshape(out)
 
 
 def dealias_mask(shape: tuple) -> np.ndarray:
@@ -129,14 +135,39 @@ class TimeFunction:
         raise UnboundArbFun(f"no built-in time function {name!r} (use one, t, sin)")
 
 
-class SpectralEvaluator:
-    """Caches FFTs and derivative arrays while evaluating expressions."""
+def ik_symbol(grid: GridField, spatial: tuple) -> np.ndarray:
+    """Read-only spectral symbol prod_a (i k_a)^spatial[a] of a derivative."""
+    return _ik_symbol(grid.shape, grid.periods, tuple(spatial[: grid.dim]))
 
-    def __init__(self, grid: GridField, fields: dict[int, np.ndarray]):
+
+@functools.lru_cache(maxsize=64)
+def _ik_symbol(shape: tuple, periods: tuple, spatial: tuple) -> np.ndarray:
+    out = np.ones(shape, dtype=complex)
+    for axis, n in enumerate(spatial):
+        if n:
+            out = out * (1j * _wavenumbers(shape, periods, axis)) ** n
+    out.flags.writeable = False
+    return out
+
+
+class SpectralEvaluator:
+    """Pointwise u-jets on a grid, computed from spectral arrays.
+
+    `fields` maps a time-derivative order to grid values; a jet without
+    spatial derivatives returns them as given, other jets transform them
+    once.  `reset(u_hat)` starts over from the spectrum of u alone.
+    """
+
+    def __init__(self, grid: GridField, fields: dict[int, np.ndarray] | None = None):
         self.grid = grid
-        self.fields = fields
+        self.fields = fields or {}
         self._hats: dict[int, np.ndarray] = {}
         self._jets: dict[tuple, np.ndarray] = {}
+
+    def reset(self, u_hat: np.ndarray):
+        self.fields = {}
+        self._hats = {0: u_hat}
+        self._jets = {}
 
     def jet(self, mi: tuple) -> np.ndarray:
         got = self._jets.get(mi)
@@ -149,24 +180,32 @@ class SpectralEvaluator:
                 f"spatial derivative order {mi_order(spatial)} exceeds "
                 f"{MAX_STENCIL_ORDER}"
             )
-        if t_order not in self.fields:
+        if t_order not in self.fields and t_order not in self._hats:
             raise MissingTimeDerivative(
                 f"expression needs d_t^{t_order} u but only orders "
                 f"{sorted(self.fields)} are bound"
             )
-        if mi_order(spatial) == 0:
+        if mi_order(spatial) == 0 and t_order in self.fields:
             out = np.asarray(self.fields[t_order], dtype=float)
         else:
             hat = self._hats.get(t_order)
             if hat is None:
-                hat = np.fft.fftn(self.fields[t_order])
-                self._hats[t_order] = hat
-            for axis in range(self.grid.dim):
-                if spatial[axis]:
-                    hat = hat * (1j * self.grid.wavenumbers(axis)) ** spatial[axis]
+                hat = self._hats[t_order] = np.fft.fftn(self.fields[t_order])
+            if mi_order(spatial):
+                hat = hat * ik_symbol(self.grid, spatial)
             out = np.real(np.fft.ifftn(hat))
         self._jets[mi] = out
         return out
+
+    def terms(self, terms) -> np.ndarray:
+        """Sum of factor * prod jet(mi)^p over (factor, ((mi, p), ...)) terms."""
+        total = np.zeros(self.grid.shape)
+        for factor, jets in terms:
+            value = np.full(self.grid.shape, factor)
+            for mi, p in jets:
+                value = value * self.jet(mi) ** p
+            total += value
+        return total
 
 
 def evaluate_on_grid(
@@ -192,22 +231,17 @@ def evaluate_on_grid(
         fields[int(k)] = np.asarray(v)
     fun_bindings = fun_bindings or {}
     params = params or {}
-    ev = SpectralEvaluator(grid, fields)
 
-    total = np.zeros(grid.shape)
+    terms = []
     for mono, coeff in e.terms:
-        value = np.full(grid.shape, float(coeff))
+        factor = float(coeff)
         for axis, p in mono[0]:
             if axis == T:
-                value = value * (grid.time ** p)
+                factor = factor * grid.time ** p
             else:
                 if axis - 1 >= grid.dim:
                     raise GridError(f"variable {AXES[axis]} outside grid dimension")
-                value = value * grid.coords(axis - 1) ** p
-        for key, p in mono[1]:
-            if key[0] != "u":
-                raise GridError(f"cannot evaluate dependent variable {key[0]!r} on a u-grid")
-            value = value * ev.jet(key[1]) ** p
+                factor = factor * grid.coords(axis - 1) ** p
         for key, p in mono[2]:
             name, sig, orders, _rule = key
             if len(sig) != 1 or sig[0] != T:
@@ -217,10 +251,15 @@ def evaluate_on_grid(
                 )
             if name not in fun_bindings:
                 raise UnboundArbFun(f"no binding for arbitrary function {name!r}")
-            value = value * fun_bindings[name].deriv(orders[0], grid.time) ** p
+            factor = factor * fun_bindings[name].deriv(orders[0], grid.time) ** p
         for key, p in mono[3]:
             if key[0] not in params:
                 raise UnboundArbFun(f"no numeric value for parameter {key[0]!r}")
-            value = value * float(params[key[0]]) ** p
-        total = total + value
-    return total
+            factor = factor * float(params[key[0]]) ** p
+        jets = []
+        for key, p in mono[1]:
+            if key[0] != "u":
+                raise GridError(f"cannot evaluate dependent variable {key[0]!r} on a u-grid")
+            jets.append((key[1], p))
+        terms.append((factor, jets))
+    return SpectralEvaluator(grid, fields).terms(terms)

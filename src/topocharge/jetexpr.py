@@ -51,10 +51,6 @@ def multi_index(spec: str) -> tuple[int, int, int, int]:
     return tuple(mi)
 
 
-def mi_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i + j for i, j in zip(a, b))
-
-
 def mi_bump(a: Sequence[int], axis: int, by: int = 1) -> tuple[int, ...]:
     out = list(a)
     out[axis] += by

@@ -249,7 +249,3 @@ def parse_expr(source: str, dim: int, symbols: SymbolTable | None = None) -> Jet
     """Parse `source` into a canonical JetExpr for a dim-dimensional problem."""
     source = source.replace("−", "-")  # tolerate typographic minus
     return _Parser(source, dim, symbols or default_symbols()).parse()
-
-
-def parse_vector(sources, dim: int, symbols: SymbolTable | None = None):
-    return tuple(parse_expr(s, dim, symbols) for s in sources)

@@ -42,7 +42,7 @@ class CurveSpec:
         return CurveSpec(((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)))
 
 
-def _catmull_rom_weights(t: float) -> tuple:
+def _catmull_rom_weights(t: np.ndarray) -> tuple:
     t2, t3 = t * t, t * t * t
     return (
         -0.5 * t3 + t2 - 0.5 * t,
@@ -52,43 +52,28 @@ def _catmull_rom_weights(t: float) -> tuple:
     )
 
 
-def periodic_interp(data: np.ndarray, periods, point) -> float:
-    """Separable periodic cubic interpolation at one point."""
+def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
+    """Separable periodic cubic interpolation of `data` at many points.
+
+    Each axis contributes four node indices and Catmull-Rom weights per
+    point; one gather takes the 4^dim neighbours of every point, and the
+    weights are contracted axis by axis, the last axis first.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = data.ndim
-    idx_weights = []
+    npts = len(pts)
+    index, weights = [], []
     for axis in range(dim):
         n = data.shape[axis]
-        h = periods[axis] / n
-        s = point[axis] / h
-        i0 = math.floor(s)
-        frac = s - i0
-        w = _catmull_rom_weights(frac)
-        idx = [(i0 - 1 + j) % n for j in range(4)]
-        idx_weights.append((idx, w))
-    out = 0.0
-    if dim == 1:
-        idx, w = idx_weights[0]
-        for j in range(4):
-            out += w[j] * data[idx[j]]
-        return float(out)
-    if dim == 2:
-        (ix, wx), (iy, wy) = idx_weights
-        for a in range(4):
-            row = 0.0
-            for b in range(4):
-                row += wy[b] * data[ix[a], iy[b]]
-            out += wx[a] * row
-        return float(out)
-    (ix, wx), (iy, wy), (iz, wz) = idx_weights
-    for a in range(4):
-        plane = 0.0
-        for b in range(4):
-            row = 0.0
-            for c in range(4):
-                row += wz[c] * data[ix[a], iy[b], iz[c]]
-            plane += wy[b] * row
-        out += wx[a] * plane
-    return float(out)
+        s = pts[:, axis] / (periods[axis] / n)
+        i0 = np.floor(s)
+        shape = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
+        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(shape))
+        weights.append(np.stack(_catmull_rom_weights(s - i0), axis=-1))
+    vals = data[tuple(index)]
+    for axis in reversed(range(dim)):
+        vals = (vals * weights[axis].reshape((npts,) + (1,) * axis + (4,))).sum(axis=-1)
+    return vals
 
 
 def spectral_values(data: np.ndarray, periods, points: np.ndarray) -> np.ndarray:
@@ -113,19 +98,11 @@ def spectral_values(data: np.ndarray, periods, points: np.ndarray) -> np.ndarray
     return np.real(vals)
 
 
-class _Interpolator:
-    def __init__(self, data: np.ndarray, periods, method: str):
-        if method not in ("cubic", "spectral"):
-            raise ValueError(f"unknown interpolation method {method!r}")
-        self.data = data
-        self.periods = periods
-        self.method = method
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.method == "spectral":
-            return spectral_values(self.data, self.periods, pts)
-        return np.array([periodic_interp(self.data, self.periods, p) for p in pts])
+def _interpolator(method: str):
+    """values(data, periods, points) for an interpolation method name."""
+    if method not in ("cubic", "spectral"):
+        raise ValueError(f"unknown interpolation method {method!r}")
+    return cubic_values if method == "cubic" else spectral_values
 
 
 def _interval_factors(n: int, period: float, lo: float, hi: float) -> np.ndarray:
@@ -200,8 +177,7 @@ def loop_integral(
             else:
                 raise ValueError("method 'exact' needs axis-aligned segments")
         return total
-    ix = _Interpolator(gx, grid.periods, method)
-    iy = _Interpolator(gy, grid.periods, method)
+    values = _interpolator(method)
     spacing = min(grid.spacing(0), grid.spacing(1))
     total = 0.0
     for p0, p1 in zip(curve.vertices[:-1], curve.vertices[1:]):
@@ -210,7 +186,7 @@ def loop_integral(
             continue
         dx = (p1[0] - p0[0]) / length
         dy = (p1[1] - p0[1]) / length
-        vals = ix(pts) * dy - iy(pts) * dx
+        vals = values(gx, grid.periods, pts) * dy - values(gy, grid.periods, pts) * dx
         h = length / (len(pts) - 1)
         total += h * (0.5 * vals[0] + float(vals[1:-1].sum()) + 0.5 * vals[-1])
     return total
@@ -264,7 +240,7 @@ def surface_integral(
                     np.real(np.einsum("abc,a,b,c->", hat, *factors))
                 )
         return total
-    interps = [_Interpolator(c, grid.periods, method) for c in comps]
+    values = _interpolator(method)
     total = 0.0
     axes = (0, 1, 2)
     for axis in axes:
@@ -287,7 +263,7 @@ def surface_integral(
             pts[:, axis] = side
             pts[:, others[0]] = aa.ravel()
             pts[:, others[1]] = bb.ravel()
-            vals = interps[axis](pts)
+            vals = values(comps[axis], grid.periods, pts)
             total += sign * float((weights * vals).sum()) * ha * hb
     return total
 

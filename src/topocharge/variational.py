@@ -187,10 +187,6 @@ def _mono_max_order(mono: tuple) -> int:
     return max((mi_order(k[1]) for k, _ in mono[1]), default=0)
 
 
-def _mono_var_degree(mono: tuple) -> int:
-    return sum(e for _, e in mono[0])
-
-
 def one_step_antiderivatives(mono: tuple, axis: int, var_bounds: Mapping[int, int]) -> list[tuple]:
     """Monomials m with D_axis(m) containing `mono` (up to coefficient)."""
     out = []

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, report determinism."""
 
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -40,6 +41,10 @@ class TestVerify:
     def test_flag_style(self, capsys):
         code, _, _ = run(capsys, "verify", "--pde", "kp", "--object", "current-2")
         assert code == 0
+
+    def test_params_without_value_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "kp", "current-1", "--params", "sigma")
+        assert code == 2 and "name=value" in err
 
 
 class TestReduce:
@@ -146,3 +151,80 @@ class TestSimulate:
                            "--out", str(tmp_path / "rep"))
         assert code == 3
         assert "violated" in out
+
+
+def write_manifest(tmp_path, manifest, name="m.yaml"):
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(manifest))
+    return path
+
+
+SHIPPED_KP = Path(__file__).resolve().parents[1] / "manifests" / "kp_charge.yaml"
+
+
+class TestSimulateUsage:
+    """Bad manifests exit 2 before any evolution, naming the cause."""
+
+    def simulate(self, capsys, tmp_path, manifest):
+        path = write_manifest(tmp_path, manifest)
+        return run(capsys, "simulate", "--manifest", str(path), "--out", str(tmp_path / "rep"))
+
+    def test_misspelled_t_end(self, tmp_path, capsys):
+        manifest = yaml.safe_load(SHIPPED_KP.read_text())
+        manifest["t_edn"] = manifest.pop("t_end")
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "t_edn" in err
+        assert out == ""
+
+    def test_checks_without_t_end(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        del manifest["t_end"]
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "t_end" in err
+
+    def test_unknown_check_type(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["checks"] = [{"type": "mas"}]
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "mas" in err
+
+    def test_one_resolution_for_2d_pde(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["grid"] = {"resolutions": [32], "periods": [TWO_PI]}
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "resolutions" in err
+
+    def test_unbound_parameter(self, tmp_path, capsys):
+        manifest = {
+            "pde": "vorticity",
+            "grid": {"resolutions": [32, 32], "periods": [TWO_PI, TWO_PI]},
+            "u0": {"modes": [{"a": 0.1, "k": [1, 1]}]},
+            "t_end": 0.01,
+        }
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "mu" in err
+
+    def test_balance_needs_divergence_form(self, tmp_path, capsys):
+        manifest = {
+            "pde": "vorticity",
+            "params": {"mu": "0"},
+            "grid": {"resolutions": [32, 32], "periods": [TWO_PI, TWO_PI]},
+            "u0": {"modes": [{"a": 0.1, "k": [1, 1]}]},
+            "t_end": 0.01,
+            "checks": [{"type": "balance", "curve": {"rect": [0.7, 3.9, 1.1, 5.2]}}],
+        }
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "divergence form" in err
+
+    def test_g_not_in_evolution_form(self, tmp_path, capsys):
+        entry = {"name": "wave", "title": "linear wave equation", "dim": 1,
+                 "G": "u_tt - u_xx", "leading": "u_tt", "rhs": "u_xx"}
+        entry_path = write_manifest(tmp_path, entry, "wave.yaml")
+        manifest = {
+            "pde": str(entry_path),
+            "grid": {"resolutions": [32], "periods": [TWO_PI]},
+            "u0": {"modes": [{"a": 0.1, "k": [1]}]},
+            "t_end": 0.01,
+        }
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "P(D) u_t = N(u)" in err

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from topocharge.catalog import get_entry
-from topocharge.evolution import (
-    KhatEvolver,
-    NonIntegrableSymbol,
-    NVEvolver,
-    VorticityEvolver,
-    evolve,
-)
+from topocharge.evolution import KhatEvolver, NonIntegrableSymbol, evolve
 from topocharge.grids import GridField
 from topocharge.jetexpr import substitute_arbfun
 from topocharge.parsing import parse_expr
@@ -22,6 +16,7 @@ from topocharge.quadrature import (
     CurveSpec,
     CurveNotClosed,
     check_constraint,
+    cubic_values,
     extract_source_sink,
     loop_integral,
     surface_integral,
@@ -77,6 +72,38 @@ class TestLoopIntegral:
         # with exact line integrals the discrete charge vanishes identically
         assert max(abs(v) for v in vals) <= 1e-10
         assert max(abs(a - b) for a, b in zip(vals, vals_inner)) <= 1e-10
+
+
+
+class TestCubicValues:
+    # values of the per-point loop interpolator this vectorised one replaced,
+    # recorded on the same seeded field and points
+    RECORDED = {
+        (16,): [0.3510943888971878, -0.21873992746699616, 0.09971280328323602,
+                0.38495318653197375],
+        (16, 20): [0.27508813647803104, 0.36582727203399246, -0.05329516464050101,
+                   0.03340078233731574],
+        (16, 17, 18): [0.012247562286735021, 0.1901369123362557, -0.13757772316823252,
+                       -0.3785957498943827],
+    }
+    PERIODS = {(16,): (2.0,), (16, 20): (6.0, 3.0), (16, 17, 18): (1.0, 2.0, 3.0)}
+
+    def test_matches_recorded_values(self):
+        rng = np.random.default_rng(7)
+        for shape, want in self.RECORDED.items():
+            data = rng.random(shape) - 0.5
+            pts = 8.0 * rng.random((4, len(shape))) - 1.0
+            got = cubic_values(data, self.PERIODS[shape], pts)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_nodes_reproduce_grid_values(self):
+        rng = np.random.default_rng(3)
+        for shape in ((16,), (16, 32), (16, 16, 32)):
+            data = rng.random(shape)
+            periods = tuple(n / 4.0 for n in shape)  # spacing 1/4: nodes are exact
+            idx = np.stack([rng.integers(-n, 2 * n, size=50) for n in shape], axis=1)
+            got = cubic_values(data, periods, idx / 4.0)
+            assert np.array_equal(got, data[tuple((idx % shape).T)])
 
 
 class TestSurfaceIntegral:
@@ -211,7 +238,7 @@ class TestEvolution:
         rect = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
 
         def run(field, mu):
-            ev = VorticityEvolver(field, mu=mu)
+            ev = KhatEvolver(vort.pde, field, {"mu": mu})
             traj = evolve(ev, field, 0.2, n_samples=4)
             return [
                 loop_integral(gamma, f, ut, rect, params={"mu": mu}, method="exact")
@@ -241,9 +268,69 @@ class TestEvolution:
         x = np.arange(n) * TWO_PI / n
         X, Y = np.meshgrid(x, x, indexing="ij")
         u0 = GridField(0.02 * np.sin(X) * np.sin(Y), (TWO_PI, TWO_PI))
-        ev = NVEvolver(u0, alpha=1.0, beta=1.0)
+        ev = KhatEvolver(get_entry("nv").pde, u0, {"alpha": 1.0, "beta": 1.0})
         traj = evolve(ev, u0, 1e-3, n_samples=3)
         assert np.all(np.isfinite(traj.fields[-1].data))
+
+
+
+class TestReadOffEvolver:
+    """KhatEvolver reads P(D) u_t = N(u) off G; compare with hand-written RHS."""
+
+    N = 32
+
+    def spectral(self):
+        n = self.N
+        k = np.fft.fftfreq(n, d=TWO_PI / n) * TWO_PI
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        keep = np.abs(np.fft.fftfreq(n) * n) <= n // 3
+        mask = keep[:, None] & keep[None, :]
+        return 1j * kx, 1j * ky, mask
+
+    def field(self, data):
+        return GridField(data, (TWO_PI, TWO_PI))
+
+    def grid_xy(self):
+        x = np.arange(self.N) * TWO_PI / self.N
+        return np.meshgrid(x, x, indexing="ij")
+
+    @staticmethod
+    def pinned_inverse(symbol):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(symbol) < 1e-12, 0.0, 1.0 / symbol)
+
+    def test_vorticity_rhs(self):
+        mu = 0.01
+        X, Y = self.grid_xy()
+        u0 = self.field(0.3 * np.sin(X) * np.sin(Y) + 0.1 * np.cos(2 * X) * np.sin(Y))
+        dx, dy, mask = self.spectral()
+        lap = dx ** 2 + dy ** 2
+        u_hat = np.fft.fftn(u0.data) * mask
+        w_hat = lap * u_hat
+        real = lambda h: np.real(np.fft.ifftn(h))
+        # Lap u_t = u_y w_x - u_x w_y + mu Lap w
+        n_hat = np.fft.fftn(real(dy * u_hat) * real(dx * w_hat)
+                            - real(dx * u_hat) * real(dy * w_hat)) * mask + mu * lap * w_hat
+        want = real(self.pinned_inverse(lap) * n_hat)
+        got = KhatEvolver(get_entry("vorticity").pde, u0, {"mu": mu}).ut_grid(u0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nv_rhs(self):
+        alpha, beta = 1.0, 0.5
+        X, Y = self.grid_xy()
+        u0 = self.field(0.3 * np.sin(X) * np.sin(Y) + 0.1 * np.sin(2 * X) * np.sin(3 * Y))
+        dx, dy, mask = self.spectral()
+        u_hat = np.fft.fftn(u0.data) * mask
+        v_hat = dx * dy * u_hat
+        real = lambda h: np.real(np.fft.ifftn(h))
+        v = real(v_hat)
+        # D_x D_y u_t = -alpha (v u_xx)_x - beta (v u_yy)_y - (D_x^3 + D_y^3) v
+        n_hat = (-alpha * dx * np.fft.fftn(v * real(dx ** 2 * u_hat))
+                 - beta * dy * np.fft.fftn(v * real(dy ** 2 * u_hat))) * mask \
+            - (dx ** 3 + dy ** 3) * v_hat
+        want = real(self.pinned_inverse(dx * dy) * n_hat)
+        got = KhatEvolver(get_entry("nv").pde, u0, {"alpha": alpha, "beta": beta}).ut_grid(u0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSourceSink:
