@@ -28,12 +28,12 @@ from .conservation import (
     verify_multiplier,
 )
 from .evolution import CflViolation, EvolutionError, KhatEvolver, NonIntegrableSymbol, evolve
-from .grids import GridField, TimeFunction, evaluate_on_grid
+from .grids import MIN_RESOLUTION, GridError, GridField, TimeFunction, evaluate_on_grid
 from .jetexpr import JetExpr
 from .parsing import ParseError, parse_expr
 from .potential import UnsupportedDimension, build_potential_system
 from .printing import to_source, vector_source
-from .quadrature import ChargeReport, CurveSpec, check_constraint, loop_integral
+from .quadrature import LOOP_METHODS, ChargeReport, CurveSpec, check_constraint, loop_integral
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -226,6 +226,9 @@ def _read_manifest(path) -> dict:
     if (manifest.get("charges") or manifest.get("checks")) and not \
             float(manifest.get("t_end", 0.0)) > 0:
         raise UsageError(f"{path}: charges and checks need t_end > 0")
+    if manifest.get("interp", "cubic") not in LOOP_METHODS:
+        raise UsageError(f"{path}: unknown interp {manifest['interp']!r} "
+                         f"(known: {', '.join(LOOP_METHODS)})")
     return manifest
 
 
@@ -248,7 +251,10 @@ def _initial_data(manifest, dim: int, symbols) -> GridField:
         raise UsageError(f"grid must have {dim} resolutions and periods")
     data = np.zeros(shape)
     coords = []
-    fld = GridField(data, periods)
+    try:
+        fld = GridField(data, periods)
+    except GridError as exc:
+        raise UsageError(f"grid {list(shape)}: {exc}") from None
     for axis in range(dim):
         coords.append(fld.coords(axis))
     u0 = manifest.get("u0") or {}
@@ -336,6 +342,12 @@ def cmd_simulate(args) -> int:
     seed = int(manifest.get("seed", 0))
 
     u0 = _initial_data(manifest, entry.dim, entry.symbols)
+    if min(u0.data.shape) // 2 < MIN_RESOLUTION and any(
+            spec.get("tolerance") is None for spec in (manifest.get("charges") or [])
+            + [c for c in manifest.get("checks") or [] if c["type"] == "balance"]):
+        raise UsageError(f"tolerances from resolution doubling need at least "
+                         f"{2 * MIN_RESOLUTION} points per axis; give tolerances "
+                         f"or refine the grid")
     t_end = float(manifest.get("t_end", 0.0))
     samples = int(manifest.get("samples", 9))
     cfl = float(manifest.get("cfl", 0.5))

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jetexpr import (
-    JetExpr,
-    Rat,
-    T,
-    divergence,
-    total_derivative,
-)
+from .jetexpr import JetExpr, T, arbfun_key, divergence, total_derivative
 from .pde import PdeSpec, expand_r_operator, substitute_on_solutions, substitute_with_ledger
-from .variational import euler_u
+from .variational import AnsatzExhausted, _mono_expr, build_pools, euler_u, solve_ansatz
+
+# Pool-growth rounds and pool-size cap of each curl-witness ansatz.
+CURL_ROUNDS = 2
+CURL_POOL_CAP = 4000
 
 
 class NotAMultiplier(ValueError):
@@ -67,8 +65,6 @@ class CurrentFamily:
         """Recombine into full (T, Phi) with formal f^(i) factors."""
         if self.fun is None:
             return self.T_coeffs[0], self.Flux_coeffs[0]
-        from .jetexpr import arbfun_key
-
         name, sig, rule = self.fun
         T_full = JetExpr.zero()
         Phi_full = [JetExpr.zero()] * self.dim
@@ -267,38 +263,40 @@ def nontriviality_certificate(
     """Certify that Gamma is not a curl on solutions.
 
     Returns "u_t-certificate" for fluxes of the form u_t k_hat - F with F
-    free of time derivatives (the jet-counting argument), otherwise the
-    order bound up to which a curl ansatz search failed.
+    free of time derivatives (the jet-counting argument), and in one
+    dimension "nonzero-flux" or "trivial".  Otherwise a curl-witness
+    search runs at the order bounds from `order_bound` (default: the
+    highest jet order in Gamma) down to min(2, order_bound); the first
+    bound whose ansatz pools fit the cap decides: "trivial" if a witness
+    exists, else that bound.  None means every bound exhausted the cap.
+
+    This is the value of the ascending search that stops at the first
+    exhausted bound: pools only filter by order, so pool(b) is a subset of
+    pool(b+1) and a bound that exhausts the cap makes every higher one
+    exhaust it too; and a witness over pool(b) is one over pool(b+1) with
+    the new columns set to zero, since the rows those columns add have
+    target zero.
     """
     dim = pde.dim
-    ut_key = ("u", (1, 0, 0, 0))
+    u_t = JetExpr.jet("u", (1, 0, 0, 0))
     for k_axis in range(1, dim + 1):
-        ok = True
-        for idx, comp in enumerate(gamma, start=1):
-            f_part = comp - JetExpr.jet("u", (1, 0, 0, 0)) if idx == k_axis else comp
-            if any(k[1][T] > 0 for k in f_part.jet_keys()):
-                ok = False
-                break
-        if ok:
+        f_parts = [comp - u_t if idx == k_axis else comp
+                   for idx, comp in enumerate(gamma, start=1)]
+        if not any(k[1][T] > 0 for f in f_parts for k in f.jet_keys()):
             return "u_t-certificate"
     if dim == 1:
         # No curls in one dimension; non-triviality just means Gamma|_E != 0.
         g = substitute_on_solutions(gamma[0], pde)
         return "nonzero-flux" if not g.is_zero() else "trivial"
-    from .variational import AnsatzExhausted
-
     if order_bound is None:
         order_bound = max(c.max_order() for c in gamma)
-    certified = None
-    for bound in range(min(2, order_bound), order_bound + 1):
+    for bound in range(order_bound, min(2, order_bound) - 1, -1):
         try:
             witness = curl_witness_on_solutions(gamma, pde, bound)
         except AnsatzExhausted:
-            break
-        if witness is not None:
-            return "trivial"
-        certified = bound
-    return certified
+            continue
+        return "trivial" if witness is not None else bound
+    return None
 
 
 def _curl_components(theta: JetExpr | tuple, dim: int) -> tuple:
@@ -312,9 +310,7 @@ def _curl_components(theta: JetExpr | tuple, dim: int) -> tuple:
     )
 
 
-def curl_witness_on_solutions(
-    gamma: tuple, pde: PdeSpec, order_bound: int, rounds: int = 2, cap: int = 4000
-):
+def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
     """Search for a skew potential with Gamma|_E = curl(theta)|_E.
 
     The ansatz for each potential component is drawn from antiderivative
@@ -322,14 +318,10 @@ def curl_witness_on_solutions(
     (scalar in 2D, 3-vector in 3D) or None, which certifies
     non-triviality up to `order_bound`.
     """
-    from .variational import build_pools, solve_linear
-
     dim = pde.dim
     if dim == 2:
-        npots = 1
         feeds = {0: ((0, 2), (1, 1))}  # w from y-antiderivatives of G^x, x- of G^y
     elif dim == 3:
-        npots = 3
         feeds = {
             0: ((1, 3), (2, 2)),  # wx appears in Gamma^y via D_z, Gamma^z via D_y
             1: ((0, 3), (2, 1)),
@@ -337,6 +329,7 @@ def curl_witness_on_solutions(
         }
     else:
         raise ValueError("curl witness search needs dim 2 or 3")
+    npots = len(feeds)
 
     g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
     columns: list[tuple[int, tuple]] = []
@@ -351,45 +344,20 @@ def curl_witness_on_solutions(
                 [axis],
                 order_bound,
                 {axis: comp.var_degree(axis) + 1},
-                rounds,
-                cap,
+                CURL_ROUNDS,
+                CURL_POOL_CAP,
             )
             pool |= set(pools[axis])
         columns.extend((pot, m) for m in sorted(pool))
-    if not columns:
-        return None if any(not c.is_zero() for c in g_sub) else tuple(
-            JetExpr.zero() for _ in range(npots)
-        )
 
-    rows_by_mono: dict[tuple, dict] = {}
-    targets = [dict(c.terms) for c in g_sub]
-    monos_per_comp = [set(t) for t in targets]
-    for col, (pot, m) in enumerate(columns):
-        theta: list[JetExpr] = [JetExpr.zero()] * npots
-        theta[pot] = JetExpr(((m, Rat(1)),))
+    def image(pot: int, m: tuple) -> tuple:
+        theta = [JetExpr.zero()] * npots
+        theta[pot] = _mono_expr(m)
         curl = _curl_components(theta[0] if dim == 2 else tuple(theta), dim)
-        for comp_idx, comp in enumerate(curl):
-            comp = substitute_on_solutions(comp, pde)
-            for mm, c in comp.terms:
-                rows_by_mono.setdefault((comp_idx, mm), {})[col] = c
-                monos_per_comp[comp_idx].add(mm)
-    rows = []
-    for comp_idx in range(dim):
-        for mm in sorted(monos_per_comp[comp_idx]):
-            rows.append(
-                (
-                    rows_by_mono.get((comp_idx, mm), {}),
-                    targets[comp_idx].get(mm, Rat(0)),
-                )
-            )
-    sol = solve_linear(rows, len(columns))
+        return tuple(substitute_on_solutions(c, pde) for c in curl)
+
+    sol = solve_ansatz(columns, (image(pot, m) for pot, m in columns), g_sub)
     if sol is None:
         return None
-    comps = [JetExpr.zero()] * npots
-    pairs: dict[int, list] = {p: [] for p in range(npots)}
-    for (pot, m), c in zip(columns, sol):
-        if c:
-            pairs[pot].append((c, m))
-    for pot in range(npots):
-        comps[pot] = JetExpr.from_pairs(pairs[pot])
-    return comps[0] if dim == 2 else tuple(comps)
+    comps = tuple(sol.get(pot, JetExpr.zero()) for pot in range(npots))
+    return comps[0] if dim == 2 else comps

@@ -98,6 +98,9 @@ def spectral_values(data: np.ndarray, periods, points: np.ndarray) -> np.ndarray
     return np.real(vals)
 
 
+LOOP_METHODS = ("cubic", "spectral", "exact")  # the `method` values of loop_integral
+
+
 def _interpolator(method: str):
     """values(data, periods, points) for an interpolation method name."""
     if method not in ("cubic", "spectral"):

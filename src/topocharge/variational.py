@@ -176,6 +176,36 @@ def solve_linear(rows: Iterable[tuple[dict, Rat]], ncols: int) -> list[Rat] | No
     return solution
 
 
+def solve_ansatz(
+    columns: Sequence[tuple], images: Iterable[tuple], targets: tuple
+) -> dict | None:
+    """Exact coefficients c with sum_col c_col * images[col] == targets.
+
+    `columns` are (label, monomial) pairs, `images` yields each column's
+    image per target component, in column order; a generator keeps only
+    one image alive at a time.  There is one row per (component,
+    monomial) and free coefficients are pinned to zero, so the solution
+    does not depend on the row order.  Returns {label: sum of c*monomial
+    over the label's columns}, or None when the targets are out of reach.
+    """
+    rows: dict[tuple, tuple] = {}  # (component, monomial) -> (coefficients, rhs)
+    for comp, target in enumerate(targets):
+        for mm, c in target.terms:
+            rows[comp, mm] = ({}, c)
+    for col, image in enumerate(images):
+        for comp, part in enumerate(image):
+            for mm, c in part.terms:
+                rows.setdefault((comp, mm), ({}, Rat(0)))[0][col] = c
+    sol = solve_linear([rows[key] for key in sorted(rows)], len(columns))
+    if sol is None:
+        return None
+    pairs: dict = {label: [] for label, _ in columns}
+    for (label, m), c in zip(columns, sol):
+        if c:
+            pairs[label].append((c, m))
+    return {label: JetExpr.from_pairs(p) for label, p in pairs.items()}
+
+
 # -- ansatz pools ------------------------------------------------------------
 
 
@@ -275,35 +305,17 @@ def invert_divergence(
         var_bounds = {d: e.var_degree(d) + 1 for d in axes}
 
     pools = build_pools(e, axes, order_bound, var_bounds, rounds)
-    columns: list[tuple[int, tuple]] = []
-    for d in axes:
-        columns.extend((d, m) for m in pools[d] if sum(x for _, x in m[1]) <= degree_bound)
-    if not columns:
-        raise AnsatzExhausted("empty ansatz pool")
-
-    rows_by_mono: dict[tuple, dict] = {}
-    for col, (d, m) in enumerate(columns):
-        image = total_derivative(_mono_expr(m), d)
-        for mm, c in image.terms:
-            rows_by_mono.setdefault(mm, {})[col] = rows_by_mono.get(mm, {}).get(col, Rat(0)) + c
-    target = dict(e.terms)
-    all_monos = sorted(set(rows_by_mono) | set(target))
-    rows = [(rows_by_mono.get(mm, {}), target.get(mm, Rat(0))) for mm in all_monos]
-
-    sol = solve_linear(rows, len(columns))
+    columns = [(d, m) for d in axes for m in pools[d]
+               if sum(x for _, x in m[1]) <= degree_bound]
+    images = ((total_derivative(_mono_expr(m), d),) for d, m in columns)
+    sol = solve_ansatz(columns, images, (e,))
     if sol is None:
         raise AnsatzExhausted(
             "no witness within bounds "
             f"(order<={order_bound}, degree<={degree_bound}, vars<={var_bounds}, "
             f"rounds={rounds})"
         )
-    comps = [JetExpr.zero() for _ in axes]
-    by_axis: dict[int, list] = {d: [] for d in axes}
-    for (d, m), c in zip(columns, sol):
-        if c:
-            by_axis[d].append((c, m))
-    for i, d in enumerate(axes):
-        comps[i] = JetExpr.from_pairs(by_axis[d])
+    comps = [sol.get(d, JetExpr.zero()) for d in axes]
     residual = divergence(comps, dim) - e
     if not residual.is_zero():
         raise AssertionError("divergence inversion produced a nonzero residual")

@@ -1,7 +1,10 @@
 """Catalog self-verification, typo repairs, and parameter instantiation."""
 
+from pathlib import Path
+
 import pytest
 
+from topocharge import cli
 from topocharge.catalog import (
     CatalogCorrupt,
     ConstraintViolation,
@@ -14,6 +17,9 @@ from topocharge.catalog import (
 from topocharge.conservation import current_divergence, verify_current
 from topocharge.parsing import parse_expr
 from topocharge.pde import substitute_on_solutions
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,15 @@ class TestLoad:
                 assert ch.flux.nontrivial_up_to_order not in (None, "trivial"), (
                     entry.name, ch.id,
                 )
+
+
+class TestShow:
+    @pytest.mark.parametrize(
+        "name", ["kdv_lagrangian", "kp", "umkp", "shear", "nv", "vorticity"])
+    def test_matches_golden_file(self, name, capsys):
+        assert cli.main(["catalog", "show", name]) == 0
+        shown = capsys.readouterr().out.encode("utf-8")
+        assert shown == (REFERENCE / f"show_{name}.txt").read_bytes()
 
 
 class TestRepairs:

@@ -228,3 +228,30 @@ class TestSimulateUsage:
         }
         code, _, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and "P(D) u_t = N(u)" in err
+
+    def test_grid_below_minimum_resolution(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["grid"]["resolutions"] = [8, 8]
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "resolutions must be >= 16" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    @pytest.mark.parametrize("doubled", ["charge", "balance"])
+    def test_doubling_tolerance_below_minimum_resolution(self, doubled, kp_manifest,
+                                                         tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["grid"]["resolutions"] = [16, 16]
+        if doubled == "balance":
+            manifest["charges"][0]["tolerance"] = 1e-6
+            manifest["checks"].append(
+                {"type": "balance", "curve": {"rect": [0.7, 3.9, 1.1, 5.2]}})
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "resolution doubling" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_unknown_interp(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["interp"] = "bogus"
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "bogus" in err
+        assert out == ""

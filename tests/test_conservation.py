@@ -2,14 +2,17 @@
 
 import pytest
 
-from topocharge.catalog import get_entry
+from topocharge import conservation
+from topocharge.catalog import get_entry, load_catalog
 from topocharge.conservation import (
     CurrentVerificationError,
     MixedArbFuns,
     NonlinearInArbFun,
     NotAMultiplier,
     current_divergence,
+    curl_witness_on_solutions,
     divergence_identity,
+    nontriviality_certificate,
     reduce_to_spatial_flux,
     split_by_arbitrary_function,
     trivializing_potentials,
@@ -25,6 +28,7 @@ from topocharge.pde import (
     substitute_on_solutions,
     substitute_with_ledger,
 )
+from topocharge.variational import AnsatzExhausted, build_pools
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +195,87 @@ class TestPairing:
             m = kp.multiplier(c.multiplier_id)
             diff = m.Q * kp.pde.G - current_divergence(kp.pde, c.T, c.Phi)
             assert euler_u(diff).is_zero()
+
+
+def charge_cases(entry):
+    """(charge, Gamma, the PDE of the charge's case) for every charge."""
+    return [
+        (ch, ch.flux.Gamma, entry.pde_for_case(entry.current(ch.current_id).case))
+        for ch in entry.charges
+    ]
+
+
+def ascending_ladder(gamma, pde):
+    """Reference: one curl-witness search per bound 2..B, stopping at the
+    first bound whose ansatz pools exhaust the cap."""
+    top = max(c.max_order() for c in gamma)
+    certified = None
+    for bound in range(min(2, top), top + 1):
+        try:
+            if curl_witness_on_solutions(gamma, pde, bound) is not None:
+                return "trivial"
+        except AnsatzExhausted:
+            break
+        certified = bound
+    return certified
+
+
+def feed_pools(gamma, pde, bound):
+    """The ansatz pools a curl-witness search at `bound` builds, by
+    (flux component, antiderivative axis), without the cap."""
+    out = {}
+    for idx, comp in enumerate(substitute_on_solutions(c, pde) for c in gamma):
+        for axis in range(1, len(gamma) + 1):
+            if axis != idx + 1 and not comp.is_zero():
+                pools = build_pools(comp, [axis], bound, {axis: comp.var_degree(axis) + 1},
+                                    conservation.CURL_ROUNDS, 10**6)
+                out[idx, axis] = set(pools[axis])
+    return out
+
+
+def largest_pool(gamma, pde, bound):
+    return max(len(pool) for pool in feed_pools(gamma, pde, bound).values())
+
+
+class TestCertificate:
+    def test_curl_on_solutions_is_trivial(self, kp):
+        # Gamma = curl(x*u_t); its y-component only reads as a curl after
+        # u_tx is replaced on solutions
+        theta = expr(kp, "x*u_t")
+        gamma = (total_derivative(theta, 2), -total_derivative(theta, 1))
+        assert nontriviality_certificate(gamma, kp.pde) == "trivial"
+
+    @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity"])
+    def test_matches_ascending_ladder(self, name):
+        searched = 0
+        for ch, gamma, pde in charge_cases(get_entry(name)):
+            cert = nontriviality_certificate(gamma, pde)
+            if cert != "u_t-certificate":
+                assert cert == ascending_ladder(gamma, pde), ch.id
+                searched += 1
+        assert searched > 0
+
+    @pytest.mark.parametrize("name, charge_id",
+                             [("kp", "charge-3"), ("nv", "charge-2"), ("vorticity", "charge-1")])
+    def test_cap_at_top_bound(self, name, charge_id, monkeypatch):
+        entry = get_entry(name)
+        (_, gamma, pde), = [c for c in charge_cases(entry) if c[0].id == charge_id]
+        top = max(c.max_order() for c in gamma)
+        cap = largest_pool(gamma, pde, top - 1)
+        assert largest_pool(gamma, pde, top) > cap
+        monkeypatch.setattr(conservation, "CURL_POOL_CAP", cap)
+        assert nontriviality_certificate(gamma, pde) == ascending_ladder(gamma, pde) == top - 1
+        monkeypatch.setattr(conservation, "CURL_POOL_CAP", 0)
+        assert nontriviality_certificate(gamma, pde) is None
+        assert ascending_ladder(gamma, pde) is None
+
+    def test_pools_nest_by_order_bound(self):
+        for entry in load_catalog():
+            if entry.dim == 1:
+                continue
+            for ch, gamma, pde in charge_cases(entry):
+                top = max(c.max_order() for c in gamma)
+                pools = [feed_pools(gamma, pde, bound) for bound in range(2, top + 1)]
+                for lower, upper in zip(pools, pools[1:]):
+                    for feed, pool in lower.items():
+                        assert pool <= upper[feed], (entry.name, ch.id, feed)
