@@ -215,7 +215,7 @@ def _case_bindings(doc: dict, dim: int, base_sym: SymbolTable) -> dict:
             keys = expr.param_keys()
             for k in keys:
                 if k[0] == pname and k[1] != ():
-                    sym = sym.with_param(pname, k[1])
+                    sym = sym.with_param(pname, Fraction(*k[1]))
         cases[case_name] = bindings
     return cases
 

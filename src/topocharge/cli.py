@@ -223,6 +223,7 @@ def _read_manifest(path) -> dict:
         if spec.get("type") not in CHECK_TYPES:
             raise UsageError(f"{path}: unknown check type {spec.get('type')!r} "
                              f"(known: {', '.join(CHECK_TYPES)})")
+    _check_numbers(manifest, path)
     if (manifest.get("charges") or manifest.get("checks")) and not \
             float(manifest.get("t_end", 0.0)) > 0:
         raise UsageError(f"{path}: charges and checks need t_end > 0")
@@ -232,14 +233,59 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
+def _check_numbers(manifest, path) -> None:
+    """Refuse a non-numeric value in any field the run converts to a number."""
+
+    def need(value, kind, where):
+        try:
+            kind(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{path}: {where} must be a number, got {value!r}") from None
+
+    def need_list(doc, key, kind, where):
+        values = doc.get(key)
+        if values is None:
+            return
+        if not isinstance(values, list):
+            raise UsageError(f"{path}: {where}.{key} must be a list, got {values!r}")
+        for value in values:
+            need(value, kind, f"{where}.{key}")
+
+    for key, kind in (("t_end", float), ("samples", int), ("cfl", float), ("dt", float),
+                      ("seed", int)):
+        if manifest.get(key) is not None:
+            need(manifest[key], kind, key)
+    grid = manifest.get("grid") or {}
+    need_list(grid, "resolutions", int, "grid")
+    need_list(grid, "periods", float, "grid")
+    u0 = manifest.get("u0")
+    if isinstance(u0, dict):
+        if "constant" in u0:
+            need(u0["constant"], float, "u0.constant")
+        for mode in u0.get("modes") or []:
+            if "a" in mode:
+                need(mode["a"], float, "u0.modes[].a")
+            need_list(mode, "k", int, "u0.modes[]")
+            need_list(mode, "phase", float, "u0.modes[]")
+    for group in ("charges", "checks", "constraints"):
+        for spec in manifest.get(group) or []:
+            if spec.get("tolerance") is not None:
+                need(spec["tolerance"], float, f"{group}[].tolerance")
+            need_list(spec.get("curve") or {}, "rect", float, f"{group}[].curve")
+
+
 def _numeric_params(manifest) -> dict:
     out = {}
     for name, value in (manifest.get("params") or {}).items():
         text = str(value).strip()
-        if text.startswith("sqrt(") and text.endswith(")"):
-            out[name] = math.sqrt(float(Fraction(text[5:-1])))
-        else:
-            out[name] = float(Fraction(text))
+        try:
+            if text.startswith("sqrt(") and text.endswith(")"):
+                out[name] = math.sqrt(float(Fraction(text[5:-1])))
+            else:
+                out[name] = float(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"params.{name} must be a rational or sqrt(rational), "
+                             f"got {value!r}") from None
     return out
 
 
@@ -296,32 +342,26 @@ def _charge_series(entry, traj, charge_id, curve, params, fun, method):
     return vals
 
 
-def _balance_residuals(entry, traj, curve, params, method, stride: int = 1):
-    """d/dt circulation of u around the curve minus the F-flux circulation.
-
-    With stride > 1, the time derivative is differenced over coarser
-    sample spacing; comparing strides measures the sampling error.
-    """
+def _circulations(entry, traj, curve, params, method) -> tuple[list, list]:
+    """Circulations of u and of the F-flux around the curve at every sample."""
     u_gamma = (JetExpr.jet("u"), JetExpr.zero())
     F_gamma = entry.pde.div_form.F
-    idx = list(range(0, len(traj.times), stride))
-    circ_u = [
-        loop_integral(u_gamma, traj.fields[i], traj.ut[i], curve, None, params,
-                      method=method)
-        for i in idx
-    ]
-    circ_F = [
-        loop_integral(F_gamma, traj.fields[i], traj.ut[i], curve, None, params,
-                      method=method)
-        for i in idx
-    ]
-    times, resid = [], []
-    for k in range(1, len(idx) - 1):
-        dt_c = traj.times[idx[k + 1]] - traj.times[idx[k - 1]]
-        ddt = (circ_u[k + 1] - circ_u[k - 1]) / dt_c
-        times.append(traj.times[idx[k]])
-        resid.append(ddt - circ_F[k])
-    return times, resid
+    circ_u = [loop_integral(u_gamma, fld, ut, curve, None, params, method=method)
+              for fld, ut in zip(traj.fields, traj.ut)]
+    circ_F = [loop_integral(F_gamma, fld, ut, curve, None, params, method=method)
+              for fld, ut in zip(traj.fields, traj.ut)]
+    return circ_u, circ_F
+
+
+def _balance_residuals(times, circ_u, circ_F):
+    """d/dt circulation of u around the curve minus the F-flux circulation.
+
+    Passing every second sample differences the time derivative over a
+    coarser spacing; comparing the two measures the sampling error.
+    """
+    resid = [(circ_u[k + 1] - circ_u[k - 1]) / (times[k + 1] - times[k - 1]) - circ_F[k]
+             for k in range(1, len(times) - 1)]
+    return times[1:-1], resid
 
 
 def cmd_simulate(args) -> int:
@@ -434,17 +474,18 @@ def cmd_simulate(args) -> int:
                     worst = max(worst, EXIT_RESIDUAL)
             else:
                 curve = CurveSpec.rectangle(*spec["curve"]["rect"])
-                times, resid = _balance_residuals(entry, traj, curve, params, method)
+                circ_u, circ_F = _circulations(entry, traj, curve, params, method)
+                times, resid = _balance_residuals(traj.times, circ_u, circ_F)
                 if spec.get("tolerance") is not None:
                     tol = float(spec["tolerance"])
                 else:
-                    _, resid_half = _balance_residuals(entry, halved(), curve, params,
-                                                       method)
+                    half = halved()
+                    _, resid_half = _balance_residuals(
+                        half.times, *_circulations(entry, half, curve, params, method))
                     diff_grid = max(abs(a - b) for a, b in zip(resid, resid_half))
                     # time-sampling part of the doubling difference: compare the
                     # centered differences at stride 1 vs stride 2
-                    t2, r2 = _balance_residuals(entry, traj, curve, params, method,
-                                                stride=2)
+                    t2, r2 = _balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])
                     fine = dict(zip(times, resid))
                     diff_time = max(
                         (abs(fine[t] - r) for t, r in zip(t2, r2) if t in fine),

@@ -34,7 +34,7 @@ Rat = Fraction
 #   rule may be () or (slot, threshold, ((coef, delta_orders), ...)) and
 #   rewrites any derivative with orders[slot] >= threshold, e.g. the
 #   biharmonic reduction phi_yyyy -> -2*phi_yyzz - phi_zzzz.
-# param key   : (name, square)                        square is () or Fraction
+# param key   : (name, square)                        square is () or (num, den)
 #
 # A monomial is (varpows, jetpows, funpows, parampows); each slot is a
 # sorted tuple of (key, exponent) pairs.  Jet and arbfun exponents are
@@ -85,8 +85,12 @@ def biharmonic_rule(slot: int = 0) -> tuple:
     return (slot, 4, ((Rat(-2), tuple(d1)), (Rat(-1), tuple(d2))))
 
 
-def param_key(name: str, square: Rat | None = None) -> tuple:
-    return (name, () if square is None else Rat(square))
+def param_key(name: str, square=None) -> tuple:
+    """Parameter key; a root symbol's square is stored as a reduced int pair."""
+    if square is None:
+        return (name, ())
+    q = Rat(square)
+    return (name, (q.numerator, q.denominator))
 
 
 class ExprError(ValueError):
@@ -137,18 +141,22 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 def _normalize_params(coeff: Rat, parampows: tuple) -> tuple[Rat, tuple]:
     """Reduce root-symbol powers: a^2 -> square.  Exponents end in {0, 1}."""
+    if not parampows:
+        return coeff, parampows
     out = []
+    reduced = False
     for key, e in parampows:
         square = key[1]
-        if square == ():
+        if not square or e == 1:
             out.append((key, e))
             continue
+        reduced = True
         q, r = divmod(e, 2)
-        if q:
-            coeff *= Rat(square) ** q
+        num, den = square if q > 0 else (square[1], square[0])
+        coeff *= Rat(num ** abs(q), den ** abs(q))
         if r:
             out.append((key, r))
-    return coeff, tuple(sorted(out))
+    return (coeff, tuple(sorted(out))) if reduced else (coeff, parampows)
 
 
 def _rewrite_funs(coeff: Rat, mono: tuple) -> list[tuple[Rat, tuple]]:
@@ -178,11 +186,10 @@ def _build(pairs: Iterable[tuple[Rat, tuple]]) -> tuple:
     for coeff, mono in pairs:
         if not coeff:
             continue
-        coeff, pars = _normalize_params(coeff, mono[3])
-        mono = (mono[0], mono[1], mono[2], pars)
-        for c2, m2 in _rewrite_funs(coeff, mono):
-            c2, pars2 = _normalize_params(c2, m2[3])
-            m2 = (m2[0], m2[1], m2[2], pars2)
+        if mono[3]:
+            coeff, pars = _normalize_params(coeff, mono[3])
+            mono = (mono[0], mono[1], mono[2], pars)
+        for c2, m2 in _rewrite_funs(coeff, mono) if mono[2] else ((coeff, mono),):
             c0 = acc.get(m2)
             c0 = c2 if c0 is None else c0 + c2
             if c0:
@@ -407,6 +414,12 @@ def div_unit(e: JetExpr, unit) -> JetExpr:
 # -- calculus ---------------------------------------------------------------
 
 
+# Interned keys of differentiated jets: equal monomials share one key tuple,
+# which keeps large expressions small.  Bounded by the distinct (jet, axis)
+# pairs; no value depends on it.
+_BUMPED: dict[tuple, tuple] = {}
+
+
 def total_derivative(e: JetExpr, axis: int) -> JetExpr:
     """Total derivative D_axis on jet space (Leibniz over every factor)."""
     pairs = []
@@ -417,7 +430,9 @@ def total_derivative(e: JetExpr, axis: int) -> JetExpr:
                 nm = (_merge_pow(varpows, k, -1), jetpows, funpows, parampows)
                 pairs.append((c * p, nm))
         for k, p in jetpows:
-            bumped = (k[0], mi_bump(k[1], axis))
+            bumped = _BUMPED.get((k, axis))
+            if bumped is None:
+                bumped = _BUMPED[k, axis] = (k[0], mi_bump(k[1], axis))
             nj = _merge_pow(_merge_pow(jetpows, k, -1), bumped, 1)
             pairs.append((c * p, (varpows, nj, funpows, parampows)))
         for k, p in funpows:

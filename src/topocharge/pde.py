@@ -3,11 +3,11 @@
 A PDE ``G = 0`` carries a solved form ``leading = rhs`` used to evaluate
 expressions on solutions: every occurrence of the leading derivative and
 its differential consequences is replaced by the corresponding total
-derivative of ``rhs``, iterated to a fixed point.
+derivative of ``rhs``, restricted in turn, until none is left.
 
-The substitution also supports a ledger mode which records every
-replacement as ``coefficient * D^K G``, yielding the operator ``R(G)`` of
-a divergence-type identity constructively: the invariant
+The ledger variant records every replacement as ``coefficient * D^K G``,
+yielding the operator ``R(G)`` of a divergence-type identity
+constructively: the invariant
 
     e  ==  substitute(e) + expand(R)
 
@@ -17,6 +17,7 @@ back to ``D^K`` of the defining expression.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .jetexpr import (
@@ -24,7 +25,9 @@ from .jetexpr import (
     Rat,
     ZERO_MI,
     _merge_pow,
+    _mono_mul,
     divergence,
+    mi_bump,
     substitute_depvar,
     total_derivative,
     total_derivative_mi,
@@ -61,6 +64,9 @@ class PdeSpec:
     factor: JetExpr  # unit with G == factor * (leading - rhs)
     div_form: DivForm | None = None
     symbols: SymbolTable = field(default_factory=default_symbols)
+    # restriction images, keyed by a tuple of hit (jet, power) factors
+    _restrictions: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         dep, mi = self.leading
@@ -69,12 +75,12 @@ class PdeSpec:
             raise PdeError(
                 f"{self.name}: G does not equal factor*(leading - rhs) canonically"
             )
-        for key in self.rhs.jet_keys():
-            if key[0] == dep and all(a >= b for a, b in zip(key[1], mi)):
-                raise PdeError(
-                    f"{self.name}: rhs contains the leading derivative or a "
-                    f"differential consequence ({key})"
-                )
+        bad = [key for mono, _ in self.rhs.terms for key, _p in _hits(mono[1], dep, mi)]
+        if bad:
+            raise PdeError(
+                f"{self.name}: rhs contains the leading derivative or a "
+                f"differential consequence ({bad[0]})"
+            )
         if self.div_form is not None:
             ut = JetExpr.jet(dep, (1, 0, 0, 0))
             lhs = total_derivative(ut, self.div_form.k_axis)
@@ -94,20 +100,99 @@ class PdeSpec:
         return tuple(comps)
 
 
+def _hits(jetpows: tuple, dep: str, lead_mi: tuple) -> tuple:
+    """The factors of a monomial's jets that are consequences of the leading jet."""
+    return tuple(
+        (key, p) for key, p in jetpows
+        if key[0] == dep and all(map(operator.ge, key[1], lead_mi))
+    )
+
+
 def substitute_on_solutions(
     e: JetExpr, pde: PdeSpec, max_steps: int = 200_000
 ) -> JetExpr:
-    result, _ = substitute_with_ledger(e, pde, max_steps=max_steps, ledger=False)
-    return result
+    """Restrict to solutions: the ring map u_K -> R(u_K) on leading consequences.
+
+    Every jet u_K with K >= leading maps to R(u_K), the fully restricted
+    D^(K - leading) rhs; every other factor passes through.  The normal
+    form is unique, so this equals the fixed point of
+    :func:`substitute_with_ledger`.  R per jet and the product per tuple
+    of hit jets are cached on the PdeSpec.  More than `max_steps`
+    leading-jet occurrences in `e`, or a cycle while building R, raise
+    SubstitutionDepthExceeded.
+    """
+    return _restrict(e, pde, max_steps, set())
+
+
+def _restrict(e: JetExpr, pde: PdeSpec, max_steps: int | None, active: set) -> JetExpr:
+    dep, lead_mi = pde.leading
+    cache = pde._restrictions
+    pairs = []
+    steps = 0
+    changed = False
+    for mono, coeff in e.terms:
+        hits = _hits(mono[1], dep, lead_mi)
+        if not hits:
+            pairs.append((coeff, mono))
+            continue
+        changed = True
+        if max_steps is not None:
+            steps += sum(p for _, p in hits)
+            if steps > max_steps:
+                raise SubstitutionDepthExceeded(
+                    f"{pde.name}: more than {max_steps} leading-jet occurrences "
+                    f"to replace"
+                )
+        image = cache.get(hits)
+        if image is None:
+            image = JetExpr.number(1)
+            for key, p in hits:
+                image = image * _jet_image(key, pde, active) ** p
+            cache[hits] = image
+        rest = (mono[0], tuple(kp for kp in mono[1] if kp not in hits), mono[2], mono[3])
+        pairs.extend((coeff * c, _mono_mul(rest, m)) for m, c in image.terms)
+    return JetExpr.from_pairs(pairs) if changed else e
+
+
+def _jet_image(key: tuple, pde: PdeSpec, active: set) -> JetExpr:
+    """R(u_K) = R(D_a R(u_(K - e_a))), or R(rhs) at K = leading.
+
+    Equal to R(D^(K - leading) rhs) because D_a maps the ideal of the
+    equation and its consequences into itself; the spatial axes go first
+    so that D_a of an already restricted expression meets few hits.
+    """
+    hits = ((key, 1),)
+    got = pde._restrictions.get(hits)
+    if got is not None:
+        return got
+    if key in active:
+        raise SubstitutionDepthExceeded(
+            f"{pde.name}: restricting {key} needs itself; the leading derivative "
+            f"is mis-declared"
+        )
+    active.add(key)
+    dep, lead_mi = pde.leading
+    K = [a - b for a, b in zip(key[1], lead_mi)]
+    axis = max((i for i, k in enumerate(K) if k), default=None)
+    if axis is None:
+        got = _restrict(pde.rhs, pde, None, active)
+    else:
+        lower = (dep, mi_bump(key[1], axis, -1))
+        got = _restrict(total_derivative(_jet_image(lower, pde, active), axis), pde,
+                        None, active)
+    active.discard(key)
+    pde._restrictions[hits] = got
+    return got
 
 
 def substitute_with_ledger(
-    e: JetExpr, pde: PdeSpec, max_steps: int = 200_000, ledger: bool = True
+    e: JetExpr, pde: PdeSpec, max_steps: int = 200_000
 ) -> tuple[JetExpr, JetExpr]:
-    """Restrict to solutions; optionally return R with e == e|_E + expand(R).
+    """Restrict to solutions and return R with e == e|_E + expand(R).
 
     R is a JetExpr linear in jets of the formal dependent variable ``G``;
-    ``G_K`` stands for ``D^K G``.
+    ``G_K`` stands for ``D^K G``.  The text of R depends on the order of
+    replacement, so this keeps the one-occurrence-at-a-time fixed point.
     """
     dep, lead_mi = pde.leading
     inv_factor = JetExpr.number(1) / pde.factor
@@ -118,12 +203,8 @@ def substitute_with_ledger(
     steps = 0
     while pending:
         mono, coeff = pending.pop()
-        hit = None
-        for key, _p in mono[1]:
-            if key[0] == dep and all(a >= b for a, b in zip(key[1], lead_mi)):
-                hit = key
-                break
-        if hit is None:
+        hits = _hits(mono[1], dep, lead_mi)
+        if not hits:
             c0 = done.get(mono, Rat(0)) + coeff
             if c0:
                 done[mono] = c0
@@ -136,6 +217,7 @@ def substitute_with_ledger(
                 f"{pde.name}: substitution did not reach a fixed point in "
                 f"{max_steps} steps"
             )
+        hit = hits[0][0]
         K = tuple(a - b for a, b in zip(hit[1], lead_mi))
         repl = dcache.get(K)
         if repl is None:
@@ -144,12 +226,10 @@ def substitute_with_ledger(
         rest = (mono[0], _merge_pow(mono[1], hit, -1), mono[2], mono[3])
         rest_expr = JetExpr(((rest, coeff),))
         pending.extend((rest_expr * repl).terms)
-        if ledger:
-            g_term = rest_expr * inv_factor * JetExpr.jet(G_DEP, K)
-            ledger_pairs.extend((c, m) for m, c in g_term.terms)
+        g_term = rest_expr * inv_factor * JetExpr.jet(G_DEP, K)
+        ledger_pairs.extend((c, m) for m, c in g_term.terms)
     result = JetExpr(tuple(sorted(done.items(), key=lambda it: it[0])))
-    r_expr = JetExpr.from_pairs(ledger_pairs) if ledger else JetExpr.zero()
-    return result, r_expr
+    return result, JetExpr.from_pairs(ledger_pairs)
 
 
 def expand_r_operator(r: JetExpr, pde: PdeSpec) -> JetExpr:

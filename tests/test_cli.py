@@ -255,3 +255,33 @@ class TestSimulateUsage:
         code, out, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and "bogus" in err
         assert out == ""
+
+    @pytest.mark.parametrize("where, value", [
+        ("t_end", "abc"),
+        ("samples", "many"),
+        ("cfl", "half"),
+        ("dt", "small"),
+        ("resolutions", ["x", 64]),
+        ("a", "big"),
+        ("k", ["one", 1]),
+        ("phase", [0.0, "pi"]),
+    ], ids=["t_end", "samples", "cfl", "dt", "resolutions", "a", "k", "phase"])
+    def test_non_numeric_value(self, where, value, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        if where == "resolutions":
+            manifest["grid"]["resolutions"] = value
+        elif where in ("a", "k", "phase"):
+            manifest["u0"]["modes"][0][where] = value
+        else:
+            manifest[where] = value
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "must be a number" in err and where in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_non_numeric_param(self, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["params"] = {"sigma": "one"}
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "sigma" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+

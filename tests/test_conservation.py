@@ -1,6 +1,11 @@
 """Conservation-law mechanics: verification, splitting, reduction, identities."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topocharge import conservation
 from topocharge.catalog import get_entry, load_catalog
@@ -19,7 +24,7 @@ from topocharge.conservation import (
     verify_current,
     verify_multiplier,
 )
-from topocharge.jetexpr import JetExpr, T, divergence, total_derivative
+from topocharge.jetexpr import JetExpr, T, X, divergence, total_derivative
 from topocharge.parsing import parse_expr
 from topocharge.pde import (
     PdeSpec,
@@ -88,6 +93,59 @@ class TestSubstitution:
         e = expr(kp, "u_tx^3*u_txx^2")
         with pytest.raises(SubstitutionDepthExceeded):
             substitute_on_solutions(e, kp.pde, max_steps=3)
+
+    def test_cycle_guard(self, kdv):
+        # R(u_txx) needs R(u_ttx), which needs R(u_txx) again through u_xxx
+        pde = PdeSpec("cycle", 1, expr(kdv, "u_tx - u_tt - u_xxx"), ("u", (1, 1, 0, 0)),
+                      expr(kdv, "u_tt + u_xxx"), JetExpr.number(1), symbols=kdv.symbols)
+        with pytest.raises(SubstitutionDepthExceeded):
+            substitute_on_solutions(expr(kdv, "u_txx"), pde)
+
+
+CATALOG_NAMES = ("kdv_lagrangian", "kp", "umkp", "shear", "nv", "vorticity")
+
+
+@st.composite
+def jet_polynomials(draw, pde):
+    """Sums of products of the PDE's jets, leading consequences included.
+
+    A term has at most two leading consequences, each at most one t-order
+    above the leading jet: higher ones make the ledger's fixed point, the
+    reference here, run for tens of seconds.
+    """
+    dep, lead = pde.leading
+    spatial = st.sampled_from(range(1, pde.dim + 1))
+    terms = JetExpr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = JetExpr.number(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            term = term * JetExpr.variable(X)
+        for base in draw(st.lists(st.sampled_from([lead, (0, 0, 0, 0)]), min_size=1,
+                                  max_size=3).filter(lambda b: b.count(lead) <= 2)):
+            mi = list(base)
+            mi[T] += draw(st.integers(0, 1))
+            if draw(st.booleans()):
+                mi[draw(spatial)] += 1
+            term = term * JetExpr.jet(dep, tuple(mi))
+        terms = terms + term
+    return terms
+
+
+class TestRestrictionMap:
+    """The cached jet map agrees with the one-occurrence-at-a-time fixed point."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fixed_point(self, name, data):
+        warm = get_entry(name).pde
+        e = data.draw(jet_polynomials(warm))
+        restricted = substitute_on_solutions(e, warm)
+        assert restricted == substitute_with_ledger(e, warm)[0]
+        assert substitute_on_solutions(restricted, warm) == restricted
+        cold = dataclasses.replace(warm)
+        assert not cold._restrictions
+        assert substitute_on_solutions(e, cold) == restricted
 
 
 class TestMultipliers:
