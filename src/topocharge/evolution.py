@@ -9,10 +9,11 @@ divergence form factor * (D_k u_t - Div F) = G, P = D_k and
 so F^k passes straight through.  Without one, P collects the terms of G
 linear in t-order-1 u-jets (the Laplacian for vorticity, D_x D_y for
 Novikov-Veselov) and u_t = P^{-1} N with N = P(D) u_t - G.  The state is
-the 2/3-masked spectrum of u.  P^{-1} is pinned to zero on the zero set
-of P's symbol, and weight fed to it there raises NonIntegrableSymbol
-instead of being projected away (that failure is the integral-constraint
-mechanism and must stay visible).
+the 2/3-masked half-spectrum of u: u is real, so rfftn keeps the n//2 + 1
+non-negative modes of the last axis.  P^{-1} is pinned to zero on the
+zero set of P's symbol, and weight fed to it there raises
+NonIntegrableSymbol instead of being projected away (that failure is the
+integral-constraint mechanism and must stay visible).
 
 Time stepping is classical RK4 with a step controlled by the largest
 linear spectral symbol over the 2/3-dealiased modes plus an advective
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, SpectralEvaluator, dealias_mask, ik_symbol
+from .grids import GridField, SpectralEvaluator, dealias_mask, ik_symbol, to_grid
 from .jetexpr import JetExpr, T
 from .pde import PdeSpec
 from .printing import to_source
@@ -135,7 +136,8 @@ class KhatEvolver:
         if pde.dim != grid.dim:
             raise EvolutionError("grid dimension does not match the PDE")
         self.grid = grid
-        self.mask = dealias_mask(grid.shape)
+        mask = dealias_mask(grid.shape)
+        self.mask = mask[..., : grid.shape[-1] // 2 + 1]
         self.ev = SpectralEvaluator(grid)
         self.mean_tol = mean_tol
 
@@ -160,14 +162,15 @@ class KhatEvolver:
         with np.errstate(divide="ignore", invalid="ignore"):
             self._inv_P = np.where(self._pinned, 0.0, 1.0 / P)
         self._P_text = to_source(P_u)
-        # effective linear symbol for the time-step estimate
+        # effective linear symbol for the time-step estimate; |symbol| is even
+        # in k, so its maximum over the half-spectrum is that of the full one
         L_tot = _linear(self.through) + _linear(self.inverted) * self._inv_P
         self._sym_max = float(np.max(np.abs(L_tot * self.mask)))
-        self._kmax = max(float(np.max(np.abs(grid.wavenumbers(a) * self.mask)))
+        self._kmax = max(float(np.max(np.abs(grid.wavenumbers(a) * mask)))
                          for a in range(self.dim))
 
     def _symbol(self, linear: list) -> np.ndarray:
-        out = np.zeros(self.grid.shape, dtype=complex)
+        out = np.zeros(self.mask.shape, dtype=complex)
         for c, mi in linear:
             out = out + c * ik_symbol(self.grid, mi[1:])
         return out
@@ -182,7 +185,7 @@ class KhatEvolver:
         for outer, L, nonlinear in blocks:
             F = L * u_hat
             if nonlinear:
-                F = F + np.fft.fftn(self.ev.terms(nonlinear)) * self.mask
+                F = F + np.fft.rfftn(self.ev.terms(nonlinear)) * self.mask
             out = out + (F if outer is None else outer * F)
         return out
 
@@ -202,15 +205,15 @@ class KhatEvolver:
             ut_hat = ut_hat + rest * self._inv_P
         if forcing is not None:
             zero = (0,) * self.dim
-            ut_hat[zero] += forcing(t) * u_hat.size
+            ut_hat[zero] += forcing(t) * self.grid.data.size
         return ut_hat
 
     def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
-        u_hat = np.fft.fftn(field.data) * self.mask
-        return np.real(np.fft.ifftn(self.rhs_hat(u_hat, field.time, forcing)))
+        u_hat = np.fft.rfftn(field.data) * self.mask
+        return to_grid(self.rhs_hat(u_hat, field.time, forcing), field.shape)
 
     def dt_estimate(self, u_hat: np.ndarray, cfl: float) -> float:
-        amp = float(np.max(np.abs(np.real(np.fft.ifftn(u_hat)))))
+        amp = float(np.max(np.abs(to_grid(u_hat, self.grid.shape))))
         rate = self._sym_max + self._kmax * (amp + amp * amp) + 1e-12
         return cfl * RK4_IMAG_LIMIT / rate
 
@@ -236,16 +239,16 @@ def evolve(
 ) -> Trajectory:
     """March to t_end with RK4, sampling the trajectory at even intervals.
 
-    The state is the masked spectrum of u.
+    The state is the masked half-spectrum of u.
     """
-    state = np.fft.fftn(u0.data) * evolver.mask
+    state = np.fft.rfftn(u0.data) * evolver.mask
     sample_times = [t_end * i / (n_samples - 1) for i in range(n_samples)] if n_samples > 1 else [0.0, t_end]
     t = 0.0
     steps = 0
     traj = Trajectory([], [], [], meta={"cfl": cfl, "dealias": "2/3 rule", "scheme": "RK4"})
 
     def record(tv):
-        f = u0.with_data(np.real(np.fft.ifftn(state)), tv)
+        f = u0.with_data(to_grid(state, u0.shape), tv)
         traj.times.append(tv)
         traj.fields.append(f)
         traj.ut.append(evolver.ut_grid(f, forcing))
@@ -263,7 +266,7 @@ def evolve(
             if steps > max_steps:
                 raise CflViolation(f"exceeded {max_steps} steps before t_end")
             if steps % 50 == 0:
-                peak = float(np.max(np.abs(state))) / state.size
+                peak = float(np.max(np.abs(state))) / u0.data.size
                 if not math.isfinite(peak) or peak > blowup:
                     raise CflViolation(f"solution blew up at t={t} (peak {peak:.3e})")
         record(t)

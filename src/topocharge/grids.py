@@ -3,7 +3,8 @@
 Fields live on uniform periodic grids (axis order x, y, z).  Spatial
 derivatives are taken spectrally; time derivatives of u must be supplied
 as separate field arrays (they are independent data, produced by the
-evolution right-hand side).
+evolution right-hand side).  Every field is real, so spectral arrays are
+rfftn half-spectra: the last axis keeps its n//2 + 1 non-negative modes.
 """
 
 from __future__ import annotations
@@ -100,8 +101,14 @@ def _wavenumbers(shape: tuple, periods: tuple, axis: int) -> np.ndarray:
     return k.reshape(out)
 
 
+def to_grid(hat: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real grid values of a half-spectrum on a grid of `shape`."""
+    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))))
+
+
 def dealias_mask(shape: tuple) -> np.ndarray:
-    """2/3-rule mask in spectral space."""
+    """2/3-rule mask of the full spectrum of `shape`; cut its last axis to
+    n//2 + 1 modes to mask a half-spectrum."""
     mask = np.ones(shape, dtype=bool)
     for axis, n in enumerate(shape):
         modes = np.abs(np.fft.fftfreq(n) * n)
@@ -136,7 +143,7 @@ class TimeFunction:
 
 
 def ik_symbol(grid: GridField, spatial: tuple) -> np.ndarray:
-    """Read-only spectral symbol prod_a (i k_a)^spatial[a] of a derivative."""
+    """Read-only half-spectrum symbol prod_a (i k_a)^spatial[a] of a derivative."""
     return _ik_symbol(grid.shape, grid.periods, tuple(spatial[: grid.dim]))
 
 
@@ -146,6 +153,11 @@ def _ik_symbol(shape: tuple, periods: tuple, spatial: tuple) -> np.ndarray:
     for axis, n in enumerate(spatial):
         if n:
             out = out * (1j * _wavenumbers(shape, periods, axis)) ** n
+    # keep the Hermitian part (S(k) + conj S(-k)) / 2, the only part that the
+    # real part of a full inverse transform applies (it zeroes, e.g., odd
+    # derivatives of Nyquist modes); irfftn of a half would apply all of S
+    mirror = np.conj(np.roll(np.flip(out), 1, axis=tuple(range(len(shape)))))
+    out = (out + mirror)[..., : shape[-1] // 2 + 1] / 2
     out.flags.writeable = False
     return out
 
@@ -155,7 +167,7 @@ class SpectralEvaluator:
 
     `fields` maps a time-derivative order to grid values; a jet without
     spatial derivatives returns them as given, other jets transform them
-    once.  `reset(u_hat)` starts over from the spectrum of u alone.
+    once.  `reset(u_hat)` starts over from the half-spectrum of u alone.
     """
 
     def __init__(self, grid: GridField, fields: dict[int, np.ndarray] | None = None):
@@ -190,10 +202,10 @@ class SpectralEvaluator:
         else:
             hat = self._hats.get(t_order)
             if hat is None:
-                hat = self._hats[t_order] = np.fft.fftn(self.fields[t_order])
+                hat = self._hats[t_order] = np.fft.rfftn(self.fields[t_order])
             if mi_order(spatial):
                 hat = hat * ik_symbol(self.grid, spatial)
-            out = np.real(np.fft.ifftn(hat))
+            out = to_grid(hat, self.grid.shape)
         self._jets[mi] = out
         return out
 

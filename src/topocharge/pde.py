@@ -193,8 +193,13 @@ def substitute_with_ledger(
     R is a JetExpr linear in jets of the formal dependent variable ``G``;
     ``G_K`` stands for ``D^K G``.  The text of R depends on the order of
     replacement, so this keeps the one-occurrence-at-a-time fixed point.
+    The hit jets go through the ring map first, whose cycle guard raises
+    SubstitutionDepthExceeded where the fixed point would never end.
     """
     dep, lead_mi = pde.leading
+    for mono, _c in e.terms:  # a restriction cycle fails here, not after max_steps
+        for key, _p in _hits(mono[1], dep, lead_mi):
+            _jet_image(key, pde, set())
     inv_factor = JetExpr.number(1) / pde.factor
     dcache: dict[tuple, JetExpr] = {ZERO_MI: pde.rhs}
     ledger_pairs: list[tuple[Rat, tuple]] = []

@@ -101,6 +101,14 @@ class TestSubstitution:
         with pytest.raises(SubstitutionDepthExceeded):
             substitute_on_solutions(expr(kdv, "u_txx"), pde)
 
+    def test_ledger_cycle_guard(self, kdv):
+        # the ledger's fixed point grows without end on this PDE; it must
+        # fail at once through the ring map's cycle guard
+        pde = PdeSpec("cycle", 1, expr(kdv, "u_tx - u_tt - u_xxx"), ("u", (1, 1, 0, 0)),
+                      expr(kdv, "u_tt + u_xxx"), JetExpr.number(1), symbols=kdv.symbols)
+        with pytest.raises(SubstitutionDepthExceeded, match="needs itself"):
+            substitute_with_ledger(expr(kdv, "u_txx"), pde)
+
 
 CATALOG_NAMES = ("kdv_lagrangian", "kp", "umkp", "shear", "nv", "vorticity")
 

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from topocharge.catalog import get_entry
-from topocharge.evolution import KhatEvolver, NonIntegrableSymbol, evolve
-from topocharge.grids import GridField
+from topocharge import grids
+from topocharge.evolution import (
+    KhatEvolver,
+    NonIntegrableSymbol,
+    _compile_terms,
+    _split_time_part,
+    _unit,
+    evolve,
+)
+from topocharge.grids import GridField, SpectralEvaluator, dealias_mask, evaluate_on_grid
 from topocharge.jetexpr import substitute_arbfun
 from topocharge.parsing import parse_expr
 from topocharge.quadrature import (
@@ -263,6 +271,23 @@ class TestEvolution:
         with pytest.raises(CflViolation):
             evolve(KhatEvolver(kdv.pde, g, {}), g, 1.0, n_samples=2, max_steps=3)
 
+    def test_blowup_guard_threshold(self):
+        # the guard reads max|u_hat|/N every 50 steps; 50 fixed steps put its
+        # one reading on the final state, whose full spectrum gives the peak
+        from topocharge.evolution import CflViolation
+
+        kdv = get_entry("kdv_lagrangian")
+        n, dt = 32, 2.0 ** -9
+        x = np.arange(n) * TWO_PI / n
+        u0 = GridField(0.3 * np.cos(x) + 0.1 * np.sin(2 * x), (TWO_PI,))
+        ev = KhatEvolver(kdv.pde, u0, {})
+        traj = evolve(ev, u0, 50 * dt, n_samples=2, dt=dt)
+        assert traj.meta["steps"] == 50
+        peak = np.max(np.abs(np.fft.fft(traj.fields[-1].data))) / n
+        evolve(ev, u0, 50 * dt, n_samples=2, dt=dt, blowup=peak * (1 + 1e-9))
+        with pytest.raises(CflViolation, match="blew up"):
+            evolve(ev, u0, 50 * dt, n_samples=2, dt=dt, blowup=peak * (1 - 1e-9))
+
     def test_nv_smoke(self):
         n = 32
         x = np.arange(n) * TWO_PI / n
@@ -331,6 +356,106 @@ class TestReadOffEvolver:
         want = real(self.pinned_inverse(dx * dy) * n_hat)
         got = KhatEvolver(get_entry("nv").pde, u0, {"alpha": alpha, "beta": beta}).ut_grid(u0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def full_symbol(shape, periods, spatial):
+    """prod_a (i k_a)^spatial[a] on the full fftn spectrum."""
+    out = np.ones(shape, dtype=complex)
+    for axis, n in enumerate(spatial[: len(shape)]):
+        k = TWO_PI * np.fft.fftfreq(shape[axis], d=periods[axis] / shape[axis])
+        out = out * ((1j * k) ** n).reshape([-1 if a == axis else 1 for a in range(len(shape))])
+    return out
+
+
+class FullSpectrumEvaluator(SpectralEvaluator):
+    """Reference jets from the full complex spectrum: real(ifftn(symbol * fftn))."""
+
+    def jet(self, mi):
+        data = np.asarray(self.fields[mi[0]], dtype=float)
+        if not any(mi[1:]):
+            return data
+        symbol = full_symbol(data.shape, self.grid.periods, mi[1:])
+        return np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
+
+
+def full_spectrum_ut(pde, field, params):
+    """Reference u_t of P(D) u_t = N(u) from full fftn spectra and 2/3 masks."""
+    shape, periods = field.shape, field.periods
+    mask = dealias_mask(shape)
+    u_hat = np.fft.fftn(field.data) * mask
+
+    def symbol(mi):
+        return full_symbol(shape, periods, mi[1:])
+
+    def spectrum(e):  # linear terms exactly, products dealiased
+        out = np.zeros(shape, dtype=complex)
+        for c, jets in _compile_terms(e, params):
+            if len(jets) == 1 and jets[0][1] == 1:
+                out += c * symbol(jets[0][0]) * u_hat
+                continue
+            value = np.full(shape, c)
+            for mi, p in jets:
+                value = value * np.real(np.fft.ifftn(symbol(mi) * u_hat)) ** p
+            out += np.fft.fftn(value) * mask
+        return out
+
+    div = pde.div_form
+    if div is not None:
+        k = div.k_axis - 1
+        P = symbol((0,) + _unit(k))
+        through = spectrum(div.F[k])
+        rest = sum((symbol((0,) + _unit(j)) * spectrum(div.F[j])
+                    for j in range(pde.dim) if j != k), np.zeros(shape, dtype=complex))
+    else:
+        P_u, N = _split_time_part(pde)
+        P = sum(c * symbol(jets[0][0]) for c, jets in _compile_terms(P_u, params))
+        through, rest = 0.0, spectrum(N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_P = np.where(np.abs(P) < 1e-12, 0.0, 1.0 / P)
+    return np.real(np.fft.ifftn(through + rest * inv_P))
+
+
+# 1D to 3D, odd and even lengths in every position, unequal periods
+PARITY_SHAPES = {
+    "kdv_lagrangian": (64,),
+    "kp": (32, 24),
+    "umkp": (24, 33),
+    "shear": (16, 18, 17),
+    "nv": (32, 32),
+    "vorticity": (33, 32),
+}
+
+
+class TestHalfSpectrumParity:
+    """The rfftn half-spectrum numerics against full-fftn references.
+
+    White-noise data carry weight at every mode, Nyquist modes included,
+    so the symbols must match the full spectrum's real part there too.
+    """
+
+    @pytest.mark.parametrize("name", list(PARITY_SHAPES))
+    def test_matches_full_spectrum(self, name, monkeypatch):
+        entry = get_entry(name)
+        shape = PARITY_SHAPES[name]
+        rng = np.random.default_rng(7)
+        periods = tuple(TWO_PI * (1.0 + 0.25 * a) for a in range(len(shape)))
+        field = GridField(0.1 * rng.standard_normal(shape), periods, time=0.3)
+        params = {p: 0.6 + 0.2 * i for i, p in enumerate(sorted(entry.symbols.params))}
+
+        # the constraint guard is off: white noise violates every constraint
+        ev = KhatEvolver(entry.pde, field, params, mean_tol=np.inf)
+        want = full_spectrum_ut(entry.pde, field, params)
+        assert np.max(np.abs(ev.ut_grid(field) - want)) <= 1e-12 * np.max(np.abs(want))
+
+        dts = {k: rng.standard_normal(shape) for k in range(1, 5)}
+        phi = parse_expr("y^2*z + z", 3, entry.symbols) if name == "shear" else None
+        gammas = [substitute_arbfun(g, "phi", phi) if phi else g
+                  for ch in entry.charges for g in ch.flux.Gamma]
+        got = [evaluate_on_grid(g, field, None, None, params, dts) for g in gammas]
+        monkeypatch.setattr(grids, "SpectralEvaluator", FullSpectrumEvaluator)
+        for g, value in zip(gammas, got):
+            want = evaluate_on_grid(g, field, None, None, params, dts)
+            assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSourceSink:
