@@ -288,7 +288,16 @@ def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
         cases = {cn: dict(overlay) for cn in kept_cases}
         cases.setdefault("generic", dict(overlay))
 
-    case_pdes = {cn: _case_pde(name, dim, doc, sym, b) for cn, b in cases.items()}
+    # A case equation equal to one already built here or in the cached
+    # verified entry reuses that PdeSpec, and so its restriction images and
+    # certificates.  PdeSpec is unhashable (SymbolTable holds dicts): scan.
+    cached = _CACHE.get(f"{name}.yaml")
+    shared = list(cached.case_pdes.values()) if cached else []
+    case_pdes = {}
+    for cn, b in cases.items():
+        spec = _case_pde(name, dim, doc, sym, b)
+        case_pdes[cn] = next((s for s in shared if s == spec), spec)
+        shared.append(case_pdes[cn])
     pde = case_pdes["generic"]
     P = lambda s, b: _bind(parse_expr(str(s), dim, sym), b)
 
@@ -492,13 +501,7 @@ _CACHE: dict[str, CatalogEntry] = {}
 
 def load_catalog(verify: bool = True) -> list[CatalogEntry]:
     """All six entries, each fully verified at load; results are cached."""
-    out = []
-    for fname in ENTRY_FILES:
-        key = fname if verify else f"{fname}!raw"
-        if key not in _CACHE:
-            _CACHE[key] = _build_entry(_read_yaml(fname), verify=verify)
-        out.append(_CACHE[key])
-    return out
+    return [get_entry(f.removesuffix(".yaml"), verify) for f in ENTRY_FILES]
 
 
 def get_entry(name: str, verify: bool = True) -> CatalogEntry:
@@ -526,6 +529,12 @@ def instantiate(name: str, params: dict) -> CatalogEntry:
 
     Values are rational text ("1", "-1/2"), "sqrt(p/q)" for adjoined
     roots, or expressions in previously bound parameters.
+
+    A non-triviality certificate is computed once per (Gamma, case
+    equation, top bound, pool cap) in a process: a case equation equal to
+    one of the loaded entry's shares its PdeSpec, so a binding that is a
+    case's own (e.g. the integrable umKP case) reuses the certificates of
+    an earlier load.  A different top bound is a new key.
     """
     name = ALIASES.get(name, name)
     doc = _read_yaml(f"{name}.yaml")

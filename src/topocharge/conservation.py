@@ -276,6 +276,10 @@ def nontriviality_certificate(
     exhaust it too; and a witness over pool(b) is one over pool(b+1) with
     the new columns set to zero, since the rows those columns add have
     target zero.
+
+    The ladder's result is memoised on the PdeSpec under (Gamma, top
+    bound, CURL_ROUNDS, CURL_POOL_CAP), the last two read at call time, so
+    it runs once per key for the spec and every catalog spec shared with it.
     """
     dim = pde.dim
     u_t = JetExpr.jet("u", (1, 0, 0, 0))
@@ -290,6 +294,13 @@ def nontriviality_certificate(
         return "nonzero-flux" if not g.is_zero() else "trivial"
     if order_bound is None:
         order_bound = max(c.max_order() for c in gamma)
+    key = (tuple(gamma), order_bound, CURL_ROUNDS, CURL_POOL_CAP)
+    if key not in pde._certificates:
+        pde._certificates[key] = _curl_ladder(gamma, pde, order_bound)
+    return pde._certificates[key]
+
+
+def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
     for bound in range(order_bound, min(2, order_bound) - 1, -1):
         try:
             witness = curl_witness_on_solutions(gamma, pde, bound)

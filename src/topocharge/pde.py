@@ -67,6 +67,9 @@ class PdeSpec:
     # restriction images, keyed by a tuple of hit (jet, power) factors
     _restrictions: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
+    # curl-witness ladder results, keyed by (Gamma, top bound, rounds, cap)
+    _certificates: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         dep, mi = self.leading

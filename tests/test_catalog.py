@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from topocharge import cli
+from topocharge import catalog as cat
+from topocharge import cli, conservation
 from topocharge.catalog import (
     CatalogCorrupt,
     ConstraintViolation,
@@ -199,3 +200,42 @@ class TestInstantiate:
         }
         viscous = instantiate("vorticity", {"mu": "1/100"})
         assert {m.id for m in viscous.multipliers} == {"multiplier-f"}
+
+
+UMKP_CASE_BINDINGS = {
+    "integrable": {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"},
+    "gardner": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
+}
+
+
+class TestSharedCaseSpecs:
+    @pytest.mark.parametrize("case", sorted(UMKP_CASE_BINDINGS))
+    def test_case_binding_shares_the_catalog_spec(self, case):
+        umkp = get_entry("umkp")
+        inst = instantiate("umkp", UMKP_CASE_BINDINGS[case])
+        assert inst.case_pdes[case] is umkp.case_pdes[case]
+        assert inst.case_pdes["generic"] is inst.case_pdes[case]
+
+    def test_unmatched_binding_shares_nothing(self):
+        umkp = get_entry("umkp")
+        inst = instantiate("umkp", {"alpha": "1/2", "beta": "-1", "sigma": "1"})
+        assert not any(a is b for a in inst.case_pdes.values()
+                       for b in umkp.case_pdes.values())
+
+    def test_cleared_cache_rebuilds_cold(self, monkeypatch):
+        old = load_catalog()
+        calls = []
+        search = conservation.curl_witness_on_solutions
+        monkeypatch.setattr(conservation, "curl_witness_on_solutions",
+                            lambda *args: calls.append(args) or search(*args))
+        saved = dict(cat._CACHE)
+        cat._CACHE.clear()
+        try:
+            new = load_catalog()
+        finally:
+            cat._CACHE.clear()
+            cat._CACHE.update(saved)
+        old_specs = [s for e in old for s in e.case_pdes.values()]
+        assert not any(s is o for e in new for s in e.case_pdes.values()
+                       for o in old_specs)
+        assert len(calls) > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocharge import conservation
-from topocharge.catalog import get_entry, load_catalog
+from topocharge.catalog import get_entry, instantiate, load_catalog
 from topocharge.conservation import (
     CurrentVerificationError,
     MixedArbFuns,
@@ -334,6 +334,39 @@ class TestCertificate:
         monkeypatch.setattr(conservation, "CURL_POOL_CAP", 0)
         assert nontriviality_certificate(gamma, pde) is None
         assert ascending_ladder(gamma, pde) is None
+
+    def test_memo_matches_uncached_copy(self):
+        entries = load_catalog()  # loaded first, so the instances share its specs
+        entries += [
+            instantiate("umkp", {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"}),
+            instantiate("umkp", {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"}),
+        ]
+        for entry in entries:
+            for ch, gamma, pde in charge_cases(entry):
+                fresh = nontriviality_certificate(gamma, dataclasses.replace(pde))
+                assert ch.flux.nontrivial_up_to_order == fresh, (entry.name, ch.id)
+
+    def test_memo_runs_one_search_per_key(self, monkeypatch):
+        entry = get_entry("kp")
+        (_, gamma, pde), = [c for c in charge_cases(entry) if c[0].id == "charge-3"]
+        pde = dataclasses.replace(pde)
+        calls = []
+        search = conservation.curl_witness_on_solutions
+        monkeypatch.setattr(conservation, "curl_witness_on_solutions",
+                            lambda *args: calls.append(args) or search(*args))
+
+        def searches(*args):
+            before = len(calls)
+            cert = nontriviality_certificate(gamma, pde, *args)
+            return cert, len(calls) - before
+
+        top = max(c.max_order() for c in gamma)
+        cert, ran = searches()
+        assert ran > 0
+        assert searches() == searches(top) == (cert, 0)
+        assert searches(top - 1)[1] > 0
+        monkeypatch.setattr(conservation, "CURL_POOL_CAP", conservation.CURL_POOL_CAP + 1)
+        assert searches()[1] > 0
 
     def test_pools_nest_by_order_bound(self):
         for entry in load_catalog():
