@@ -271,8 +271,7 @@ def _reconstruct_fluxes(pde: PdeSpec, fun: tuple, T_coeffs: tuple, cQ: JetExpr) 
     return tuple(T_list), tuple(fluxes)
 
 
-def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
-                 user_params: dict | None = None) -> CatalogEntry:
+def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
     name = doc["name"]
     dim = int(doc["dim"])
     sym = _build_symbols(doc)
@@ -307,11 +306,10 @@ def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
         if case not in cases:
             continue
         Q = P(m["Q"], cases[case])
-        if verify:
-            try:
-                verify_multiplier(case_pdes[case], Q)
-            except NotAMultiplier as exc:
-                raise CatalogCorrupt(name, m["id"], str(exc), exc.residual) from None
+        try:
+            verify_multiplier(case_pdes[case], Q)
+        except NotAMultiplier as exc:
+            raise CatalogCorrupt(name, m["id"], str(exc), exc.residual) from None
         multipliers.append(
             CatalogMultiplier(m["id"], case, Q, m.get("note", ""), m.get("repair", ""))
         )
@@ -340,23 +338,21 @@ def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
         else:
             Phi = tuple(P(s, bindings) for s in c["Phi"])
             family = split_by_arbitrary_function(cpde, T_expr, Phi, check=False)
-        pairing_exact = True
-        if verify:
-            residuals = verify_family(cpde, family)
-            if residuals:
+        residuals = verify_family(cpde, family)
+        if residuals:
+            raise CatalogCorrupt(
+                name, c["id"],
+                "split relations fail for f^(i), i in " + str(sorted(residuals)),
+                residuals,
+            )
+        exact = current_divergence(cpde, T_expr, Phi) - cQ * cpde.G
+        pairing_exact = exact.is_zero()
+        if not pairing_exact:
+            on_sol = substitute_on_solutions(exact, cpde)
+            if not on_sol.is_zero():
                 raise CatalogCorrupt(
-                    name, c["id"],
-                    "split relations fail for f^(i), i in " + str(sorted(residuals)),
-                    residuals,
+                    name, c["id"], "multiplier pairing fails on solutions", on_sol
                 )
-            exact = current_divergence(cpde, T_expr, Phi) - cQ * cpde.G
-            if not exact.is_zero():
-                pairing_exact = False
-                on_sol = substitute_on_solutions(exact, cpde)
-                if not on_sol.is_zero():
-                    raise CatalogCorrupt(
-                        name, c["id"], "multiplier pairing fails on solutions", on_sol
-                    )
         currents.append(
             CatalogCurrent(
                 c["id"], case, c["multiplier"], pairing, T_expr, Phi, family,
@@ -381,14 +377,14 @@ def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
         expected = None
         if ident.get("R"):
             expected = P(ident["R"], cases[cur.case])
-            if verify and result.R != expected:
+            if result.R != expected:
                 raise CatalogCorrupt(
                     name, ident["id"],
                     f"R(G) mismatch: computed {to_source(result.R)}, "
                     f"expected {to_source(expected)}",
                     result.R - expected,
                 )
-        if verify and ident.get("R_touches"):
+        if ident.get("R_touches"):
             have = {k[1][T] for k in result.R.jet_keys() if k[0] == "G"}
             want = {int(i) for i in ident["R_touches"]}
             if not want <= have:
@@ -412,12 +408,12 @@ def _build_entry(doc: dict, verify: bool = True, overlay: dict | None = None,
         if cur.case not in cases:
             continue
         cpde = case_pdes[cur.case]
-        certify = bool(ch.get("certify", True)) and verify
         try:
-            flux = reduce_to_spatial_flux(cur.family, cpde, certify=certify)
+            flux = reduce_to_spatial_flux(cur.family, cpde,
+                                          certify=bool(ch.get("certify", True)))
         except CurrentVerificationError as exc:
             raise CatalogCorrupt(name, ch["id"], str(exc), exc.residuals) from None
-        if verify and ch.get("printed_gamma"):
+        if ch.get("printed_gamma"):
             printed = tuple(P(s, cases[cur.case]) for s in ch["printed_gamma"])
             if printed != flux.Gamma:
                 diff = tuple(a - b for a, b in zip(printed, flux.Gamma))
@@ -499,29 +495,28 @@ def _case_consistent(case_bindings: dict, overlay: dict) -> bool:
 _CACHE: dict[str, CatalogEntry] = {}
 
 
-def load_catalog(verify: bool = True) -> list[CatalogEntry]:
+def load_catalog() -> list[CatalogEntry]:
     """All six entries, each fully verified at load; results are cached."""
-    return [get_entry(f.removesuffix(".yaml"), verify) for f in ENTRY_FILES]
+    return [get_entry(f.removesuffix(".yaml")) for f in ENTRY_FILES]
 
 
-def get_entry(name: str, verify: bool = True) -> CatalogEntry:
+def get_entry(name: str) -> CatalogEntry:
     name = ALIASES.get(name, name)
     fname = f"{name}.yaml"
     if fname not in ENTRY_FILES:
         raise KeyError(f"unknown catalog entry {name!r}")
-    key = fname if verify else f"{fname}!raw"
-    if key not in _CACHE:
-        _CACHE[key] = _build_entry(_read_yaml(fname), verify=verify)
-    return _CACHE[key]
+    if fname not in _CACHE:
+        _CACHE[fname] = _build_entry(_read_yaml(fname))
+    return _CACHE[fname]
 
 
-def load_entry_file(path, verify: bool = True) -> CatalogEntry:
+def load_entry_file(path) -> CatalogEntry:
     """Build a user-supplied entry from a document in the catalog format."""
     from pathlib import Path
 
     with Path(path).open("r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    return _build_entry(doc, verify=verify)
+    return _build_entry(doc)
 
 
 def instantiate(name: str, params: dict) -> CatalogEntry:
@@ -547,4 +542,4 @@ def instantiate(name: str, params: dict) -> CatalogEntry:
             raise ConstraintViolation(f"{name}: unknown parameter {pname!r}")
         expr = _parse_binding_value(value, dim, sym, pname)
         overlay[pname] = substitute_params(expr, overlay)
-    return _build_entry(doc, verify=True, overlay=overlay)
+    return _build_entry(doc, overlay=overlay)

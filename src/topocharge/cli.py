@@ -209,45 +209,58 @@ def cmd_potential(args) -> int:
 MANIFEST_KEYS = {"pde", "params", "grid", "u0", "t_end", "samples", "cfl", "dt", "f",
                  "interp", "seed", "out", "constraints", "charges", "checks"}
 CHECK_TYPES = ("mass", "balance")
+VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
 
 
-def _read_manifest(path) -> dict:
-    """The manifest document, refusing keys and check types it does not know."""
-    manifest = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+def _specs(manifest, group: str) -> list[dict]:
+    """The entries of a manifest list, refusing anything but mappings."""
+    specs = manifest.get(group) or []
+    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+        raise UsageError(f"{group} must be a list of mappings, got {specs!r}")
+    return specs
+
+
+def _check_manifest(manifest) -> None:
+    """Refuse unknown keys and check types, non-numbers and degenerate run settings."""
     if not isinstance(manifest, dict):
-        raise UsageError(f"{path}: a manifest is a mapping")
+        raise UsageError("a manifest is a mapping")
     unknown = sorted(set(manifest) - MANIFEST_KEYS)
     if unknown:
-        raise UsageError(f"{path}: unknown manifest key(s) {', '.join(unknown)}")
-    for spec in manifest.get("checks") or []:
+        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
+    for spec in _specs(manifest, "checks"):
         if spec.get("type") not in CHECK_TYPES:
-            raise UsageError(f"{path}: unknown check type {spec.get('type')!r} "
+            raise UsageError(f"unknown check type {spec.get('type')!r} "
                              f"(known: {', '.join(CHECK_TYPES)})")
-    _check_numbers(manifest, path)
+    _check_numbers(manifest)
     if (manifest.get("charges") or manifest.get("checks")) and not \
             float(manifest.get("t_end", 0.0)) > 0:
-        raise UsageError(f"{path}: charges and checks need t_end > 0")
+        raise UsageError("charges and checks need t_end > 0")
+    for key in ("cfl", "dt"):
+        if manifest.get(key) is not None and not float(manifest[key]) > 0:
+            raise UsageError(f"{key} must be > 0, got {manifest[key]!r}")
+    if any(spec["type"] == "balance" for spec in manifest.get("checks") or []) and \
+            int(manifest.get("samples", 9)) < 3:
+        raise UsageError("a balance check differences in time and needs samples >= 3")
     if manifest.get("interp", "cubic") not in LOOP_METHODS:
-        raise UsageError(f"{path}: unknown interp {manifest['interp']!r} "
+        raise UsageError(f"unknown interp {manifest['interp']!r} "
                          f"(known: {', '.join(LOOP_METHODS)})")
-    return manifest
 
 
-def _check_numbers(manifest, path) -> None:
+def _check_numbers(manifest) -> None:
     """Refuse a non-numeric value in any field the run converts to a number."""
 
     def need(value, kind, where):
         try:
             kind(value)
         except (TypeError, ValueError):
-            raise UsageError(f"{path}: {where} must be a number, got {value!r}") from None
+            raise UsageError(f"{where} must be a number, got {value!r}") from None
 
     def need_list(doc, key, kind, where):
         values = doc.get(key)
         if values is None:
             return
         if not isinstance(values, list):
-            raise UsageError(f"{path}: {where}.{key} must be a list, got {values!r}")
+            raise UsageError(f"{where}.{key} must be a list, got {values!r}")
         for value in values:
             need(value, kind, f"{where}.{key}")
 
@@ -262,16 +275,26 @@ def _check_numbers(manifest, path) -> None:
     if isinstance(u0, dict):
         if "constant" in u0:
             need(u0["constant"], float, "u0.constant")
-        for mode in u0.get("modes") or []:
+        for mode in _specs(u0, "modes"):
             if "a" in mode:
                 need(mode["a"], float, "u0.modes[].a")
             need_list(mode, "k", int, "u0.modes[]")
             need_list(mode, "phase", float, "u0.modes[]")
     for group in ("charges", "checks", "constraints"):
-        for spec in manifest.get(group) or []:
+        for spec in _specs(manifest, group):
             if spec.get("tolerance") is not None:
                 need(spec["tolerance"], float, f"{group}[].tolerance")
-            need_list(spec.get("curve") or {}, "rect", float, f"{group}[].curve")
+            if isinstance(spec.get("curve"), dict):
+                need_list(spec["curve"], "rect", float, f"{group}[].curve")
+
+
+def _curve(spec: dict, group: str) -> CurveSpec:
+    """The rectangle a charge or balance check integrates around."""
+    rect = spec["curve"].get("rect") if isinstance(spec.get("curve"), dict) else None
+    if not (isinstance(rect, list) and len(rect) == 4):
+        raise UsageError(f"{group}[] needs curve: {{rect: [x0, x1, y0, y1]}}, "
+                         f"got {spec.get('curve')!r}")
+    return CurveSpec.rectangle(*rect)
 
 
 def _numeric_params(manifest) -> dict:
@@ -324,36 +347,14 @@ def _initial_data(manifest, dim: int, symbols) -> GridField:
     return GridField(data, periods)
 
 
-def _halved_manifest(manifest) -> dict:
-    out = dict(manifest)
-    grid = dict(manifest["grid"])
-    grid["resolutions"] = [int(n) // 2 for n in grid["resolutions"]]
-    out["grid"] = grid
-    return out
+def series(gamma, traj, curve: CurveSpec, params: dict, funs: dict | None = None,
+           method: str = "cubic") -> list[float]:
+    """The circulation of gamma around the curve at every sample of traj."""
+    return [loop_integral(gamma, fld, ut, curve, funs, params, method=method)
+            for fld, ut in zip(traj.fields, traj.ut)]
 
 
-def _charge_series(entry, traj, charge_id, curve, params, fun, method):
-    flux = entry.charge(charge_id).flux
-    vals = []
-    for fld, ut in zip(traj.fields, traj.ut):
-        vals.append(
-            loop_integral(flux.Gamma, fld, ut, curve, {"f": fun}, params, method=method)
-        )
-    return vals
-
-
-def _circulations(entry, traj, curve, params, method) -> tuple[list, list]:
-    """Circulations of u and of the F-flux around the curve at every sample."""
-    u_gamma = (JetExpr.jet("u"), JetExpr.zero())
-    F_gamma = entry.pde.div_form.F
-    circ_u = [loop_integral(u_gamma, fld, ut, curve, None, params, method=method)
-              for fld, ut in zip(traj.fields, traj.ut)]
-    circ_F = [loop_integral(F_gamma, fld, ut, curve, None, params, method=method)
-              for fld, ut in zip(traj.fields, traj.ut)]
-    return circ_u, circ_F
-
-
-def _balance_residuals(times, circ_u, circ_F):
+def balance_residuals(times, circ_u, circ_F):
     """d/dt circulation of u around the curve minus the F-flux circulation.
 
     Passing every second sample differences the time derivative over a
@@ -364,10 +365,24 @@ def _balance_residuals(times, circ_u, circ_F):
     return times[1:-1], resid
 
 
-def cmd_simulate(args) -> int:
-    manifest = _read_manifest(args.manifest)
-    out_dir = Path(args.out or manifest.get("out") or "reports")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _tolerance(spec: dict, doubled) -> float:
+    """The spec's tolerance, else 10x the largest difference between a series
+    and its coarser counterpart over the (fine, coarse) pairs of doubled()."""
+    if spec.get("tolerance") is not None:
+        return float(spec["tolerance"])
+    return 10.0 * max([abs(a - b) for fine, coarse in doubled() for a, b in zip(fine, coarse)]
+                      + [1e-13])
+
+
+def simulate(manifest) -> tuple[list[ChargeReport], int]:
+    """Run a simulation manifest; return its reports and exit code.
+
+    The manifest is checked, and every constraint density, charge Gamma,
+    curve and check is resolved, before anything is evolved: bad input
+    raises UsageError, KeyError or ParseError and evolves nothing.  A run
+    the time stepper cannot finish raises CflViolation.
+    """
+    _check_manifest(manifest)
     name = manifest["pde"]
     entry = _load_entry(name, None)
     params = _numeric_params(manifest)
@@ -375,16 +390,24 @@ def cmd_simulate(args) -> int:
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
                          f"{', '.join(missing)} of {name}")
-    if entry.pde.div_form is None and any(
-            spec["type"] == "balance" for spec in manifest.get("checks") or []):
+    checks = [(spec, _curve(spec, "checks") if spec["type"] == "balance" else None)
+              for spec in _specs(manifest, "checks")]
+    if entry.pde.div_form is None and any(curve for _, curve in checks):
         raise UsageError(f"{name} has no divergence form to balance against")
-    fun = TimeFunction.builtin(manifest.get("f", "one"))
+    try:
+        funs = {"f": TimeFunction.builtin(manifest.get("f", "one"))}
+    except GridError as exc:
+        raise UsageError(str(exc)) from None
     seed = int(manifest.get("seed", 0))
+    constraints = [(spec, parse_expr(spec["density"], entry.dim, entry.symbols))
+                   for spec in _specs(manifest, "constraints")]
+    charges = [(spec, entry.charge(spec.get("id")).flux.Gamma, _curve(spec, "charges"))
+               for spec in _specs(manifest, "charges")]
 
     u0 = _initial_data(manifest, entry.dim, entry.symbols)
+    doubling = [spec for spec, *_ in charges] + [spec for spec, curve in checks if curve]
     if min(u0.data.shape) // 2 < MIN_RESOLUTION and any(
-            spec.get("tolerance") is None for spec in (manifest.get("charges") or [])
-            + [c for c in manifest.get("checks") or [] if c["type"] == "balance"]):
+            spec.get("tolerance") is None for spec in doubling):
         raise UsageError(f"tolerances from resolution doubling need at least "
                          f"{2 * MIN_RESOLUTION} points per axis; give tolerances "
                          f"or refine the grid")
@@ -393,6 +416,8 @@ def cmd_simulate(args) -> int:
     cfl = float(manifest.get("cfl", 0.5))
     dt = manifest.get("dt")
     dt = float(dt) if dt is not None else None
+    method = manifest.get("interp", "cubic")
+    u_gamma = (JetExpr.jet("u"), JetExpr.zero())
 
     def run(u: GridField):
         return evolve(KhatEvolver(entry.pde, u, params), u, t_end, n_samples=samples,
@@ -400,114 +425,82 @@ def cmd_simulate(args) -> int:
 
     @functools.cache
     def halved():
-        return run(_initial_data(_halved_manifest(manifest), entry.dim, entry.symbols))
+        grid = dict(manifest["grid"])
+        grid["resolutions"] = [int(n) // 2 for n in grid["resolutions"]]
+        return run(_initial_data(dict(manifest, grid=grid), entry.dim, entry.symbols))
 
-    reports: list[ChargeReport] = []
-    worst = EXIT_OK
+    def circulations(traj, curve):
+        return (series(u_gamma, traj, curve, params, None, method),
+                series(entry.pde.div_form.F, traj, curve, params, None, method))
 
     # initial-data constraint checks never need evolution
-    for spec in manifest.get("constraints") or []:
-        expr = parse_expr(spec["density"], entry.dim, entry.symbols)
+    reports: list[ChargeReport] = []
+    for spec, density in constraints:
         value, verdict, threshold = check_constraint(
-            expr, u0, {"f": fun}, params, tolerance=float(spec.get("tolerance", 1e-9))
-        )
-        reports.append(
-            ChargeReport(
-                "constraint", spec["density"], [0.0], [value], threshold, verdict,
-                {"seed": seed},
-            )
-        )
-        if verdict == "violated":
-            worst = max(worst, EXIT_CONSTRAINT)
+            density, u0, funs, params, tolerance=float(spec.get("tolerance", 1e-9)))
+        reports.append(ChargeReport("constraint", spec["density"], [0.0], [value],
+                                    threshold, verdict, {"seed": seed}))
 
     traj = None
     if t_end > 0:
         try:
             traj = run(u0)
         except NonIntegrableSymbol as exc:
-            reports.append(
-                ChargeReport(
-                    "constraint-violation", str(exc), [0.0], [float("nan")], 0.0,
-                    "violated", {"seed": seed},
-                )
-            )
-            worst = EXIT_CONSTRAINT
-        except CflViolation as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESIDUAL
+            reports.append(ChargeReport("constraint-violation", str(exc), [0.0],
+                                        [float("nan")], 0.0, "violated", {"seed": seed}))
+        except CflViolation:
+            raise
         except EvolutionError as exc:
             raise UsageError(f"{name}: {exc}") from exc
 
     if traj is not None:
-        method = manifest.get("interp", "cubic")
-        for spec in manifest.get("charges") or []:
-            curve = CurveSpec.rectangle(*spec["curve"]["rect"])
-            vals = _charge_series(entry, traj, spec["id"], curve, params, fun, method)
-            if spec.get("tolerance") is not None:
-                tol = float(spec["tolerance"])
-            else:
-                vals_half = _charge_series(entry, halved(), spec["id"], curve, params,
-                                           fun, method)
-                diff = max(abs(a - b) for a, b in zip(vals, vals_half))
-                tol = 10.0 * max(diff, 1e-13)
+        meta = {"seed": seed, "interp": method, "scheme": traj.meta.get("scheme"),
+                "dealias": traj.meta.get("dealias"), "steps": traj.meta.get("steps")}
+        for spec, gamma, curve in charges:
+            vals = series(gamma, traj, curve, params, funs, method)
+            tol = _tolerance(spec, lambda: [
+                (vals, series(gamma, halved(), curve, params, funs, method))])
             verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
-            reports.append(
-                ChargeReport(
-                    "charge", f"{spec['id']} rect={spec['curve']['rect']}",
-                    list(traj.times), vals, tol, verdict,
-                    {"seed": seed, "interp": method, "scheme": traj.meta.get("scheme"),
-                     "dealias": traj.meta.get("dealias"), "steps": traj.meta.get("steps")},
-                )
-            )
-            if verdict == "failed":
-                worst = max(worst, EXIT_RESIDUAL)
-        for spec in manifest.get("checks") or []:
-            if spec["type"] == "mass":
+            reports.append(ChargeReport("charge", f"{spec['id']} rect={spec['curve']['rect']}",
+                                        list(traj.times), vals, tol, verdict, dict(meta)))
+        for spec, curve in checks:
+            if curve is None:
                 vals = [f.integral() for f in traj.fields]
                 tol = float(spec.get("tolerance", 1e-9))
                 verdict = "conserved" if max(abs(v - vals[0]) for v in vals) <= tol else "failed"
-                reports.append(
-                    ChargeReport("mass", "cell integral of u", list(traj.times), vals,
-                                 tol, verdict, {"seed": seed})
-                )
-                if verdict == "failed":
-                    worst = max(worst, EXIT_RESIDUAL)
-            else:
-                curve = CurveSpec.rectangle(*spec["curve"]["rect"])
-                circ_u, circ_F = _circulations(entry, traj, curve, params, method)
-                times, resid = _balance_residuals(traj.times, circ_u, circ_F)
-                if spec.get("tolerance") is not None:
-                    tol = float(spec["tolerance"])
-                else:
-                    half = halved()
-                    _, resid_half = _balance_residuals(
-                        half.times, *_circulations(entry, half, curve, params, method))
-                    diff_grid = max(abs(a - b) for a, b in zip(resid, resid_half))
-                    # time-sampling part of the doubling difference: compare the
-                    # centered differences at stride 1 vs stride 2
-                    t2, r2 = _balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])
-                    fine = dict(zip(times, resid))
-                    diff_time = max(
-                        (abs(fine[t] - r) for t, r in zip(t2, r2) if t in fine),
-                        default=0.0,
-                    )
-                    tol = 10.0 * max(diff_grid, diff_time, 1e-13)
-                verdict = "satisfied" if max(abs(r) for r in resid) <= tol else "failed"
-                reports.append(
-                    ChargeReport(
-                        "balance", f"d/dt circulation of u vs flux circulation, "
-                        f"rect={spec['curve']['rect']}", times, resid, tol, verdict,
-                        {"seed": seed},
-                    )
-                )
-                if verdict == "failed":
-                    worst = max(worst, EXIT_RESIDUAL)
+                reports.append(ChargeReport("mass", "cell integral of u", list(traj.times),
+                                            vals, tol, verdict, {"seed": seed}))
+                continue
+            circ_u, circ_F = circulations(traj, curve)
+            times, resid = balance_residuals(traj.times, circ_u, circ_F)
+            # doubling differences: half resolution, and the centered time
+            # differences at stride 2 against those at stride 1
+            tol = _tolerance(spec, lambda: [
+                (resid, balance_residuals(halved().times, *circulations(halved(), curve))[1]),
+                (resid[1::2], balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])[1])])
+            verdict = "satisfied" if max(abs(r) for r in resid) <= tol else "failed"
+            reports.append(ChargeReport(
+                "balance", f"d/dt circulation of u vs flux circulation, "
+                f"rect={spec['curve']['rect']}", times, resid, tol, verdict, {"seed": seed}))
 
+    code = max([VERDICT_EXIT.get(rep.verdict, EXIT_OK) for rep in reports], default=EXIT_OK)
+    return reports, code
+
+
+def cmd_simulate(args) -> int:
+    manifest = yaml.safe_load(Path(args.manifest).read_text(encoding="utf-8"))
+    try:
+        reports, code = simulate(manifest)
+    except CflViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
+    out_dir = Path(args.out or manifest.get("out") or "reports")
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, rep in enumerate(reports):
         path = out_dir / f"report_{i:02d}_{rep.kind}.txt"
         path.write_text(rep.to_text(), encoding="utf-8")
         print(f"{rep.kind}: {rep.verdict} (report: {path})")
-    return worst
+    return code
 
 
 def main(argv=None) -> int:
@@ -566,7 +559,7 @@ def main(argv=None) -> int:
             return cmd_reduce(args)
         if args.command == "potential":
             return cmd_potential(args)
-    except (KeyError, cat.ConstraintViolation, UsageError) as exc:
+    except (KeyError, cat.ConstraintViolation, UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except cat.CatalogCorrupt as exc:

@@ -76,36 +76,8 @@ def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
     return vals
 
 
-def spectral_values(data: np.ndarray, periods, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of `data` at arbitrary points.
-
-    Exact for band-limited periodic data; cost O(npts * N^dim).
-    """
-    hat = np.fft.fftn(data) / data.size
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = data.ndim
-    factors = []
-    for axis in range(dim):
-        n = data.shape[axis]
-        k = 2.0 * math.pi * np.fft.fftfreq(n, d=periods[axis] / n)
-        factors.append(np.exp(1j * np.outer(pts[:, axis], k)))
-    if dim == 1:
-        vals = factors[0] @ hat
-    elif dim == 2:
-        vals = np.einsum("pa,ab,pb->p", factors[0], hat, factors[1])
-    else:
-        vals = np.einsum("pa,abc,pb,pc->p", factors[0], hat, factors[1], factors[2])
-    return np.real(vals)
-
-
-LOOP_METHODS = ("cubic", "spectral", "exact")  # the `method` values of loop_integral
-
-
-def _interpolator(method: str):
-    """values(data, periods, points) for an interpolation method name."""
-    if method not in ("cubic", "spectral"):
-        raise ValueError(f"unknown interpolation method {method!r}")
-    return cubic_values if method == "cubic" else spectral_values
+LOOP_METHODS = ("cubic", "exact")  # the `method` values of loop_integral
+DENSITY = 2.0  # cubic quadrature nodes per grid spacing along a segment or face side
 
 
 def _interval_factors(n: int, period: float, lo: float, hi: float) -> np.ndarray:
@@ -124,25 +96,21 @@ def _point_factors(n: int, period: float, value: float) -> np.ndarray:
     return np.exp(1j * k * value)
 
 
-def _axis_line_integral(data: np.ndarray, periods, axis: int, lo: float, hi: float,
-                        fixed: dict) -> float:
-    """Exact integral of the trig interpolant along an axis-aligned segment."""
-    hat = np.fft.fftn(data) / data.size
-    factors = []
-    for a in range(data.ndim):
-        n = data.shape[a]
-        if a == axis:
-            factors.append(_interval_factors(n, periods[a], lo, hi))
-        else:
-            factors.append(_point_factors(n, periods[a], fixed[a]))
-    letters = "abc"[: data.ndim]
-    spec = ",".join([letters] + [ch for ch in letters]) + "->"
-    return float(np.real(np.einsum(spec, hat, *factors)))
+def _exact_integral(hat: np.ndarray, periods, spans) -> float:
+    """Exact integral of the trig interpolant with coefficients `hat` over
+    an axis-aligned cell: per axis a span is a point or an (lo, hi) pair."""
+    factors = [
+        _point_factors(n, period, span) if np.isscalar(span)
+        else _interval_factors(n, period, *span)
+        for n, period, span in zip(hat.shape, periods, spans)
+    ]
+    letters = "abc"[: hat.ndim]
+    return float(np.real(np.einsum(",".join([letters, *letters]) + "->", hat, *factors)))
 
 
-def _segment_points(p0, p1, spacing: float, density: float):
+def _segment_points(p0, p1, spacing: float):
     length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    n = max(2, int(math.ceil(length / spacing * density)) + 1)
+    n = max(2, int(math.ceil(length / spacing * DENSITY)) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = [(p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])) for t in ts]
     return pts, length
@@ -156,40 +124,42 @@ def loop_integral(
     fun_bindings: dict | None = None,
     params: dict | None = None,
     extra_fields: dict | None = None,
-    density: float = 2.0,
+    *,
     method: str = "cubic",
 ) -> float:
     """Circulation of (Gamma^x dy - Gamma^y dx) around a closed polyline.
 
     Methods: "cubic" (periodic bicubic interpolation, composite
-    trapezoid), "spectral" (trig-interpolant values, trapezoid), "exact"
-    (closed-form integrals of the trig interpolant; axis-aligned
-    segments only).
+    trapezoid) and "exact" (closed-form integrals of the trig
+    interpolant; axis-aligned segments only).
     """
     if grid.dim != 2:
         raise ValueError("loop integrals are two-dimensional")
+    if method not in LOOP_METHODS:
+        raise ValueError(f"unknown interpolation method {method!r}")
     gx = evaluate_on_grid(gamma[0], grid, u_t, fun_bindings, params, extra_fields)
     gy = evaluate_on_grid(gamma[1], grid, u_t, fun_bindings, params, extra_fields)
     if method == "exact":
+        hat_x, hat_y = (np.fft.fftn(g) / g.size for g in (gx, gy))
         total = 0.0
         for p0, p1 in zip(curve.vertices[:-1], curve.vertices[1:]):
             if abs(p0[1] - p1[1]) < 1e-14:  # horizontal: -int Gamma^y dx
-                total -= _axis_line_integral(gy, grid.periods, 0, p0[0], p1[0], {1: p0[1]})
+                total -= _exact_integral(hat_y, grid.periods, ((p0[0], p1[0]), p0[1]))
             elif abs(p0[0] - p1[0]) < 1e-14:  # vertical: +int Gamma^x dy
-                total += _axis_line_integral(gx, grid.periods, 1, p0[1], p1[1], {0: p0[0]})
+                total += _exact_integral(hat_x, grid.periods, (p0[0], (p0[1], p1[1])))
             else:
                 raise ValueError("method 'exact' needs axis-aligned segments")
         return total
-    values = _interpolator(method)
     spacing = min(grid.spacing(0), grid.spacing(1))
     total = 0.0
     for p0, p1 in zip(curve.vertices[:-1], curve.vertices[1:]):
-        pts, length = _segment_points(p0, p1, spacing, density)
+        pts, length = _segment_points(p0, p1, spacing)
         if length == 0.0:
             continue
         dx = (p1[0] - p0[0]) / length
         dy = (p1[1] - p0[1]) / length
-        vals = values(gx, grid.periods, pts) * dy - values(gy, grid.periods, pts) * dx
+        vals = (cubic_values(gx, grid.periods, pts) * dy
+                - cubic_values(gy, grid.periods, pts) * dx)
         h = length / (len(pts) - 1)
         total += h * (0.5 * vals[0] + float(vals[1:-1].sum()) + 0.5 * vals[-1])
     return total
@@ -214,43 +184,32 @@ def surface_integral(
     fun_bindings: dict | None = None,
     params: dict | None = None,
     extra_fields: dict | None = None,
-    density: float = 2.0,
+    *,
     method: str = "cubic",
 ) -> float:
     """Outward flux of Gamma through the boundary of an axis-aligned box."""
     if grid.dim != 3:
         raise ValueError("surface integrals are three-dimensional")
+    if method not in LOOP_METHODS:
+        raise ValueError(f"unknown interpolation method {method!r}")
     comps = [
         evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields)
         for g in gamma
     ]
+    total = 0.0
     if method == "exact":
-        total = 0.0
         for axis in (0, 1, 2):
-            others = [a for a in (0, 1, 2) if a != axis]
             hat = np.fft.fftn(comps[axis]) / comps[axis].size
             for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
-                factors = [None, None, None]
-                factors[axis] = _point_factors(
-                    comps[axis].shape[axis], grid.periods[axis], side
-                )
-                for o in others:
-                    lo, hi = box.bounds[o]
-                    factors[o] = _interval_factors(
-                        comps[axis].shape[o], grid.periods[o], lo, hi
-                    )
-                total += sign * float(
-                    np.real(np.einsum("abc,a,b,c->", hat, *factors))
-                )
+                spans = list(box.bounds)
+                spans[axis] = side
+                total += sign * _exact_integral(hat, grid.periods, spans)
         return total
-    values = _interpolator(method)
-    total = 0.0
-    axes = (0, 1, 2)
-    for axis in axes:
-        others = [a for a in axes if a != axis]
+    for axis in (0, 1, 2):
+        others = [a for a in (0, 1, 2) if a != axis]
         (a0, a1), (b0, b1) = box.bounds[others[0]], box.bounds[others[1]]
-        na = max(2, int(math.ceil((a1 - a0) / grid.spacing(others[0]) * density)) + 1)
-        nb = max(2, int(math.ceil((b1 - b0) / grid.spacing(others[1]) * density)) + 1)
+        na = max(2, int(math.ceil((a1 - a0) / grid.spacing(others[0]) * DENSITY)) + 1)
+        nb = max(2, int(math.ceil((b1 - b0) / grid.spacing(others[1]) * DENSITY)) + 1)
         avals = np.linspace(a0, a1, na)
         bvals = np.linspace(b0, b1, nb)
         wa = np.ones(na)
@@ -266,7 +225,7 @@ def surface_integral(
             pts[:, axis] = side
             pts[:, others[0]] = aa.ravel()
             pts[:, others[1]] = bb.ravel()
-            vals = values(comps[axis], grid.periods, pts)
+            vals = cubic_values(comps[axis], grid.periods, pts)
             total += sign * float((weights * vals).sum()) * ha * hb
     return total
 

