@@ -23,7 +23,6 @@ from .conservation import (
     CurrentFamily,
     DivergenceIdentity,
     FluxVector,
-    Multiplier,
     NotAMultiplier,
     divergence_identity,
     reduce_to_spatial_flux,

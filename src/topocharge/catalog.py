@@ -366,8 +366,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             cur = _find(currents, ident["current"], name)
         except KeyError:
             continue  # source current excluded by the active instantiation
-        if cur.case not in cases:
-            continue
         cpde = case_pdes[cur.case]
         idx = int(ident.get("index", 0))
         try:
@@ -405,12 +403,9 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             cur = _find(currents, ch["current"], name)
         except KeyError:
             continue
-        if cur.case not in cases:
-            continue
         cpde = case_pdes[cur.case]
         try:
-            flux = reduce_to_spatial_flux(cur.family, cpde,
-                                          certify=bool(ch.get("certify", True)))
+            flux = reduce_to_spatial_flux(cur.family, cpde)
         except CurrentVerificationError as exc:
             raise CatalogCorrupt(name, ch["id"], str(exc), exc.residuals) from None
         if ch.get("printed_gamma"):

@@ -1,9 +1,10 @@
 """Command-line surface: verify, reduce, potential, simulate, catalog.
 
 Exit codes: 0 success/verified, 1 verification residual or failed
-numerical verdict, 2 usage/catalog error, 3 numerical constraint
-violation.  Reports are plain structured text with full-precision
-numbers; identical manifest and seed give byte-identical reports.
+numerical verdict, 2 usage/catalog error or a missing or unparsable input
+file, 3 numerical constraint violation.  Reports are plain structured
+text with full-precision numbers; identical manifest and seed give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -227,6 +228,10 @@ def _check_manifest(manifest) -> None:
     unknown = sorted(set(manifest) - MANIFEST_KEYS)
     if unknown:
         raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
+    for key, kind, what in (("grid", dict, "a mapping"), ("params", dict, "a mapping"),
+                            ("u0", (dict, str), "a mapping or an expression")):
+        if not isinstance(manifest.get(key) or {}, kind):
+            raise UsageError(f"{key} must be {what}, got {manifest[key]!r}")
     for spec in _specs(manifest, "checks"):
         if spec.get("type") not in CHECK_TYPES:
             raise UsageError(f"unknown check type {spec.get('type')!r} "
@@ -247,7 +252,8 @@ def _check_manifest(manifest) -> None:
 
 
 def _check_numbers(manifest) -> None:
-    """Refuse a non-numeric value in any field the run converts to a number."""
+    """Refuse a non-numeric value in any field the run converts to a number,
+    and a mode whose k or phase has fewer entries than the grid has axes."""
 
     def need(value, kind, where):
         try:
@@ -272,14 +278,18 @@ def _check_numbers(manifest) -> None:
     need_list(grid, "resolutions", int, "grid")
     need_list(grid, "periods", float, "grid")
     u0 = manifest.get("u0")
+    axes = len(grid.get("resolutions") or ())
     if isinstance(u0, dict):
         if "constant" in u0:
             need(u0["constant"], float, "u0.constant")
         for mode in _specs(u0, "modes"):
             if "a" in mode:
                 need(mode["a"], float, "u0.modes[].a")
-            need_list(mode, "k", int, "u0.modes[]")
-            need_list(mode, "phase", float, "u0.modes[]")
+            for key, kind in (("k", int), ("phase", float)):
+                need_list(mode, key, kind, "u0.modes[]")
+                if mode.get(key) is not None and len(mode[key]) < axes:
+                    raise UsageError(f"u0.modes[].{key} needs an entry per grid axis, "
+                                     f"got {mode[key]!r}")
     for group in ("charges", "checks", "constraints"):
         for spec in _specs(manifest, group):
             if spec.get("tolerance") is not None:
@@ -559,7 +569,8 @@ def main(argv=None) -> int:
             return cmd_reduce(args)
         if args.command == "potential":
             return cmd_potential(args)
-    except (KeyError, cat.ConstraintViolation, UsageError, ParseError) as exc:
+    except (KeyError, cat.ConstraintViolation, UsageError, ParseError, OSError,
+            yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except cat.CatalogCorrupt as exc:

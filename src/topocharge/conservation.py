@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jetexpr import JetExpr, T, arbfun_key, divergence, total_derivative
+from .jetexpr import JetExpr, T, arbfun_key, curl, divergence, total_derivative
 from .pde import PdeSpec, expand_r_operator, substitute_on_solutions, substitute_with_ledger
 from .variational import AnsatzExhausted, _mono_expr, build_pools, euler_u, solve_ansatz
 
@@ -41,11 +41,6 @@ class CurrentVerificationError(ValueError):
     def __init__(self, message: str, residuals):
         super().__init__(message)
         self.residuals = residuals
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    Q: JetExpr
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,6 @@ class CurrentFamily:
 class FluxVector:
     Gamma: tuple
     dim: int
-    source: CurrentFamily | None = None
     nontrivial_up_to_order: object = None  # int order bound or "u_t-certificate"
 
 
@@ -97,8 +91,8 @@ class DivergenceIdentity:
 # -- multipliers --------------------------------------------------------------
 
 
-def verify_multiplier(pde: PdeSpec, Q: JetExpr) -> Multiplier:
-    """Check that Q*G is a total spacetime divergence (Euler residual zero)."""
+def verify_multiplier(pde: PdeSpec, Q: JetExpr) -> None:
+    """Check that Q*G is a total spacetime divergence; raise NotAMultiplier if not."""
     residual = euler_u(Q * pde.G)
     if not residual.is_zero():
         raise NotAMultiplier(
@@ -106,7 +100,6 @@ def verify_multiplier(pde: PdeSpec, Q: JetExpr) -> Multiplier:
             f"{len(residual.terms)} terms",
             residual,
         )
-    return Multiplier(Q)
 
 
 # -- currents ------------------------------------------------------------------
@@ -233,7 +226,7 @@ def reduce_to_spatial_flux(
             "Div Gamma does not vanish on solutions", {0: residual}
         )
     cert = nontriviality_certificate(gamma, pde, order_bound) if certify else None
-    return FluxVector(gamma, cur.dim, cur, cert)
+    return FluxVector(gamma, cur.dim, cert)
 
 
 def divergence_identity(pde: PdeSpec, cur: CurrentFamily, i: int) -> DivergenceIdentity:
@@ -310,17 +303,6 @@ def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
     return None
 
 
-def _curl_components(theta: JetExpr | tuple, dim: int) -> tuple:
-    if dim == 2:
-        return (total_derivative(theta, 2), -total_derivative(theta, 1))
-    wx, wy, wz = theta
-    return (
-        total_derivative(wz, 2) - total_derivative(wy, 3),
-        total_derivative(wx, 3) - total_derivative(wz, 1),
-        total_derivative(wy, 1) - total_derivative(wx, 2),
-    )
-
-
 def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
     """Search for a skew potential with Gamma|_E = curl(theta)|_E.
 
@@ -364,8 +346,7 @@ def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
     def image(pot: int, m: tuple) -> tuple:
         theta = [JetExpr.zero()] * npots
         theta[pot] = _mono_expr(m)
-        curl = _curl_components(theta[0] if dim == 2 else tuple(theta), dim)
-        return tuple(substitute_on_solutions(c, pde) for c in curl)
+        return tuple(substitute_on_solutions(c, pde) for c in curl(theta, dim))
 
     sol = solve_ansatz(columns, (image(pot, m) for pot, m in columns), g_sub)
     if sol is None:

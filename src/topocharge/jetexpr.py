@@ -41,6 +41,7 @@ Rat = Fraction
 # positive; parameter exponents may be negative (Laurent monomials).
 
 EMPTY_MONO = ((), (), (), ())
+JET_SLOT, FUN_SLOT, PARAM_SLOT = 1, 2, 3
 
 
 def multi_index(spec: str) -> tuple[int, int, int, int]:
@@ -71,6 +72,14 @@ def arbfun_key(name: str, sig: Sequence[int], orders: Sequence[int] | None = Non
     if orders is None:
         orders = (0,) * len(sig)
     return (name, sig, tuple(orders), rule)
+
+
+def arbfun_mi(key: tuple) -> tuple[int, int, int, int]:
+    """Multi-index of the total derivatives an arbitrary-function key carries."""
+    mi = [0, 0, 0, 0]
+    for axis, n in zip(key[1], key[2]):
+        mi[axis] += n
+    return tuple(mi)
 
 
 def biharmonic_rule(slot: int = 0) -> tuple:
@@ -336,12 +345,6 @@ class JetExpr:
     def param_keys(self) -> set:
         return {k for m, _ in self.terms for k, _ in m[3]}
 
-    def var_axes(self) -> set:
-        return {k for m, _ in self.terms for k, _ in m[0]}
-
-    def depvars(self) -> set:
-        return {k[0] for k in self.jet_keys()}
-
     def max_order(self, dep: str | None = None) -> int:
         orders = [
             mi_order(k[1])
@@ -452,61 +455,75 @@ def total_derivative_mi(e: JetExpr, mi: Sequence[int]) -> JetExpr:
     return e
 
 
-def divergence(components: Sequence[JetExpr], dim: int, spatial: bool = True) -> JetExpr:
+def divergence(components: Sequence[JetExpr], dim: int) -> JetExpr:
     """Spatial divergence sum(D_i F^i) of a dim-component vector."""
     if len(components) != dim:
         raise ExprError(f"expected {dim} components, got {len(components)}")
     out = _ZERO
     for i, comp in enumerate(components):
-        out = out + total_derivative(comp, i + 1 if spatial else i)
+        out = out + total_derivative(comp, i + 1)
     return out
 
 
-def diff_jet(e: JetExpr, key: tuple) -> JetExpr:
-    """Partial derivative with respect to one jet coordinate."""
+def curl(theta: Sequence[JetExpr], dim: int) -> tuple:
+    """Spatial curl of a skew potential, so that divergence(curl(theta)) == 0.
+
+    In 2D theta is the one scalar w and the curl is (w_y, -w_x); in 3D
+    theta is (w^x, w^y, w^z) and the curl is the usual one.
+    """
+    if dim == 2:
+        (w,) = theta
+        return (total_derivative(w, Y), -total_derivative(w, X))
+    if dim == 3:
+        wx, wy, wz = theta
+        return (
+            total_derivative(wz, Y) - total_derivative(wy, Z),
+            total_derivative(wx, Z) - total_derivative(wz, X),
+            total_derivative(wy, X) - total_derivative(wx, Y),
+        )
+    raise ExprError(f"curls exist in dim 2 and 3, not {dim}")
+
+
+def partial(e: JetExpr, slot: int, key: tuple) -> JetExpr:
+    """Partial derivative with respect to one symbol of a monomial slot."""
     pairs = []
     for m, c in e.terms:
-        for k, p in m[1]:
+        for k, p in m[slot]:
             if k == key:
-                nm = (m[0], _merge_pow(m[1], k, -1), m[2], m[3])
-                pairs.append((c * p, nm))
+                nm = list(m)
+                nm[slot] = _merge_pow(m[slot], k, -1)
+                pairs.append((c * p, tuple(nm)))
     return JetExpr.from_pairs(pairs)
 
 
-def diff_fun(e: JetExpr, key: tuple) -> JetExpr:
+def _substitute(e: JetExpr, slot: int, image) -> JetExpr:
+    """The ring map that sends each factor k^p of `slot` to image(k)^p.
+
+    image(k) is a JetExpr, or None to keep the factor; it is called once
+    per distinct key.  A negative power divides by the image, which must
+    then be a unit (see div_unit).
+    """
+    images: dict = {}
     pairs = []
     for m, c in e.terms:
-        for k, p in m[2]:
-            if k == key:
-                nm = (m[0], m[1], _merge_pow(m[2], k, -1), m[3])
-                pairs.append((c * p, nm))
+        for k, _ in m[slot]:
+            if k not in images:
+                images[k] = image(k)
+        rest = list(m)
+        rest[slot] = tuple((k, p) for k, p in m[slot] if images[k] is None)
+        factor = JetExpr(((tuple(rest), c),))
+        for k, p in m[slot]:
+            got = images[k]
+            if got is not None:
+                factor = factor * got ** p if p >= 0 else div_unit(factor, got ** -p)
+        pairs.extend((cc, mm) for mm, cc in factor.terms)
     return JetExpr.from_pairs(pairs)
 
 
 def substitute_depvar(e: JetExpr, dep: str, repl: JetExpr) -> JetExpr:
     """Replace every jet of `dep` by the matching total derivative of `repl`."""
-    cache: dict[tuple, JetExpr] = {}
-
-    def d_repl(mi: tuple) -> JetExpr:
-        got = cache.get(mi)
-        if got is None:
-            got = total_derivative_mi(repl, mi)
-            cache[mi] = got
-        return got
-
-    out = _ZERO
-    for m, c in e.terms:
-        factor = JetExpr(((( m[0], (), m[2], m[3]), c),))
-        keep = []
-        for k, p in m[1]:
-            if k[0] == dep:
-                factor = factor * d_repl(k[1]) ** p
-            else:
-                keep.append((k, p))
-        if keep:
-            factor = factor * JetExpr(((((), tuple(keep), (), ()), Rat(1)),))
-        out = out + factor
-    return out
+    return _substitute(e, JET_SLOT,
+                       lambda k: total_derivative_mi(repl, k[1]) if k[0] == dep else None)
 
 
 def substitute_arbfun(e: JetExpr, name: str, repl: JetExpr) -> JetExpr:
@@ -515,28 +532,8 @@ def substitute_arbfun(e: JetExpr, name: str, repl: JetExpr) -> JetExpr:
     Derivative orders are mapped to total derivatives of `repl` with
     respect to the symbol's signature variables.
     """
-    cache: dict[tuple, JetExpr] = {}
-    out = _ZERO
-    for m, c in e.terms:
-        factor = JetExpr((((m[0], m[1], (), m[3]), c),))
-        keep = []
-        for k, p in m[2]:
-            if k[0] != name:
-                keep.append((k, p))
-                continue
-            orders = k[2]
-            got = cache.get(orders)
-            if got is None:
-                got = repl
-                for slot, n in enumerate(orders):
-                    for _ in range(n):
-                        got = total_derivative(got, k[1][slot])
-                cache[orders] = got
-            factor = factor * got ** p
-        if keep:
-            factor = factor * JetExpr(((((), (), tuple(keep), ()), Rat(1)),))
-        out = out + factor
-    return out
+    return _substitute(e, FUN_SLOT,
+                       lambda k: total_derivative_mi(repl, arbfun_mi(k)) if k[0] == name else None)
 
 
 def substitute_params(
@@ -551,20 +548,7 @@ def substitute_params(
         name: (v if isinstance(v, JetExpr) else JetExpr.number(Rat(v)))
         for name, v in values.items()
     }
-    out = _ZERO
-    for m, c in e.terms:
-        factor = JetExpr((((m[0], m[1], m[2], ()), c),))
-        for k, p in m[3]:
-            if k[0] in exprs and not (only_free and k[1] != ()):
-                repl = exprs[k[0]]
-                if p >= 0:
-                    factor = factor * repl ** p
-                else:
-                    factor = div_unit(factor, repl ** (-p))
-            else:
-                factor = factor * JetExpr.param(k, p)
-        out = out + factor
-    return out
+    return _substitute(e, PARAM_SLOT, lambda k: None if only_free and k[1] else exprs.get(k[0]))
 
 
 def eval_at(
@@ -579,10 +563,7 @@ def eval_at(
     Keys may be the internal tuples or plain grammar names such as
     ``"u_xx"``, ``"x"``, ``"f'"``, ``"alpha"``.
     """
-    point = _name_map(point or {})
-    vars_ = _name_map(vars or {})
-    funs_ = _name_map(funs or {})
-    params_ = _name_map(params or {})
+    point, vars_, funs_, params_ = (m or {} for m in (point, vars, funs, params))
 
     total = 0.0
     for m, c in e.terms:
@@ -603,10 +584,6 @@ def eval_at(
             val *= _lookup(params_, k[0], k, "parameter") ** p
         total += val
     return total
-
-
-def _name_map(src: Mapping) -> dict:
-    return dict(src)
 
 
 def _lookup(table: Mapping, name: str, key, what: str) -> float:

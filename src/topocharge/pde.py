@@ -91,17 +91,6 @@ class PdeSpec:
             if not (self.G - self.div_form.factor * (lhs - div)).is_zero():
                 raise PdeError(f"{self.name}: declared divergence form does not match G")
 
-    def ut_flux(self) -> tuple:
-        """The spatial-flux vector u_t k_hat - F of the divergence form."""
-        if self.div_form is None:
-            raise PdeError(f"{self.name} has no first-order divergence form")
-        ut = JetExpr.jet("u", (1, 0, 0, 0))
-        comps = []
-        for i in range(1, self.dim + 1):
-            comp = ut if i == self.div_form.k_axis else JetExpr.zero()
-            comps.append(comp - self.div_form.F[i - 1])
-        return tuple(comps)
-
 
 def _hits(jetpows: tuple, dep: str, lead_mi: tuple) -> tuple:
     """The factors of a monomial's jets that are consequences of the leading jet."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jetexpr import JetExpr, X, Y, Z, total_derivative, divergence
+from .jetexpr import JetExpr, X, Y, Z, curl, divergence, total_derivative
 from .conservation import FluxVector
 
 
@@ -50,19 +50,11 @@ class PotentialSystem:
 
 
 def curl_side(dim: int) -> tuple:
-    if dim == 2:
-        w = JetExpr.jet("w")
-        return (total_derivative(w, Y), -total_derivative(w, X))
-    if dim == 3:
-        wx, wy, wz = (JetExpr.jet(p) for p in POTENTIALS_3D)
-        return (
-            total_derivative(wz, Y) - total_derivative(wy, Z),
-            total_derivative(wx, Z) - total_derivative(wz, X),
-            total_derivative(wy, X) - total_derivative(wx, Y),
+    if dim not in (2, 3):
+        raise UnsupportedDimension(
+            f"spatial potential systems need dim 2 or 3 (curls do not exist for dim {dim})"
         )
-    raise UnsupportedDimension(
-        f"spatial potential systems need dim 2 or 3 (curls do not exist for dim {dim})"
-    )
+    return curl([JetExpr.jet(p) for p in (POTENTIALS_2D if dim == 2 else POTENTIALS_3D)], dim)
 
 
 def build_potential_system(gamma) -> PotentialSystem:

@@ -1,11 +1,13 @@
 """Loop and surface quadrature for topological charges, plus constraint checks.
 
-Charge integrands are evaluated on the grid and interpolated along the
-curve or surface with periodic cubic (Catmull-Rom) interpolation; the
-line integral uses the composite trapezoid rule, the surface integral
-face-by-face 2D trapezoid sums.  The circulation convention follows the
-outward-flux form: the loop integral of (Gamma^x, Gamma^y) is
-closed-integral of Gamma^x dy - Gamma^y dx.
+Charge integrands are evaluated on the grid and integrated along the
+curve or over the surface by one of two methods.  "cubic" interpolates
+with periodic cubic (Catmull-Rom) interpolation and sums with the
+composite trapezoid rule, face by face on a surface.  "exact" integrates
+the trigonometric interpolant of the grid values (its FFT) in closed form
+over each segment or face, which must be axis-aligned.  The circulation
+convention follows the outward-flux form: the loop integral of
+(Gamma^x, Gamma^y) is closed-integral of Gamma^x dy - Gamma^y dx.
 """
 
 from __future__ import annotations

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .jetexpr import (
+    FUN_SLOT,
+    JET_SLOT,
     JetExpr,
     Rat,
     T,
     _merge_pow,
+    arbfun_mi,
     mi_bump,
     mi_order,
+    partial,
     total_derivative,
     total_derivative_mi,
     divergence,
@@ -34,8 +38,6 @@ class AnsatzExhausted(RuntimeError):
 @dataclass(frozen=True)
 class DivergenceWitness:
     components: tuple
-    role: str  # "spatial" or "spacetime"
-    residual: JetExpr
 
     def __iter__(self):
         return iter(self.components)
@@ -44,18 +46,24 @@ class DivergenceWitness:
 # -- Euler operators ---------------------------------------------------------
 
 
+def _euler_sum(e: JetExpr, slot: int, field) -> JetExpr:
+    """Sum over the keys k of `slot` of (-D)^K de/dk, with K = field(k).
+
+    field(k) is the multi-index of total derivatives that k carries as a
+    jet of the field, or None when k does not belong to the field.
+    """
+    out = JetExpr.zero()
+    for key in sorted({k for m, _ in e.terms for k, _ in m[slot]}):
+        mi = field(key)
+        if mi is not None:
+            sign = -1 if mi_order(mi) % 2 else 1
+            out = out + sign * total_derivative_mi(partial(e, slot, key), mi)
+    return out
+
+
 def euler_u(e: JetExpr, dep: str = "u") -> JetExpr:
     """Full variational derivative: sum over J of (-D)^J d e/d u_J."""
-    from .jetexpr import diff_jet
-
-    out = JetExpr.zero()
-    for key in sorted(e.jet_keys()):
-        if key[0] != dep:
-            continue
-        partial = diff_jet(e, key)
-        sign = -1 if mi_order(key[1]) % 2 else 1
-        out = out + sign * total_derivative_mi(partial, key[1])
-    return out
+    return _euler_sum(e, JET_SLOT, lambda k: k[1] if k[0] == dep else None)
 
 
 def spatial_euler(e: JetExpr, dep: str = "u", t_order: int = 0) -> JetExpr:
@@ -65,39 +73,19 @@ def spatial_euler(e: JetExpr, dep: str = "u", t_order: int = 0) -> JetExpr:
     fields, so only jets with exactly `t_order` time derivatives
     contribute, and only spatial total derivatives are applied.
     """
-    from .jetexpr import diff_jet
-
-    out = JetExpr.zero()
-    for key in sorted(e.jet_keys()):
-        if key[0] != dep or key[1][T] != t_order:
-            continue
-        spatial_mi = (0,) + key[1][1:]
-        partial = diff_jet(e, key)
-        sign = -1 if mi_order(spatial_mi) % 2 else 1
-        out = out + sign * total_derivative_mi(partial, spatial_mi)
-    return out
+    return _euler_sum(e, JET_SLOT, lambda k: (0,) + k[1][1:]
+                      if k[0] == dep and k[1][T] == t_order else None)
 
 
 def _fun_spatial_euler(e: JetExpr, name: str, sig: tuple, t_orders: tuple) -> JetExpr:
     """Spatial Euler operator for an arbitrary-function field."""
-    from .jetexpr import diff_fun
 
-    out = JetExpr.zero()
-    for key in sorted(e.fun_keys()):
-        if key[0] != name:
-            continue
-        orders = key[2]
-        key_t = tuple(o for ax, o in zip(sig, orders) if ax == T)
-        if key_t != t_orders:
-            continue
-        mi = [0, 0, 0, 0]
-        for ax, o in zip(sig, orders):
-            if ax != T:
-                mi[ax] += o
-        partial = diff_fun(e, key)
-        sign = -1 if mi_order(mi) % 2 else 1
-        out = out + sign * total_derivative_mi(partial, tuple(mi))
-    return out
+    def field(key):
+        if key[0] == name and tuple(o for ax, o in zip(sig, key[2]) if ax == T) == t_orders:
+            return (0,) + arbfun_mi(key)[1:]
+        return None
+
+    return _euler_sum(e, FUN_SLOT, field)
 
 
 def spatial_euler_residuals(e: JetExpr) -> dict:
@@ -295,7 +283,7 @@ def invert_divergence(
     signals the ansatz was too small, not that `e` is not a divergence.
     """
     if e.is_zero():
-        return DivergenceWitness((JetExpr.zero(),) * dim, "spatial", JetExpr.zero())
+        return DivergenceWitness((JetExpr.zero(),) * dim)
     axes = list(range(1, dim + 1))
     if order_bound is None:
         order_bound = max(e.max_order() - 1, 0)
@@ -316,16 +304,13 @@ def invert_divergence(
             f"rounds={rounds})"
         )
     comps = [sol.get(d, JetExpr.zero()) for d in axes]
-    residual = divergence(comps, dim) - e
-    if not residual.is_zero():
+    if divergence(comps, dim) != e:
         raise AssertionError("divergence inversion produced a nonzero residual")
-    return DivergenceWitness(tuple(comps), "spatial", residual)
+    return DivergenceWitness(tuple(comps))
 
 
 def invert_divergence_auto(e: JetExpr, dim: int) -> DivergenceWitness:
     """invert_divergence with automatic bound escalation, tightest first."""
-    if e.is_zero():
-        return DivergenceWitness((JetExpr.zero(),) * dim, "spatial", JetExpr.zero())
     last: Exception | None = None
     axes = list(range(1, dim + 1))
     order0 = max(e.max_order() - 1, 0)

@@ -87,6 +87,25 @@ class TestCatalogCmd:
         assert code == 0 and "multiplier-f" in out
 
 
+class TestInputFiles:
+    """A missing or unparsable input file is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["simulate", "--manifest", "{tmp}/nothere.yaml"], "nothere.yaml"),
+        (["simulate", "--manifest", "{tmp}/pde_missing.yaml"], "nothere.yaml"),
+        (["catalog", "show", "{tmp}/nothere.yaml"], "nothere.yaml"),
+        (["verify", "kp", "@{tmp}/nothere.txt"], "nothere.txt"),
+        (["simulate", "--manifest", "{tmp}/bad_yaml.yaml"], "pde: [kp"),
+    ], ids=["missing_manifest", "missing_pde_file", "missing_entry_file",
+            "missing_object_file", "invalid_yaml"])
+    def test_exits_2(self, argv, needle, tmp_path, capsys):
+        (tmp_path / "pde_missing.yaml").write_text(f"pde: {tmp_path / 'nothere.yaml'}\n")
+        (tmp_path / "bad_yaml.yaml").write_text("pde: [kp\n")
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 2 and err.startswith("error:") and needle in err
+        assert out == ""
+
+
 @pytest.fixture()
 def kp_manifest(tmp_path):
     manifest = {
@@ -306,9 +325,16 @@ class TestSimulateUsage:
         (lambda m: m["u0"].update(modes=[0.05]), "modes"),
         (lambda m: m.update(constraints=[{"density": "u +"}]), "unexpected token"),
         (lambda m: m.update(f="cosh"), "cosh"),
+        (lambda m: m.update(u0=[1, 2]), "u0 must be a mapping"),
+        (lambda m: m.update(grid="64"), "grid must be a mapping"),
+        (lambda m: m.update(params=[1]), "params must be a mapping"),
+        (lambda m: m["u0"]["modes"][0].update(k=[1]), "k needs an entry per grid axis"),
+        (lambda m: m["u0"]["modes"][0].update(phase=[0.0]),
+         "phase needs an entry per grid axis"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
-            "mode_not_mapping", "unparsable_density", "unknown_f"])
+            "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
+            "grid_not_mapping", "params_not_mapping", "short_k", "short_phase"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())

@@ -82,7 +82,7 @@ class TestInversion:
     def test_simple_witness(self):
         w = invert_divergence(P("u_x*u_xx"), 1)
         assert w.components == (P("1/2*u_x^2"),)
-        assert w.residual.is_zero()
+        assert divergence(list(w), 1) == P("u_x*u_xx")
 
     def test_kp_fx(self):
         w = invert_divergence(P("u*u_x + u_xxx"), 1)
