@@ -209,7 +209,8 @@ def cmd_potential(args) -> int:
 
 MANIFEST_KEYS = {"pde", "params", "grid", "u0", "t_end", "samples", "cfl", "dt", "f",
                  "interp", "seed", "out", "constraints", "charges", "checks"}
-CHECK_TYPES = ("mass", "balance")
+# check types and their default tolerances; None is resolution doubling
+CHECK_TOLERANCE = {"mass": 1e-9, "balance": None}
 VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
 
 
@@ -221,89 +222,39 @@ def _specs(manifest, group: str) -> list[dict]:
     return specs
 
 
-def _check_manifest(manifest) -> None:
-    """Refuse unknown keys and check types, non-numbers and degenerate run settings."""
-    if not isinstance(manifest, dict):
-        raise UsageError("a manifest is a mapping")
-    unknown = sorted(set(manifest) - MANIFEST_KEYS)
-    if unknown:
-        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
-    for key, kind, what in (("grid", dict, "a mapping"), ("params", dict, "a mapping"),
-                            ("u0", (dict, str), "a mapping or an expression")):
-        if not isinstance(manifest.get(key) or {}, kind):
-            raise UsageError(f"{key} must be {what}, got {manifest[key]!r}")
-    for spec in _specs(manifest, "checks"):
-        if spec.get("type") not in CHECK_TYPES:
-            raise UsageError(f"unknown check type {spec.get('type')!r} "
-                             f"(known: {', '.join(CHECK_TYPES)})")
-    _check_numbers(manifest)
-    if (manifest.get("charges") or manifest.get("checks")) and not \
-            float(manifest.get("t_end", 0.0)) > 0:
-        raise UsageError("charges and checks need t_end > 0")
-    for key in ("cfl", "dt"):
-        if manifest.get(key) is not None and not float(manifest[key]) > 0:
-            raise UsageError(f"{key} must be > 0, got {manifest[key]!r}")
-    if any(spec["type"] == "balance" for spec in manifest.get("checks") or []) and \
-            int(manifest.get("samples", 9)) < 3:
-        raise UsageError("a balance check differences in time and needs samples >= 3")
-    if manifest.get("interp", "cubic") not in LOOP_METHODS:
-        raise UsageError(f"unknown interp {manifest['interp']!r} "
-                         f"(known: {', '.join(LOOP_METHODS)})")
+def _number(doc: dict, key: str, kind, where: str, default=None):
+    """doc[key] converted by kind, or default when absent or null; where prefixes key."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{where}{key} must be a number, got {value!r}") from None
 
 
-def _check_numbers(manifest) -> None:
-    """Refuse a non-numeric value in any field the run converts to a number,
-    and a mode whose k or phase has fewer entries than the grid has axes."""
-
-    def need(value, kind, where):
-        try:
-            kind(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{where} must be a number, got {value!r}") from None
-
-    def need_list(doc, key, kind, where):
-        values = doc.get(key)
-        if values is None:
-            return
-        if not isinstance(values, list):
-            raise UsageError(f"{where}.{key} must be a list, got {values!r}")
-        for value in values:
-            need(value, kind, f"{where}.{key}")
-
-    for key, kind in (("t_end", float), ("samples", int), ("cfl", float), ("dt", float),
-                      ("seed", int)):
-        if manifest.get(key) is not None:
-            need(manifest[key], kind, key)
-    grid = manifest.get("grid") or {}
-    need_list(grid, "resolutions", int, "grid")
-    need_list(grid, "periods", float, "grid")
-    u0 = manifest.get("u0")
-    axes = len(grid.get("resolutions") or ())
-    if isinstance(u0, dict):
-        if "constant" in u0:
-            need(u0["constant"], float, "u0.constant")
-        for mode in _specs(u0, "modes"):
-            if "a" in mode:
-                need(mode["a"], float, "u0.modes[].a")
-            for key, kind in (("k", int), ("phase", float)):
-                need_list(mode, key, kind, "u0.modes[]")
-                if mode.get(key) is not None and len(mode[key]) < axes:
-                    raise UsageError(f"u0.modes[].{key} needs an entry per grid axis, "
-                                     f"got {mode[key]!r}")
-    for group in ("charges", "checks", "constraints"):
-        for spec in _specs(manifest, group):
-            if spec.get("tolerance") is not None:
-                need(spec["tolerance"], float, f"{group}[].tolerance")
-            if isinstance(spec.get("curve"), dict):
-                need_list(spec["curve"], "rect", float, f"{group}[].curve")
+def _numbers(doc: dict, key: str, kind, where: str, default=None, axes=None):
+    """_number for a list, which needs one entry per grid axis when axes is given."""
+    values = doc.get(key)
+    if values is None:
+        return default
+    if not isinstance(values, list):
+        raise UsageError(f"{where}{key} must be a list, got {values!r}")
+    try:
+        numbers = [kind(value) for value in values]
+    except (TypeError, ValueError):
+        raise UsageError(f"{where}{key} must be a number, got {values!r}") from None
+    if axes is not None and len(numbers) != axes:
+        raise UsageError(f"{where}{key} needs an entry per grid axis, got {values!r}")
+    return numbers
 
 
 def _curve(spec: dict, group: str) -> CurveSpec:
     """The rectangle a charge or balance check integrates around."""
-    rect = spec["curve"].get("rect") if isinstance(spec.get("curve"), dict) else None
-    if not (isinstance(rect, list) and len(rect) == 4):
-        raise UsageError(f"{group}[] needs curve: {{rect: [x0, x1, y0, y1]}}, "
-                         f"got {spec.get('curve')!r}")
+    curve = spec.get("curve")
+    rect = _numbers(curve, "rect", float, f"{group}[].curve.") if isinstance(curve, dict) else None
+    if rect is None or len(rect) != 4:
+        raise UsageError(f"{group}[] needs curve: {{rect: [x0, x1, y0, y1]}}, got {curve!r}")
     return CurveSpec.rectangle(*rect)
 
 
@@ -322,39 +273,39 @@ def _numeric_params(manifest) -> dict:
     return out
 
 
-def _initial_data(manifest, dim: int, symbols) -> GridField:
-    grid_spec = manifest["grid"]
-    shape = tuple(int(n) for n in grid_spec["resolutions"])
-    periods = tuple(float(p) for p in grid_spec["periods"])
-    if len(shape) != dim or len(periods) != dim:
-        raise UsageError(f"grid must have {dim} resolutions and periods")
-    data = np.zeros(shape)
-    coords = []
-    try:
-        fld = GridField(data, periods)
-    except GridError as exc:
-        raise UsageError(f"grid {list(shape)}: {exc}") from None
-    for axis in range(dim):
-        coords.append(fld.coords(axis))
-    u0 = manifest.get("u0") or {}
+def _initial_data(u0, dim: int, symbols):
+    """Parse u0 (a mapping, or an expression) once; return the function that
+    samples it on a grid of the given shape and periods."""
     if isinstance(u0, str):
         u0 = {"expr": u0}
-    if "constant" in u0:
-        data = data + float(u0["constant"])
-    for mode in u0.get("modes") or []:
-        amp = float(mode["a"])
-        ks = [int(k) for k in mode["k"]]
-        phases = [float(p) for p in mode.get("phase", [0.0] * dim)]
-        factor = np.ones(shape)
-        for axis in range(dim):
-            if ks[axis] != 0:
-                theta = 2.0 * math.pi * ks[axis] / periods[axis]
-                factor = factor * np.sin(theta * coords[axis] + phases[axis])
-        data = data + amp * factor
-    if "expr" in u0:
-        e = parse_expr(u0["expr"], dim, symbols)
-        data = data + evaluate_on_grid(e, fld)
-    return GridField(data, periods)
+    constant = _number(u0, "constant", float, "u0.", 0.0)
+    modes = []
+    for mode in _specs(u0, "modes"):
+        amp = _number(mode, "a", float, "u0.modes[].")
+        ks = _numbers(mode, "k", int, "u0.modes[].", axes=dim)
+        if amp is None or ks is None:
+            raise UsageError(f"u0.modes[] needs a and k, got {mode!r}")
+        modes.append((amp, ks, _numbers(mode, "phase", float, "u0.modes[].", [0.0] * dim, dim)))
+    expr = parse_expr(u0["expr"], dim, symbols) if "expr" in u0 else None
+
+    def on_grid(shape: tuple, periods: tuple) -> GridField:
+        try:
+            fld = GridField(np.zeros(shape), periods)
+        except GridError as exc:
+            raise UsageError(f"grid {list(shape)}: {exc}") from None
+        data = fld.data + constant
+        for amp, ks, phases in modes:
+            factor = np.ones(shape)
+            for axis in range(dim):
+                if ks[axis] != 0:
+                    theta = 2.0 * math.pi * ks[axis] / periods[axis]
+                    factor = factor * np.sin(theta * fld.coords(axis) + phases[axis])
+            data = data + amp * factor
+        if expr is not None:
+            data = data + evaluate_on_grid(expr, fld)
+        return GridField(data, periods)
+
+    return on_grid
 
 
 def series(gamma, traj, curve: CurveSpec, params: dict, funs: dict | None = None,
@@ -375,11 +326,11 @@ def balance_residuals(times, circ_u, circ_F):
     return times[1:-1], resid
 
 
-def _tolerance(spec: dict, doubled) -> float:
-    """The spec's tolerance, else 10x the largest difference between a series
+def _tolerance(tolerance: float | None, doubled) -> float:
+    """The given tolerance, else 10x the largest difference between a series
     and its coarser counterpart over the (fine, coarse) pairs of doubled()."""
-    if spec.get("tolerance") is not None:
-        return float(spec["tolerance"])
+    if tolerance is not None:
+        return tolerance
     return 10.0 * max([abs(a - b) for fine, coarse in doubled() for a, b in zip(fine, coarse)]
                       + [1e-13])
 
@@ -387,12 +338,55 @@ def _tolerance(spec: dict, doubled) -> float:
 def simulate(manifest) -> tuple[list[ChargeReport], int]:
     """Run a simulation manifest; return its reports and exit code.
 
-    The manifest is checked, and every constraint density, charge Gamma,
-    curve and check is resolved, before anything is evolved: bad input
-    raises UsageError, KeyError or ParseError and evolves nothing.  A run
-    the time stepper cannot finish raises CflViolation.
+    Each manifest value is converted and checked once, where it is read,
+    and the run uses that value.  The checks that need no catalog entry run
+    before the entry is loaded, and every constraint density, charge Gamma,
+    curve and check is resolved before anything is evolved: bad input
+    raises UsageError, KeyError or ParseError and evolves nothing.  A null
+    value means its default; a null tolerance is 1e-9 for constraints and
+    mass checks and resolution doubling for charges and balance checks.  A
+    run the time stepper cannot finish raises CflViolation.
     """
-    _check_manifest(manifest)
+    if not isinstance(manifest, dict):
+        raise UsageError("a manifest is a mapping")
+    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    if unknown:
+        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
+    for key, kind, what in (("grid", dict, "a mapping"), ("params", dict, "a mapping"),
+                            ("u0", (dict, str), "a mapping or an expression"),
+                            ("out", str, "a path")):
+        if manifest.get(key) is not None and not isinstance(manifest[key], kind):
+            raise UsageError(f"{key} must be {what}, got {manifest[key]!r}")
+    t_end = _number(manifest, "t_end", float, "", 0.0)
+    samples = _number(manifest, "samples", int, "", 9)
+    cfl = _number(manifest, "cfl", float, "", 0.5)
+    dt = _number(manifest, "dt", float, "")
+    seed = _number(manifest, "seed", int, "", 0)
+    grid = manifest.get("grid") or {}
+    shape = tuple(_numbers(grid, "resolutions", int, "grid.", []))
+    periods = tuple(_numbers(grid, "periods", float, "grid.", []))
+    constraints = [(spec, _number(spec, "tolerance", float, "constraints[].", 1e-9))
+                   for spec in _specs(manifest, "constraints")]
+    charges = [(spec, _number(spec, "tolerance", float, "charges[]."), _curve(spec, "charges"))
+               for spec in _specs(manifest, "charges")]
+    checks = []
+    for spec in _specs(manifest, "checks"):
+        if spec.get("type") not in CHECK_TOLERANCE:
+            raise UsageError(f"unknown check type {spec.get('type')!r} "
+                             f"(known: {', '.join(CHECK_TOLERANCE)})")
+        tol = _number(spec, "tolerance", float, "checks[].", CHECK_TOLERANCE[spec["type"]])
+        checks.append((spec, tol, _curve(spec, "checks") if spec["type"] == "balance" else None))
+    if (charges or checks) and not t_end > 0:
+        raise UsageError("charges and checks need t_end > 0")
+    for key, value in (("cfl", cfl), ("dt", dt)):
+        if value is not None and not value > 0:
+            raise UsageError(f"{key} must be > 0, got {manifest[key]!r}")
+    if any(curve for *_, curve in checks) and samples < 3:
+        raise UsageError("a balance check differences in time and needs samples >= 3")
+    method = manifest.get("interp", "cubic")
+    if method not in LOOP_METHODS:
+        raise UsageError(f"unknown interp {method!r} (known: {', '.join(LOOP_METHODS)})")
+
     name = manifest["pde"]
     entry = _load_entry(name, None)
     params = _numeric_params(manifest)
@@ -400,33 +394,23 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
                          f"{', '.join(missing)} of {name}")
-    checks = [(spec, _curve(spec, "checks") if spec["type"] == "balance" else None)
-              for spec in _specs(manifest, "checks")]
-    if entry.pde.div_form is None and any(curve for _, curve in checks):
+    if entry.pde.div_form is None and any(curve for *_, curve in checks):
         raise UsageError(f"{name} has no divergence form to balance against")
     try:
         funs = {"f": TimeFunction.builtin(manifest.get("f", "one"))}
     except GridError as exc:
         raise UsageError(str(exc)) from None
-    seed = int(manifest.get("seed", 0))
-    constraints = [(spec, parse_expr(spec["density"], entry.dim, entry.symbols))
-                   for spec in _specs(manifest, "constraints")]
-    charges = [(spec, entry.charge(spec.get("id")).flux.Gamma, _curve(spec, "charges"))
-               for spec in _specs(manifest, "charges")]
+    densities = [parse_expr(spec["density"], entry.dim, entry.symbols) for spec, _ in constraints]
+    gammas = [entry.charge(spec.get("id")).flux.Gamma for spec, *_ in charges]
 
-    u0 = _initial_data(manifest, entry.dim, entry.symbols)
-    doubling = [spec for spec, *_ in charges] + [spec for spec, curve in checks if curve]
-    if min(u0.data.shape) // 2 < MIN_RESOLUTION and any(
-            spec.get("tolerance") is None for spec in doubling):
+    if len(shape) != entry.dim or len(periods) != entry.dim:
+        raise UsageError(f"grid must have {entry.dim} resolutions and periods")
+    u0_on = _initial_data(manifest.get("u0") or {}, entry.dim, entry.symbols)
+    u0 = u0_on(shape, periods)
+    if min(shape) // 2 < MIN_RESOLUTION and any(tol is None for _, tol, _ in charges + checks):
         raise UsageError(f"tolerances from resolution doubling need at least "
                          f"{2 * MIN_RESOLUTION} points per axis; give tolerances "
                          f"or refine the grid")
-    t_end = float(manifest.get("t_end", 0.0))
-    samples = int(manifest.get("samples", 9))
-    cfl = float(manifest.get("cfl", 0.5))
-    dt = manifest.get("dt")
-    dt = float(dt) if dt is not None else None
-    method = manifest.get("interp", "cubic")
     u_gamma = (JetExpr.jet("u"), JetExpr.zero())
 
     def run(u: GridField):
@@ -435,9 +419,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
     @functools.cache
     def halved():
-        grid = dict(manifest["grid"])
-        grid["resolutions"] = [int(n) // 2 for n in grid["resolutions"]]
-        return run(_initial_data(dict(manifest, grid=grid), entry.dim, entry.symbols))
+        return run(u0_on(tuple(n // 2 for n in shape), periods))
 
     def circulations(traj, curve):
         return (series(u_gamma, traj, curve, params, None, method),
@@ -445,9 +427,8 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
     # initial-data constraint checks never need evolution
     reports: list[ChargeReport] = []
-    for spec, density in constraints:
-        value, verdict, threshold = check_constraint(
-            density, u0, funs, params, tolerance=float(spec.get("tolerance", 1e-9)))
+    for (spec, tol), density in zip(constraints, densities):
+        value, verdict, threshold = check_constraint(density, u0, funs, params, tolerance=tol)
         reports.append(ChargeReport("constraint", spec["density"], [0.0], [value],
                                     threshold, verdict, {"seed": seed}))
 
@@ -466,17 +447,16 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     if traj is not None:
         meta = {"seed": seed, "interp": method, "scheme": traj.meta.get("scheme"),
                 "dealias": traj.meta.get("dealias"), "steps": traj.meta.get("steps")}
-        for spec, gamma, curve in charges:
+        for (spec, tol, curve), gamma in zip(charges, gammas):
             vals = series(gamma, traj, curve, params, funs, method)
-            tol = _tolerance(spec, lambda: [
+            tol = _tolerance(tol, lambda: [
                 (vals, series(gamma, halved(), curve, params, funs, method))])
             verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
             reports.append(ChargeReport("charge", f"{spec['id']} rect={spec['curve']['rect']}",
                                         list(traj.times), vals, tol, verdict, dict(meta)))
-        for spec, curve in checks:
+        for spec, tol, curve in checks:
             if curve is None:
                 vals = [f.integral() for f in traj.fields]
-                tol = float(spec.get("tolerance", 1e-9))
                 verdict = "conserved" if max(abs(v - vals[0]) for v in vals) <= tol else "failed"
                 reports.append(ChargeReport("mass", "cell integral of u", list(traj.times),
                                             vals, tol, verdict, {"seed": seed}))
@@ -485,7 +465,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
             times, resid = balance_residuals(traj.times, circ_u, circ_F)
             # doubling differences: half resolution, and the centered time
             # differences at stride 2 against those at stride 1
-            tol = _tolerance(spec, lambda: [
+            tol = _tolerance(tol, lambda: [
                 (resid, balance_residuals(halved().times, *circulations(halved(), curve))[1]),
                 (resid[1::2], balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])[1])])
             verdict = "satisfied" if max(abs(r) for r in resid) <= tol else "failed"

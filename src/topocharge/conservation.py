@@ -312,26 +312,23 @@ def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
     non-triviality up to `order_bound`.
     """
     dim = pde.dim
-    if dim == 2:
-        feeds = {0: ((0, 2), (1, 1))}  # w from y-antiderivatives of G^x, x- of G^y
-    elif dim == 3:
-        feeds = {
-            0: ((1, 3), (2, 2)),  # wx appears in Gamma^y via D_z, Gamma^z via D_y
-            1: ((0, 3), (2, 1)),
-            2: ((0, 2), (1, 1)),
-        }
-    else:
+    if dim not in (2, 3):
         raise ValueError("curl witness search needs dim 2 or 3")
-    npots = len(feeds)
+    npots = 1 if dim == 2 else 3
+
+    def theta(pot: int, e: JetExpr) -> list:
+        return [e if i == pot else JetExpr.zero() for i in range(npots)]
 
     g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
     columns: list[tuple[int, tuple]] = []
     for pot in range(npots):
         pool = set()
-        for comp_idx, axis in feeds[pot]:
-            comp = g_sub[comp_idx]
-            if comp.is_zero():
+        # the curl of a bare jet in this slot: the Gamma components it feeds, and by which axis
+        for comp, fed in zip(g_sub, curl(theta(pot, JetExpr.jet("w")), dim)):
+            if comp.is_zero() or fed.is_zero():
                 continue
+            ((_, mi),) = fed.jet_keys()
+            axis = mi.index(1)
             pools = build_pools(
                 comp,
                 [axis],
@@ -344,9 +341,7 @@ def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
         columns.extend((pot, m) for m in sorted(pool))
 
     def image(pot: int, m: tuple) -> tuple:
-        theta = [JetExpr.zero()] * npots
-        theta[pot] = _mono_expr(m)
-        return tuple(substitute_on_solutions(c, pde) for c in curl(theta, dim))
+        return tuple(substitute_on_solutions(c, pde) for c in curl(theta(pot, _mono_expr(m)), dim))
 
     sol = solve_ansatz(columns, (image(pot, m) for pot, m in columns), g_sub)
     if sol is None:

@@ -155,6 +155,21 @@ class TestSimulate:
             p2 = tmp_path / "r2" / p1.name
             assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("group", ["constraints", "checks"])
+    def test_null_tolerance_is_the_default(self, group, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest[group][0]["tolerance"] = None
+        null = write_manifest(tmp_path, manifest, "null.yaml")
+        del manifest[group][0]["tolerance"]
+        absent = write_manifest(tmp_path, manifest, "absent.yaml")
+        for path in (null, absent):
+            code, _, _ = run(capsys, "simulate", "--manifest", str(path),
+                             "--out", str(tmp_path / path.stem))
+            assert code == 0
+        reports = [sorted((tmp_path / side).iterdir()) for side in ("null", "absent")]
+        assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
+        assert [p.read_bytes() for p in reports[0]] == [p.read_bytes() for p in reports[1]]
+
     def test_violating_datum_exits_3(self, tmp_path, capsys):
         manifest = {
             "pde": "kp",
@@ -331,10 +346,16 @@ class TestSimulateUsage:
         (lambda m: m["u0"]["modes"][0].update(k=[1]), "k needs an entry per grid axis"),
         (lambda m: m["u0"]["modes"][0].update(phase=[0.0]),
          "phase needs an entry per grid axis"),
+        (lambda m: m["u0"]["modes"][0].update(k=[1, 1, 7]), "k needs an entry per grid axis"),
+        (lambda m: m["u0"]["modes"][0].update(phase=[0.0, 0.0, 3.0]),
+         "phase needs an entry per grid axis"),
+        (lambda m: m.update(out=5), "out must be a path"),
+        (lambda m: m["u0"]["modes"][0].pop("a"), "needs a and k"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
-            "grid_not_mapping", "params_not_mapping", "short_k", "short_phase"])
+            "grid_not_mapping", "params_not_mapping", "short_k", "short_phase", "long_k",
+            "long_phase", "out_not_a_path", "mode_without_a"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
