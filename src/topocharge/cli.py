@@ -207,8 +207,18 @@ def cmd_potential(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-MANIFEST_KEYS = {"pde", "params", "grid", "u0", "t_end", "samples", "cfl", "dt", "f",
-                 "interp", "seed", "out", "constraints", "charges", "checks"}
+# the keys a manifest may use: a nested table names the keys of a mapping (or
+# of each mapping in a list), None leaves the value to the reader of the key
+_CURVE_KEYS = {"rect": None}
+MANIFEST_KEYS = {
+    "pde": None, "params": None, "t_end": None, "samples": None, "cfl": None, "dt": None,
+    "f": None, "interp": None, "seed": None, "out": None,
+    "grid": {"resolutions": None, "periods": None},
+    "u0": {"expr": None, "constant": None, "modes": {"a": None, "k": None, "phase": None}},
+    "constraints": {"density": None, "tolerance": None},
+    "charges": {"id": None, "tolerance": None, "curve": _CURVE_KEYS},
+    "checks": {"type": None, "tolerance": None, "curve": _CURVE_KEYS},
+}
 # check types and their default tolerances; None is resolution doubling
 CHECK_TOLERANCE = {"mass": 1e-9, "balance": None}
 VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
@@ -222,15 +232,39 @@ def _specs(manifest, group: str) -> list[dict]:
     return specs
 
 
+def _unknown_keys(doc: dict, known: dict, where: str = "") -> list[str]:
+    """The key paths in doc that the known-key table does not name."""
+    unknown = []
+    for key, value in doc.items():
+        if key not in known:
+            unknown.append(f"{where}{key}")
+        elif known[key] is not None:
+            items = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for i, item in items:
+                if isinstance(item, dict):
+                    index = "" if i is None else f"[{i}]"
+                    unknown += _unknown_keys(item, known[key], f"{where}{key}{index}.")
+    return unknown
+
+
+def _convert(value, kind, name: str, shown):
+    """kind(value); an int refuses a number with a fractional part."""
+    try:
+        number = kind(value)
+        integral = kind is not int or number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} must be a number, got {shown!r}") from None
+    if not integral:
+        raise UsageError(f"{name} must be an integer, got {shown!r}")
+    return number
+
+
 def _number(doc: dict, key: str, kind, where: str, default=None):
     """doc[key] converted by kind, or default when absent or null; where prefixes key."""
     value = doc.get(key)
     if value is None:
         return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{where}{key} must be a number, got {value!r}") from None
+    return _convert(value, kind, where + key, value)
 
 
 def _numbers(doc: dict, key: str, kind, where: str, default=None, axes=None):
@@ -240,10 +274,7 @@ def _numbers(doc: dict, key: str, kind, where: str, default=None, axes=None):
         return default
     if not isinstance(values, list):
         raise UsageError(f"{where}{key} must be a list, got {values!r}")
-    try:
-        numbers = [kind(value) for value in values]
-    except (TypeError, ValueError):
-        raise UsageError(f"{where}{key} must be a number, got {values!r}") from None
+    numbers = [_convert(value, kind, where + key, values) for value in values]
     if axes is not None and len(numbers) != axes:
         raise UsageError(f"{where}{key} needs an entry per grid axis, got {values!r}")
     return numbers
@@ -338,18 +369,20 @@ def _tolerance(tolerance: float | None, doubled) -> float:
 def simulate(manifest) -> tuple[list[ChargeReport], int]:
     """Run a simulation manifest; return its reports and exit code.
 
+    A key that MANIFEST_KEYS does not name, at any depth, is refused.
     Each manifest value is converted and checked once, where it is read,
-    and the run uses that value.  The checks that need no catalog entry run
-    before the entry is loaded, and every constraint density, charge Gamma,
-    curve and check is resolved before anything is evolved: bad input
-    raises UsageError, KeyError or ParseError and evolves nothing.  A null
-    value means its default; a null tolerance is 1e-9 for constraints and
-    mass checks and resolution doubling for charges and balance checks.  A
-    run the time stepper cannot finish raises CflViolation.
+    and the run uses that value; an integer field refuses a fraction.  The
+    checks that need no catalog entry run before the entry is loaded, and
+    every constraint density, charge Gamma, curve and check is resolved
+    before anything is evolved: bad input raises UsageError, KeyError or
+    ParseError and evolves nothing.  A null value means its default; a null
+    tolerance is 1e-9 for constraints and mass checks and resolution
+    doubling for charges and balance checks.  A run the time stepper cannot
+    finish raises CflViolation.
     """
     if not isinstance(manifest, dict):
         raise UsageError("a manifest is a mapping")
-    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    unknown = _unknown_keys(manifest, MANIFEST_KEYS)
     if unknown:
         raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
     for key, kind, what in (("grid", dict, "a mapping"), ("params", dict, "a mapping"),
@@ -396,6 +429,9 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
                          f"{', '.join(missing)} of {name}")
     if entry.pde.div_form is None and any(curve for *_, curve in checks):
         raise UsageError(f"{name} has no divergence form to balance against")
+    if entry.dim != 2 and (charges or any(curve for *_, curve in checks)):
+        raise UsageError(f"charges and balance checks integrate around a planar curve; "
+                         f"{name} has dimension {entry.dim}")
     try:
         funs = {"f": TimeFunction.builtin(manifest.get("f", "one"))}
     except GridError as exc:

@@ -15,23 +15,38 @@ zero set of P's symbol, and weight fed to it there raises
 NonIntegrableSymbol instead of being projected away (that failure is the
 integral-constraint mechanism and must stay visible).
 
+Products are dealiased by the 2/3 rule, under which a quadratic product
+of masked fields is alias-free on the kept modes when no axis length is
+a multiple of 3.  On such grids a quadratic nonlinear part that is an
+exact spatial divergence, N = Div Phi with Phi from
+variational.invert_divergence, is evaluated as sum_a ik_a rfftn(Phi_a)
+when that takes fewer transforms than the direct product: KP's -u u_x
+becomes D_x(-u^2/2), and Novikov-Veselov's four products become two.
+The two forms agree to round-off.  Every other nonlinear part keeps the
+direct product: vorticity (its flux needs as many transforms), KdV's
+u_x^2 (not a divergence), and the cubic umKP and shear parts, on which
+the 2/3 rule is a documented approximation that the divergence form
+would alias differently.
+
 Time stepping is classical RK4 with a step controlled by the largest
 linear spectral symbol over the 2/3-dealiased modes plus an advective
-estimate; products are dealiased by the 2/3 rule (also used, as a
-documented approximation, for the cubic umKP nonlinearity).
+estimate.  Each step evaluates the right-hand side four times; the step
+estimate reads u off the first of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .grids import GridField, SpectralEvaluator, dealias_mask, ik_symbol, to_grid
-from .jetexpr import JetExpr, T
+from .jetexpr import ZERO_MI, JetExpr, T
 from .pde import PdeSpec
 from .printing import to_source
+from .variational import AnsatzExhausted, invert_divergence, is_total_spatial_divergence
 
 RK4_IMAG_LIMIT = 2.8
 
@@ -117,8 +132,32 @@ def _unit(axis: int) -> tuple:
 
 
 def _linear(blocks: list):
-    """Total linear symbol of (outer, linear, nonlinear) term blocks."""
-    return sum((L if outer is None else outer * L) for outer, L, _nl in blocks)
+    """Total linear symbol of term blocks."""
+    return sum((b.L if b.outer is None else b.outer * b.L) for b in blocks)
+
+
+def _divergence_flux(e: JetExpr, dim: int) -> tuple | None:
+    """Phi with Div Phi == the nonlinear part N of e, when N is quadratic,
+    Phi is free of x, y, z, and evaluating sum_a D_a Phi_a takes fewer
+    transforms (distinct jets plus forward transforms) than N itself; else None."""
+    N = JetExpr.from_pairs((c, m) for m, c in e.terms if sum(p for _k, p in m[1]) >= 2)
+    if N.jet_degree() != 2 or not is_total_spatial_divergence(N, dim):
+        return None
+    try:
+        phi = tuple(invert_divergence(N, dim, var_bounds=0))
+    except AnsatzExhausted:
+        return None
+    cost = len(set().union(*(p.jet_keys() for p in phi))) + sum(not p.is_zero() for p in phi)
+    return phi if cost < len(N.jet_keys()) + 1 else None
+
+
+class _Block(NamedTuple):
+    """outer (None for the identity) times (L u_hat + sum of weight * rfftn(terms))."""
+
+    outer: np.ndarray | None
+    L: np.ndarray
+    nonlinear: list  # [(weight, compiled terms)]
+    phi: tuple | None  # the divergence-form flux behind `nonlinear`, if used
 
 
 class KhatEvolver:
@@ -175,18 +214,27 @@ class KhatEvolver:
             out = out + c * ik_symbol(self.grid, mi[1:])
         return out
 
-    def _block(self, outer, e: JetExpr, params: dict) -> tuple:
-        """(outer symbol or None, linear symbol, nonlinear terms) of one term group."""
+    def _block(self, outer, e: JetExpr, params: dict) -> _Block:
+        """One term group: its nonlinear part is the masked transform of the
+        direct product, or the masked D_a of a divergence-form flux Phi."""
         linear, nonlinear = _split_linear(_compile_terms(e, params))
-        return outer, self._symbol(linear), nonlinear
+        # a quadratic product is alias-free on the 2/3 modes unless 3 | n
+        phi = (_divergence_flux(e, self.dim) if nonlinear and all(n % 3 for n in self.grid.shape)
+               else None)
+        if phi is None:
+            parts = [(self.mask, nonlinear)] if nonlinear else []
+        else:
+            parts = [(ik_symbol(self.grid, _unit(a)) * self.mask, _compile_terms(p, params))
+                     for a, p in enumerate(phi) if not p.is_zero()]
+        return _Block(outer, self._symbol(linear), parts, phi)
 
     def _apply(self, blocks: list, u_hat: np.ndarray):
         out = 0.0
-        for outer, L, nonlinear in blocks:
-            F = L * u_hat
-            if nonlinear:
-                F = F + np.fft.rfftn(self.ev.terms(nonlinear)) * self.mask
-            out = out + (F if outer is None else outer * F)
+        for b in blocks:
+            F = b.L * u_hat
+            for weight, terms in b.nonlinear:
+                F = F + np.fft.rfftn(self.ev.terms(terms)) * weight
+            out = out + (F if b.outer is None else b.outer * F)
         return out
 
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
@@ -213,17 +261,30 @@ class KhatEvolver:
         return to_grid(self.rhs_hat(u_hat, field.time, forcing), field.shape)
 
     def dt_estimate(self, u_hat: np.ndarray, cfl: float) -> float:
-        amp = float(np.max(np.abs(to_grid(u_hat, self.grid.shape))))
+        """The RK4 step for the state u_hat.  When u_hat is the array the last
+        rhs_hat call was given (and has not been changed since), its grid
+        values come from that call."""
+        u = self.ev.jet(ZERO_MI) if self.ev.holds(u_hat) else to_grid(u_hat, self.grid.shape)
+        amp = float(np.max(np.abs(u)))
         rate = self._sym_max + self._kmax * (amp + amp * amp) + 1e-12
         return cfl * RK4_IMAG_LIMIT / rate
 
 
-def _rk4_step(rhs, state, t, dt, forcing):
-    k1 = rhs(state, t, forcing)
+def _rk4_step(rhs, state, k1, t, dt, forcing):
+    """state + (dt/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = rhs(state, t, forcing).
+
+    The stages are combined in place, in that expression's association
+    order, so the result is bit-identical to it; k1 holds the result.
+    """
     k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt, forcing)
     k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt, forcing)
     k4 = rhs(state + dt * k3, t + dt, forcing)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 += 2.0 * k2
+    k1 += 2.0 * k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += state
+    return k1
 
 
 def evolve(
@@ -256,11 +317,12 @@ def evolve(
     record(0.0)
     for target in sample_times[1:]:
         while t < target - 1e-14:
+            k1 = evolver.rhs_hat(state, t, forcing)
             step = dt if dt is not None else evolver.dt_estimate(state, cfl)
             if not math.isfinite(step) or step <= 0:
                 raise CflViolation(f"step estimate degenerate at t={t}")
             step = min(step, target - t)
-            state = _rk4_step(evolver.rhs_hat, state, t, step, forcing)
+            state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing)
             t += step
             steps += 1
             if steps > max_steps:

@@ -181,6 +181,10 @@ class SpectralEvaluator:
         self._hats = {0: u_hat}
         self._jets = {}
 
+    def holds(self, u_hat: np.ndarray) -> bool:
+        """True iff the last reset was given this very array."""
+        return self._hats.get(0) is u_hat
+
     def jet(self, mi: tuple) -> np.ndarray:
         got = self._jets.get(mi)
         if got is not None:

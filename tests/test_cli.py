@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, report determinism."""
 
+import importlib.util
 import math
 from pathlib import Path
 
@@ -194,7 +195,9 @@ def write_manifest(tmp_path, manifest, name="m.yaml"):
     return path
 
 
-SHIPPED_KP = Path(__file__).resolve().parents[1] / "manifests" / "kp_charge.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_KP = ROOT / "manifests" / "kp_charge.yaml"
+RECT = [0.7, 3.9, 1.1, 5.2]
 
 
 class TestSimulateUsage:
@@ -380,16 +383,88 @@ class TestSimulateUsage:
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
 
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda m: m.update(samples=2.7), "samples must be an integer"),
+        (lambda m: m["grid"].update(resolutions=[32.9, 32]), "grid.resolutions must be an integer"),
+        (lambda m: m.update(seed=1.5), "seed must be an integer"),
+        (lambda m: m["u0"]["modes"][0].update(k=[1.5, 1]), "u0.modes[].k must be an integer"),
+    ], ids=["samples", "resolutions", "seed", "k"])
+    def test_fraction_where_an_integer_belongs(self, edit, needle, no_evolution,
+                                               kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        edit(manifest)
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and needle in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_integral_number_is_an_integer(self):
+        assert cli._number({"samples": 17.0}, "samples", int, "") == 17
+        assert cli._numbers({"k": [2.0, -1]}, "k", int, "u0.modes[].", axes=2) == [2, -1]
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda m: m["grid"].update(resolution=[64, 64]), "grid.resolution"),
+        (lambda m: m["u0"].update(constnt=0.1), "u0.constnt"),
+        (lambda m: m["u0"]["modes"][0].update(phse=[0.0, 1.0]), "u0.modes[0].phse"),
+        (lambda m: m["constraints"][0].update(tolerence=1.0), "constraints[0].tolerence"),
+        (lambda m: m["charges"][0].update(tol=1e-3), "charges[0].tol"),
+        (lambda m: m["charges"][0]["curve"].update(rct=RECT), "charges[0].curve.rct"),
+        (lambda m: m["checks"][0].update(tolerence=1.0), "checks[0].tolerence"),
+        (lambda m: m["checks"].append({"type": "balance", "curve": {"rect": RECT, "r": 1}}),
+         "checks[1].curve.r"),
+    ], ids=["grid", "u0", "mode", "constraint", "charge", "charge_curve", "check",
+            "check_curve"])
+    def test_unknown_nested_key(self, edit, path, no_evolution, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        edit(manifest)
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and f"unknown manifest key(s) {path}" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_known_keys_cover_the_shipped_and_bench_manifests(self):
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        docs = [yaml.safe_load(p.read_text()) for p in sorted(SHIPPED_KP.parent.glob("*.yaml"))]
+        docs.append(workloads.kp_manifest(ROOT, 1))
+        assert len(docs) == 3 and "phase" in docs[-1]["u0"]["modes"][0]
+        for doc in docs:
+            assert cli._unknown_keys(doc, cli.MANIFEST_KEYS) == []
+
+    @pytest.mark.parametrize("manifest", [
+        {"pde": "shear", "params": {"alpha": "1", "beta": "1"},
+         "grid": {"resolutions": [16, 16, 16], "periods": [TWO_PI] * 3},
+         "u0": {"modes": [{"a": 0.05, "k": [1, 1, 1]}]}, "t_end": 0.01,
+         "charges": [{"id": "charge-f", "tolerance": 1e-3, "curve": {"rect": RECT}}]},
+        {"pde": "kdv_lagrangian", "grid": {"resolutions": [32], "periods": [TWO_PI]},
+         "u0": {"modes": [{"a": 0.1, "k": [1]}]}, "t_end": 0.01,
+         "checks": [{"type": "balance", "tolerance": 1e-3, "curve": {"rect": RECT}}]},
+    ], ids=["3d_charge", "1d_balance"])
+    def test_curve_integrals_need_a_2d_entry(self, manifest, no_evolution, tmp_path, capsys):
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "planar curve" in err and manifest["pde"] in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+
 class TestShippedManifests:
     """The manifests under manifests/ keep their verdicts and exit codes."""
 
-    def test_kp_charge(self, tmp_path, capsys):
+    def test_kp_charge(self, tmp_path, capsys, monkeypatch):
+        steps = {}
+
+        def counted(evolver, u0, *args, **kwargs):
+            traj = cli_evolve(evolver, u0, *args, **kwargs)
+            steps[u0.shape] = traj.meta["steps"]
+            return traj
+
+        cli_evolve = cli.evolve
+        monkeypatch.setattr(cli, "evolve", counted)
         code, out, _ = run(capsys, "simulate", "--manifest", str(SHIPPED_KP),
                            "--out", str(tmp_path))
         assert code == 0
         assert [line.split(" (report:")[0] for line in out.splitlines()] == [
             "constraint: satisfied", "charge: conserved", "charge: conserved",
             "mass: conserved", "balance: satisfied"]
+        assert steps == {(64, 64): 1664, (32, 32): 192}
 
     def test_kp_violating(self, tmp_path, capsys):
         path = SHIPPED_KP.with_name("kp_violating.yaml")

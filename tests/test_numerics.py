@@ -7,10 +7,12 @@ import pytest
 
 from topocharge.catalog import get_entry
 from topocharge import grids
+from topocharge import evolution
 from topocharge.evolution import (
     KhatEvolver,
     NonIntegrableSymbol,
     _compile_terms,
+    _rk4_step,
     _split_time_part,
     _unit,
     evolve,
@@ -456,6 +458,123 @@ class TestHalfSpectrumParity:
         for g, value in zip(gammas, got):
             want = evaluate_on_grid(g, field, None, None, params, dts)
             assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+DIVERGENCE_PARAMS = {"kp": {"sigma": 1.0}, "nv": {"alpha": 0.7, "beta": 1.3}}
+
+
+def masked_noise(shape, seed, periods=(TWO_PI, 3.0)):
+    """A real field carrying weight on every mode the 2/3 rule keeps."""
+    rng = np.random.default_rng(seed)
+    hat = np.fft.fftn(rng.standard_normal(shape)) * dealias_mask(shape)
+    return GridField(np.real(np.fft.ifftn(hat)), periods)
+
+
+def evolver_pair(name, field, monkeypatch, **kwargs):
+    """(the evolver as built, the same evolver forced onto direct products)"""
+    entry = get_entry(name)
+    params = DIVERGENCE_PARAMS.get(name) or {
+        p: 0.6 + 0.2 * i for i, p in enumerate(sorted(entry.symbols.params))}
+    built = KhatEvolver(entry.pde, field, params, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_divergence_flux", lambda e, dim: None)
+        direct = KhatEvolver(entry.pde, field, params, **kwargs)
+    return built, direct
+
+
+def transforms_per_rhs(ev, u_hat, monkeypatch):
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("rfftn", "irfftn"):
+            m.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        ev.rhs_hat(u_hat, 0.0)
+    return len(calls)
+
+
+class TestDivergenceFlux:
+    """Quadratic divergence-form nonlinearities against the direct product."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("name", ["kp", "nv"])
+    def test_matches_direct_product(self, name, n, monkeypatch):
+        field = masked_noise((n, n), seed=n)
+        # noise violates NV's line-mean constraint, so its guard is off
+        ev, direct = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        assert [b.phi is not None for b in ev.through + ev.inverted] == (
+            [True, False] if name == "kp" else [True])
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        got, want = ev.rhs_hat(u_hat, 0.0), direct.rhs_hat(u_hat, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_kp_flux(self):
+        ev = KhatEvolver(get_entry("kp").pde, masked_noise((32, 32), 1), {"sigma": 1.0})
+        assert ev.through[0].phi == (parse_expr("-u^2/2", 2), parse_expr("0", 2))
+
+    @pytest.mark.parametrize("name, fewer, direct", [
+        ("kp", 2, 3), ("nv", 5, 8), ("vorticity", 7, 7)])
+    def test_transforms_per_rhs(self, name, fewer, direct, monkeypatch):
+        field = masked_noise((32, 32), seed=5)
+        ev, by_product = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        assert transforms_per_rhs(ev, u_hat, monkeypatch) == fewer
+        assert transforms_per_rhs(by_product, u_hat, monkeypatch) == direct
+
+    # no axis length is a multiple of 3, so only the flux test decides
+    @pytest.mark.parametrize("name, shape", [
+        ("umkp", (32, 20)), ("shear", (16, 20, 16)), ("kdv_lagrangian", (64,)),
+        ("vorticity", (32, 32))], ids=["umkp", "shear", "kdv_lagrangian", "vorticity"])
+    def test_other_entries_keep_the_direct_product(self, name, shape, monkeypatch):
+        field = masked_noise(shape, seed=2, periods=(TWO_PI,) * len(shape))
+        ev, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        blocks = ev.through + ev.inverted
+        assert all(b.phi is None for b in blocks)
+        assert all(w is ev.mask for b in blocks for w, _terms in b.nonlinear)
+
+    def test_axis_divisible_by_3_keeps_the_direct_product(self, monkeypatch):
+        # on 48 points the 2/3 rule keeps |k| <= 16 and k = 16 + 16 aliases
+        # onto -16, where the two forms differ
+        ev, _ = evolver_pair("kp", masked_noise((48, 32), 3), monkeypatch)
+        assert all(b.phi is None for b in ev.through + ev.inverted)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_guard_raises_on_nonzero_x_mean(self, n):
+        x = np.arange(n) * TWO_PI / n
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        bad = GridField(0.05 * np.sin(X + Y) + 0.02 * np.cos(Y), (TWO_PI, TWO_PI))
+        ev = KhatEvolver(get_entry("kp").pde, bad, {"sigma": 1.0})
+        assert ev.through[0].phi is not None
+        with pytest.raises(NonIntegrableSymbol):
+            ev.rhs_hat(np.fft.rfftn(bad.data) * ev.mask, 0.0)
+
+    def test_in_place_rk4_step_is_bit_identical(self):
+        g = grid_2d(32, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        state = np.fft.rfftn(g.data) * ev.mask
+        t, dt = 0.1, 3e-3
+        k1 = ev.rhs_hat(state, t)
+        k2 = ev.rhs_hat(state + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = ev.rhs_hat(state + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = ev.rhs_hat(state + dt * k3, t + dt)
+        want = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        before = state.copy()
+        got = _rk4_step(ev.rhs_hat, state, k1.copy(), t, dt, None)
+        assert np.array_equal(got, want)
+        assert np.array_equal(state, before)
+
+    def test_step_estimate_reuses_the_first_stage(self):
+        g = grid_2d(32, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        state = np.fft.rfftn(g.data) * ev.mask
+        ev.rhs_hat(state, 0.0)
+        assert ev.ev.holds(state)
+        assert ev.dt_estimate(state, 0.5) == ev.dt_estimate(state.copy(), 0.5)
 
 
 class TestSourceSink:
