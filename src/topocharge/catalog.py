@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import yaml
 
@@ -77,7 +78,6 @@ class CatalogMultiplier:
     id: str
     case: str
     Q: JetExpr
-    note: str = ""
     repair: str = ""
 
 
@@ -93,7 +93,6 @@ class CatalogCurrent:
     reconstructed: bool = False
     pairing_exact: bool = True
     repair: str = ""
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,6 @@ class CatalogIdentity:
     current_id: str
     index: int
     identity: DivergenceIdentity
-    expected_R: JetExpr | None
-    note: str = ""
     repair: str = ""
 
 
@@ -112,7 +109,6 @@ class CatalogCharge:
     id: str
     current_id: str
     flux: FluxVector
-    note: str = ""
     repair: str = ""
 
 
@@ -137,8 +133,6 @@ class CatalogEntry:
     identities: list
     charges: list
     potential_systems: list
-    constraints: tuple = ()
-    note: str = ""
 
     def pde_for_case(self, case: str) -> PdeSpec:
         return self.case_pdes[case]
@@ -280,7 +274,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
     if overlay is not None:
         # instantiate(): a single binding replaces the case system; objects
         # are kept when their case equations hold under the user binding.
-        _check_constraints(name, doc, dim, overlay)
         kept_cases = {
             cn: b for cn, b in cases.items() if _case_consistent(b, overlay)
         }
@@ -311,7 +304,7 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         except NotAMultiplier as exc:
             raise CatalogCorrupt(name, m["id"], str(exc), exc.residual) from None
         multipliers.append(
-            CatalogMultiplier(m["id"], case, Q, m.get("note", ""), m.get("repair", ""))
+            CatalogMultiplier(m["id"], case, Q, m.get("repair", ""))
         )
 
     currents = []
@@ -356,7 +349,7 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         currents.append(
             CatalogCurrent(
                 c["id"], case, c["multiplier"], pairing, T_expr, Phi, family,
-                reconstructed, pairing_exact, c.get("repair", ""), c.get("note", ""),
+                reconstructed, pairing_exact, c.get("repair", ""),
             )
         )
 
@@ -372,7 +365,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             result = divergence_identity(cpde, cur.family, idx)
         except (CurrentVerificationError, AssertionError) as exc:
             raise CatalogCorrupt(name, ident["id"], str(exc)) from None
-        expected = None
         if ident.get("R"):
             expected = P(ident["R"], cases[cur.case])
             if result.R != expected:
@@ -391,10 +383,7 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
                     f"R(G) touches D_t^i G for i in {sorted(have)}, expected {sorted(want)}",
                 )
         identities.append(
-            CatalogIdentity(
-                ident["id"], ident["current"], idx, result, expected,
-                ident.get("note", ""), ident.get("repair", ""),
-            )
+            CatalogIdentity(ident["id"], ident["current"], idx, result, ident.get("repair", ""))
         )
 
     charges = []
@@ -418,7 +407,7 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
                     + "; ".join(to_source(d) for d in diff),
                 )
         charges.append(
-            CatalogCharge(ch["id"], ch["current"], flux, ch.get("note", ""), ch.get("repair", ""))
+            CatalogCharge(ch["id"], ch["current"], flux, ch.get("repair", ""))
         )
 
     systems = []
@@ -443,8 +432,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         identities,
         charges,
         systems,
-        tuple(doc.get("constraints") or ()),
-        doc.get("note", ""),
     )
 
 
@@ -505,13 +492,38 @@ def get_entry(name: str) -> CatalogEntry:
     return _CACHE[fname]
 
 
+def _read_entry_file(path) -> dict:
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
 def load_entry_file(path) -> CatalogEntry:
     """Build a user-supplied entry from a document in the catalog format."""
-    from pathlib import Path
+    return _build_entry(_read_entry_file(path))
 
-    with Path(path).open("r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return _build_entry(doc)
+
+def _exact_params(doc: dict, params: dict) -> dict:
+    """The exact value of each binding in params for the entry document doc;
+    ConstraintViolation for an undeclared name or a value that breaks a
+    declared square or constraint."""
+    name = doc["name"]
+    sym = _build_symbols(doc)
+    dim = int(doc["dim"])
+    overlay: dict[str, JetExpr] = {}
+    for pname, value in params.items():
+        if pname not in (doc.get("params") or {}):
+            raise ConstraintViolation(f"{name}: unknown parameter {pname!r}")
+        expr = _parse_binding_value(value, dim, sym, pname)
+        overlay[pname] = substitute_params(expr, overlay)
+    _check_constraints(name, doc, dim, overlay)
+    return overlay
+
+
+def check_params(name: str, params: dict) -> None:
+    """Refuse the bindings params for an entry as instantiate does; name is
+    a catalog entry or alias, or the path of an entry file (.yaml, .yml)."""
+    _exact_params(_read_entry_file(name) if name.endswith((".yaml", ".yml"))
+                  else _read_yaml(f"{ALIASES.get(name, name)}.yaml"), params)
 
 
 def instantiate(name: str, params: dict) -> CatalogEntry:
@@ -526,15 +538,5 @@ def instantiate(name: str, params: dict) -> CatalogEntry:
     case's own (e.g. the integrable umKP case) reuses the certificates of
     an earlier load.  A different top bound is a new key.
     """
-    name = ALIASES.get(name, name)
-    doc = _read_yaml(f"{name}.yaml")
-    sym = _build_symbols(doc)
-    dim = int(doc["dim"])
-    overlay: dict[str, JetExpr] = {}
-    known = set((doc.get("params") or {}).keys())
-    for pname, value in params.items():
-        if pname not in known:
-            raise ConstraintViolation(f"{name}: unknown parameter {pname!r}")
-        expr = _parse_binding_value(value, dim, sym, pname)
-        overlay[pname] = substitute_params(expr, overlay)
-    return _build_entry(doc, overlay=overlay)
+    doc = _read_yaml(f"{ALIASES.get(name, name)}.yaml")
+    return _build_entry(doc, overlay=_exact_params(doc, params))

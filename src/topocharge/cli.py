@@ -30,7 +30,7 @@ from .conservation import (
 )
 from .evolution import CflViolation, EvolutionError, KhatEvolver, NonIntegrableSymbol, evolve
 from .grids import MIN_RESOLUTION, GridError, GridField, TimeFunction, evaluate_on_grid
-from .jetexpr import JetExpr
+from .jetexpr import JetExpr, T
 from .parsing import ParseError, parse_expr
 from .potential import UnsupportedDimension, build_potential_system
 from .printing import to_source, vector_source
@@ -374,8 +374,9 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     and the run uses that value; an integer field refuses a fraction.  The
     checks that need no catalog entry run before the entry is loaded, and
     every constraint density, charge Gamma, curve and check is resolved
-    before anything is evolved: bad input raises UsageError, KeyError or
-    ParseError and evolves nothing.  A null value means its default; a null
+    before anything is evolved: bad input raises UsageError, KeyError,
+    ParseError or ConstraintViolation (params that instantiate refuses)
+    and evolves nothing.  A null value means its default; a null
     tolerance is 1e-9 for constraints and mass checks and resolution
     doubling for charges and balance checks.  A run the time stepper cannot
     finish raises CflViolation.
@@ -423,6 +424,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     name = manifest["pde"]
     entry = _load_entry(name, None)
     params = _numeric_params(manifest)
+    cat.check_params(name, manifest.get("params") or {})
     missing = sorted(set(entry.symbols.params) - set(params))
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
@@ -438,6 +440,10 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(str(exc)) from None
     densities = [parse_expr(spec["density"], entry.dim, entry.symbols) for spec, _ in constraints]
     gammas = [entry.charge(spec.get("id")).flux.Gamma for spec, *_ in charges]
+    for (spec, *_), gamma in zip(charges, gammas):
+        order = max((key[1][T] for c in gamma for key in c.jet_keys()), default=0)
+        if order >= 2:
+            raise UsageError(f"charge {spec['id']} needs d_t^{order} u; a run samples u and u_t")
 
     if len(shape) != entry.dim or len(periods) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} resolutions and periods")
@@ -477,7 +483,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
                                         [float("nan")], 0.0, "violated", {"seed": seed}))
         except CflViolation:
             raise
-        except EvolutionError as exc:
+        except (EvolutionError, GridError) as exc:
             raise UsageError(f"{name}: {exc}") from exc
 
     if traj is not None:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridField, SpectralEvaluator, dealias_mask, ik_symbol, to_grid
+from .grids import GridField, SpectralEvaluator, compile_terms, dealias_mask, ik_symbol, to_grid
 from .jetexpr import ZERO_MI, JetExpr, T
 from .pde import PdeSpec
 from .printing import to_source
@@ -72,28 +72,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-
-def _compile_terms(e: JetExpr, params: dict) -> list:
-    """[(float coeff, ((jet multi-index, power), ...))] with parameters bound."""
-    out = []
-    for mono, coeff in e.terms:
-        c = float(coeff)
-        if mono[0]:
-            raise EvolutionError("explicit t/x/y/z dependence is not supported in evolution")
-        if mono[2]:
-            raise EvolutionError("arbitrary functions are not supported in evolution")
-        for key, p in mono[3]:
-            if key[0] not in params:
-                raise EvolutionError(f"parameter {key[0]!r} needs a numeric value")
-            c *= float(params[key[0]]) ** p
-        jets = []
-        for key, p in mono[1]:
-            if key[0] != "u" or key[1][T] != 0:
-                raise EvolutionError("evolution right-hand sides must be spatial u-jets")
-            jets.append((key[1], p))
-        out.append((c, tuple(jets)))
-    return out
 
 
 def _split_linear(terms: list):
@@ -182,7 +160,7 @@ class KhatEvolver:
 
         div = pde.div_form
         if div is not None:
-            factor = _compile_terms(div.factor, params)
+            factor = compile_terms(div.factor, params)
             if len(factor) != 1 or factor[0][1]:
                 raise EvolutionError("divergence-form factor must be a numeric unit")
             k = div.k_axis - 1
@@ -196,7 +174,7 @@ class KhatEvolver:
         self.through = [self._block(outer, e, params) for outer, e in through]
         self.inverted = [self._block(outer, e, params) for outer, e in inverted]
 
-        P = self._symbol(_split_linear(_compile_terms(P_u, params))[0])
+        P = self._symbol(_split_linear(compile_terms(P_u, params))[0])
         self._pinned = np.abs(P) < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
             self._inv_P = np.where(self._pinned, 0.0, 1.0 / P)
@@ -217,14 +195,14 @@ class KhatEvolver:
     def _block(self, outer, e: JetExpr, params: dict) -> _Block:
         """One term group: its nonlinear part is the masked transform of the
         direct product, or the masked D_a of a divergence-form flux Phi."""
-        linear, nonlinear = _split_linear(_compile_terms(e, params))
+        linear, nonlinear = _split_linear(compile_terms(e, params))
         # a quadratic product is alias-free on the 2/3 modes unless 3 | n
         phi = (_divergence_flux(e, self.dim) if nonlinear and all(n % 3 for n in self.grid.shape)
                else None)
         if phi is None:
             parts = [(self.mask, nonlinear)] if nonlinear else []
         else:
-            parts = [(ik_symbol(self.grid, _unit(a)) * self.mask, _compile_terms(p, params))
+            parts = [(ik_symbol(self.grid, _unit(a)) * self.mask, compile_terms(p, params))
                      for a, p in enumerate(phi) if not p.is_zero()]
         return _Block(outer, self._symbol(linear), parts, phi)
 

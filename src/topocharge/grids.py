@@ -224,33 +224,29 @@ class SpectralEvaluator:
         return total
 
 
-def evaluate_on_grid(
+def compile_terms(
     e: JetExpr,
-    grid: GridField,
-    u_t: np.ndarray | None = None,
-    fun_bindings: dict | None = None,
     params: dict | None = None,
-    extra_fields: dict | None = None,
-) -> np.ndarray:
-    """Evaluate a jet expression pointwise on a periodic grid.
+    grid: GridField | None = None,
+    fun_bindings: dict | None = None,
+) -> list:
+    """The (factor, ((jet multi-index, power), ...)) terms of e that
+    SpectralEvaluator.terms reads, with parameters bound from `params`.
 
-    `u_t` supplies the first time derivative where the expression needs
-    it; higher time derivatives may be passed in `extra_fields` keyed by
-    order.  Single-variable arbitrary functions are bound through
-    `fun_bindings` (name -> TimeFunction); multi-variable ones must be
-    substituted symbolically beforehand.
+    On a grid, t, x, y, z and single-variable arbitrary functions of time
+    (bound through `fun_bindings`, name -> TimeFunction) are evaluated at
+    the grid's coordinates and time, so a factor may be an array.  Off a
+    grid there is only u: coordinates, arbitrary functions and time
+    derivatives of u are refused.
     """
-    fields = {0: grid.data}
-    if u_t is not None:
-        fields[1] = np.asarray(u_t)
-    for k, v in (extra_fields or {}).items():
-        fields[int(k)] = np.asarray(v)
     fun_bindings = fun_bindings or {}
     params = params or {}
-
     terms = []
     for mono, coeff in e.terms:
         factor = float(coeff)
+        if grid is None and (mono[0] or mono[2] or any(k[1][T] for k, _p in mono[1])):
+            raise GridError("coordinates, arbitrary functions and time derivatives "
+                            "of u need a grid to be evaluated on")
         for axis, p in mono[0]:
             if axis == T:
                 factor = factor * grid.time ** p
@@ -277,5 +273,30 @@ def evaluate_on_grid(
             if key[0] != "u":
                 raise GridError(f"cannot evaluate dependent variable {key[0]!r} on a u-grid")
             jets.append((key[1], p))
-        terms.append((factor, jets))
+        terms.append((factor, tuple(jets)))
+    return terms
+
+
+def evaluate_on_grid(
+    e: JetExpr,
+    grid: GridField,
+    u_t: np.ndarray | None = None,
+    fun_bindings: dict | None = None,
+    params: dict | None = None,
+    extra_fields: dict | None = None,
+) -> np.ndarray:
+    """Evaluate a jet expression pointwise on a periodic grid.
+
+    `u_t` supplies the first time derivative where the expression needs
+    it; higher time derivatives may be passed in `extra_fields` keyed by
+    order.  Single-variable arbitrary functions are bound through
+    `fun_bindings` (name -> TimeFunction); multi-variable ones must be
+    substituted symbolically beforehand.
+    """
+    fields = {0: grid.data}
+    if u_t is not None:
+        fields[1] = np.asarray(u_t)
+    for k, v in (extra_fields or {}).items():
+        fields[int(k)] = np.asarray(v)
+    terms = compile_terms(e, params, grid, fun_bindings)
     return SpectralEvaluator(grid, fields).terms(terms)

@@ -1,17 +1,20 @@
 """Loop and surface quadrature for topological charges, plus constraint checks.
 
-Charge integrands are evaluated on the grid and integrated along the
-curve or over the surface by one of two methods.  "cubic" interpolates
-with periodic cubic (Catmull-Rom) interpolation and sums with the
-composite trapezoid rule, face by face on a surface.  "exact" integrates
-the trigonometric interpolant of the grid values (its FFT) in closed form
-over each segment or face, which must be axis-aligned.  The circulation
-convention follows the outward-flux form: the loop integral of
-(Gamma^x, Gamma^y) is closed-integral of Gamma^x dy - Gamma^y dx.
+A charge is the flux of Gamma through a closed boundary: a closed curve
+in 2D, which is an axis-aligned polyline, and the surface of an
+axis-aligned box in 3D.  Both are sums of signed faces of axis-aligned
+cells, and one face integral serves both.  Its integrand is a Gamma
+component evaluated on the grid, integrated by one of two methods.
+"cubic" interpolates with periodic cubic (Catmull-Rom) interpolation and
+sums with the composite trapezoid rule.  "exact" integrates the
+trigonometric interpolant of the grid values (its FFT) in closed form.
+The circulation convention follows the outward-flux form: the loop
+integral of (Gamma^x, Gamma^y) is closed-integral of Gamma^x dy - Gamma^y dx.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +30,7 @@ class CurveNotClosed(ValueError):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Closed polyline in the periodic cell; orientation as listed."""
+    """Closed axis-aligned polyline in the periodic cell; orientation as listed."""
 
     vertices: tuple
 
@@ -38,6 +41,9 @@ class CurveSpec:
             raise CurveNotClosed("a closed polyline needs at least 4 vertices")
         if v[0] != v[-1]:
             raise CurveNotClosed("first vertex must equal the last")
+        for (x0, y0), (x1, y1) in zip(v[:-1], v[1:]):
+            if x0 != x1 and y0 != y1:
+                raise ValueError(f"segment {(x0, y0)} -> {(x1, y1)} is not axis-aligned")
 
     @staticmethod
     def rectangle(x0: float, x1: float, y0: float, y1: float) -> "CurveSpec":
@@ -78,44 +84,63 @@ def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
     return vals
 
 
-LOOP_METHODS = ("cubic", "exact")  # the `method` values of loop_integral
-DENSITY = 2.0  # cubic quadrature nodes per grid spacing along a segment or face side
+LOOP_METHODS = ("cubic", "exact")  # the `method` values of loop_integral and surface_integral
+DENSITY = 2.0  # cubic quadrature nodes per grid spacing along each span of a face
 
 
-def _interval_factors(n: int, period: float, lo: float, hi: float) -> np.ndarray:
-    """Exact integrals of the Fourier modes over [lo, hi]."""
+def _mode_factors(n: int, period: float, span) -> np.ndarray:
+    """Exact integrals of the Fourier modes over an (lo, hi) span, or their
+    values at a point."""
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
-    out = np.empty(n, dtype=complex)
+    if np.isscalar(span):
+        return np.exp(1j * k * span)
+    lo, hi = span
+    out = np.full(n, hi - lo, dtype=complex)
     nz = np.abs(k) > 1e-14
-    out[~nz] = hi - lo
-    kk = k[nz]
-    out[nz] = (np.exp(1j * kk * hi) - np.exp(1j * kk * lo)) / (1j * kk)
+    out[nz] = (np.exp(1j * k[nz] * hi) - np.exp(1j * k[nz] * lo)) / (1j * k[nz])
     return out
-
-
-def _point_factors(n: int, period: float, value: float) -> np.ndarray:
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
-    return np.exp(1j * k * value)
 
 
 def _exact_integral(hat: np.ndarray, periods, spans) -> float:
     """Exact integral of the trig interpolant with coefficients `hat` over
     an axis-aligned cell: per axis a span is a point or an (lo, hi) pair."""
-    factors = [
-        _point_factors(n, period, span) if np.isscalar(span)
-        else _interval_factors(n, period, *span)
-        for n, period, span in zip(hat.shape, periods, spans)
-    ]
+    factors = [_mode_factors(n, period, span) for n, period, span in zip(hat.shape, periods, spans)]
     letters = "abc"[: hat.ndim]
     return float(np.real(np.einsum(",".join([letters, *letters]) + "->", hat, *factors)))
 
 
-def _segment_points(p0, p1, spacing: float):
-    length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    n = max(2, int(math.ceil(length / spacing * DENSITY)) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    pts = [(p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])) for t in ts]
-    return pts, length
+def _cubic_integral(data: np.ndarray, periods, spans) -> float:
+    """Composite trapezoid rule over an axis-aligned cell on the cubic
+    interpolant of `data`, with DENSITY nodes per grid spacing along each
+    (lo, hi) span; a point span is one node of weight 1."""
+    nodes, weights = [], []
+    for n, period, span in zip(data.shape, periods, spans):
+        if np.isscalar(span):
+            nodes.append(np.array([span]))
+            weights.append(np.ones(1))
+            continue
+        lo, hi = span
+        count = max(2, int(math.ceil(abs(hi - lo) / (period / n) * DENSITY)) + 1)
+        w = np.full(count, (hi - lo) / (count - 1))
+        w[0] = w[-1] = 0.5 * w[0]
+        nodes.append(np.linspace(lo, hi, count))
+        weights.append(w)
+    points = np.stack([c.ravel() for c in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    w = functools.reduce(np.multiply.outer, weights).ravel()
+    return float(w @ cubic_values(data, periods, points))
+
+
+def _face_integral(values: np.ndarray, periods, method: str):
+    """The integral of grid values over an axis-aligned face, as a function
+    of the face: per axis a point or an (lo, hi) span, where a reversed span
+    counts negatively.  "exact" transforms the values once per call of this
+    function, however many faces it then integrates."""
+    if method == "exact":
+        hat = np.fft.fftn(values) / values.size
+        return lambda spans: _exact_integral(hat, periods, spans)
+    if method == "cubic":
+        return lambda spans: _cubic_integral(values, periods, spans)
+    raise ValueError(f"unknown interpolation method {method!r}")
 
 
 def loop_integral(
@@ -131,39 +156,24 @@ def loop_integral(
 ) -> float:
     """Circulation of (Gamma^x dy - Gamma^y dx) around a closed polyline.
 
+    A vertical segment is a face of Gamma^x with a y span, a horizontal
+    one a face of -Gamma^y with an x span, each oriented as traversed.
     Methods: "cubic" (periodic bicubic interpolation, composite
-    trapezoid) and "exact" (closed-form integrals of the trig
-    interpolant; axis-aligned segments only).
+    trapezoid) and "exact" (closed-form integrals of the trig interpolant).
     """
     if grid.dim != 2:
         raise ValueError("loop integrals are two-dimensional")
-    if method not in LOOP_METHODS:
-        raise ValueError(f"unknown interpolation method {method!r}")
-    gx = evaluate_on_grid(gamma[0], grid, u_t, fun_bindings, params, extra_fields)
-    gy = evaluate_on_grid(gamma[1], grid, u_t, fun_bindings, params, extra_fields)
-    if method == "exact":
-        hat_x, hat_y = (np.fft.fftn(g) / g.size for g in (gx, gy))
-        total = 0.0
-        for p0, p1 in zip(curve.vertices[:-1], curve.vertices[1:]):
-            if abs(p0[1] - p1[1]) < 1e-14:  # horizontal: -int Gamma^y dx
-                total -= _exact_integral(hat_y, grid.periods, ((p0[0], p1[0]), p0[1]))
-            elif abs(p0[0] - p1[0]) < 1e-14:  # vertical: +int Gamma^x dy
-                total += _exact_integral(hat_x, grid.periods, (p0[0], (p0[1], p1[1])))
-            else:
-                raise ValueError("method 'exact' needs axis-aligned segments")
-        return total
-    spacing = min(grid.spacing(0), grid.spacing(1))
+    gx, gy = (
+        _face_integral(evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields),
+                       grid.periods, method)
+        for g in gamma
+    )
     total = 0.0
-    for p0, p1 in zip(curve.vertices[:-1], curve.vertices[1:]):
-        pts, length = _segment_points(p0, p1, spacing)
-        if length == 0.0:
-            continue
-        dx = (p1[0] - p0[0]) / length
-        dy = (p1[1] - p0[1]) / length
-        vals = (cubic_values(gx, grid.periods, pts) * dy
-                - cubic_values(gy, grid.periods, pts) * dx)
-        h = length / (len(pts) - 1)
-        total += h * (0.5 * vals[0] + float(vals[1:-1].sum()) + 0.5 * vals[-1])
+    for (x0, y0), (x1, y1) in zip(curve.vertices[:-1], curve.vertices[1:]):
+        if x0 == x1:
+            total += gx((x0, (y0, y1)))
+        else:
+            total -= gy(((x0, x1), y0))
     return total
 
 
@@ -189,46 +199,19 @@ def surface_integral(
     *,
     method: str = "cubic",
 ) -> float:
-    """Outward flux of Gamma through the boundary of an axis-aligned box."""
+    """Outward flux of Gamma through the boundary of an axis-aligned box:
+    the faces of Gamma^a at the upper and lower a-bound, signed + and -."""
     if grid.dim != 3:
         raise ValueError("surface integrals are three-dimensional")
-    if method not in LOOP_METHODS:
-        raise ValueError(f"unknown interpolation method {method!r}")
-    comps = [
-        evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields)
-        for g in gamma
-    ]
     total = 0.0
-    if method == "exact":
-        for axis in (0, 1, 2):
-            hat = np.fft.fftn(comps[axis]) / comps[axis].size
-            for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
-                spans = list(box.bounds)
-                spans[axis] = side
-                total += sign * _exact_integral(hat, grid.periods, spans)
-        return total
-    for axis in (0, 1, 2):
-        others = [a for a in (0, 1, 2) if a != axis]
-        (a0, a1), (b0, b1) = box.bounds[others[0]], box.bounds[others[1]]
-        na = max(2, int(math.ceil((a1 - a0) / grid.spacing(others[0]) * DENSITY)) + 1)
-        nb = max(2, int(math.ceil((b1 - b0) / grid.spacing(others[1]) * DENSITY)) + 1)
-        avals = np.linspace(a0, a1, na)
-        bvals = np.linspace(b0, b1, nb)
-        wa = np.ones(na)
-        wa[0] = wa[-1] = 0.5
-        wb = np.ones(nb)
-        wb[0] = wb[-1] = 0.5
-        ha = (a1 - a0) / (na - 1)
-        hb = (b1 - b0) / (nb - 1)
-        weights = np.outer(wa, wb).ravel()
-        aa, bb = np.meshgrid(avals, bvals, indexing="ij")
+    for axis, g in enumerate(gamma):
+        face = _face_integral(
+            evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields),
+            grid.periods, method)
         for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
-            pts = np.zeros((na * nb, 3))
-            pts[:, axis] = side
-            pts[:, others[0]] = aa.ravel()
-            pts[:, others[1]] = bb.ravel()
-            vals = cubic_values(comps[axis], grid.periods, pts)
-            total += sign * float((weights * vals).sum()) * ha * hb
+            spans = list(box.bounds)
+            spans[axis] = side
+            total += sign * face(spans)
     return total
 
 

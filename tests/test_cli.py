@@ -267,6 +267,18 @@ class TestSimulateUsage:
         code, _, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and "P(D) u_t = N(u)" in err
 
+    def test_coordinate_in_the_evolution_form(self, tmp_path, capsys):
+        entry = {"name": "advect", "title": "advection with speed x", "dim": 1,
+                 "G": "u_t - x*u_x", "leading": "u_t", "rhs": "x*u_x"}
+        manifest = {
+            "pde": str(write_manifest(tmp_path, entry, "advect.yaml")),
+            "grid": {"resolutions": [32], "periods": [TWO_PI]},
+            "u0": {"modes": [{"a": 0.1, "k": [1]}]},
+            "t_end": 0.01,
+        }
+        code, _, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "advect" in err and "need a grid" in err
+
     def test_grid_below_minimum_resolution(self, kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
         manifest["grid"]["resolutions"] = [8, 8]
@@ -354,11 +366,15 @@ class TestSimulateUsage:
          "phase needs an entry per grid axis"),
         (lambda m: m.update(out=5), "out must be a path"),
         (lambda m: m["u0"]["modes"][0].pop("a"), "needs a and k"),
+        (lambda m: m["params"].update(alpha="2"), "unknown parameter 'alpha'"),
+        (lambda m: m.update(params={"sigma": "2"}), "sigma^2 = 1"),
+        (lambda m: m["charges"][0].update(id="charge-3"), "charge-3 needs d_t^2 u"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
             "grid_not_mapping", "params_not_mapping", "short_k", "short_phase", "long_k",
-            "long_phase", "out_not_a_path", "mode_without_a"])
+            "long_phase", "out_not_a_path", "mode_without_a", "undeclared_param",
+            "param_breaks_square", "charge_needs_u_tt"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())

@@ -8,16 +8,17 @@ import pytest
 from topocharge.catalog import get_entry
 from topocharge import grids
 from topocharge import evolution
+from topocharge import quadrature
 from topocharge.evolution import (
     KhatEvolver,
     NonIntegrableSymbol,
-    _compile_terms,
     _rk4_step,
     _split_time_part,
     _unit,
     evolve,
 )
 from topocharge.grids import GridField, SpectralEvaluator, dealias_mask, evaluate_on_grid
+from topocharge.grids import compile_terms as _compile_terms
 from topocharge.jetexpr import substitute_arbfun
 from topocharge.parsing import parse_expr
 from topocharge.quadrature import (
@@ -53,6 +54,10 @@ class TestCurves:
         with pytest.raises(CurveNotClosed):
             CurveSpec(((0, 0), (1, 0), (1, 1), (0, 1)))
 
+    def test_oblique_segment_rejected(self):
+        with pytest.raises(ValueError, match="axis-aligned"):
+            CurveSpec(((0, 0), (1, 0), (0.5, 1), (0, 0)))
+
 
 class TestLoopIntegral:
     def test_gradient_loop_is_zero(self):
@@ -62,6 +67,30 @@ class TestLoopIntegral:
         rect = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
         assert abs(loop_integral(gamma, g, None, rect, method="exact")) <= 1e-12
         assert abs(loop_integral(gamma, g, None, rect, method="cubic")) <= 1e-4
+
+    @pytest.mark.parametrize("method", ["cubic", "exact"])
+    def test_clockwise_reads_minus_counter_clockwise(self, method):
+        g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
+        gamma = (parse_expr("u^2 + u_x", 2), parse_expr("u*u_y", 2))
+        ccw = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
+        cw = CurveSpec(tuple(reversed(ccw.vertices)))
+        value = loop_integral(gamma, g, None, ccw, method=method)
+        assert abs(value) > 1e-2
+        assert loop_integral(gamma, g, None, cw, method=method) == pytest.approx(-value,
+                                                                               abs=1e-14)
+
+    def test_cubic_interpolates_one_component_per_segment(self, monkeypatch):
+        calls = []
+
+        def spy(data, periods, points):
+            calls.append(len(points))
+            return cubic_values(data, periods, points)
+
+        monkeypatch.setattr(quadrature, "cubic_values", spy)
+        g = grid_2d(32)
+        gamma = (parse_expr("u_y", 2), parse_expr("-u_x", 2))
+        loop_integral(gamma, g, None, CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2), method="cubic")
+        assert len(calls) == 4
 
     def test_kp_charge_on_evolved_field(self):
         kp = get_entry("kp")
