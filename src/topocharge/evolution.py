@@ -15,18 +15,24 @@ zero set of P's symbol, and weight fed to it there raises
 NonIntegrableSymbol instead of being projected away (that failure is the
 integral-constraint mechanism and must stay visible).
 
-Products are dealiased by the 2/3 rule, under which a quadratic product
-of masked fields is alias-free on the kept modes when no axis length is
-a multiple of 3.  On such grids a quadratic nonlinear part that is an
-exact spatial divergence, N = Div Phi with Phi from
-variational.invert_divergence, is evaluated as sum_a ik_a rfftn(Phi_a)
-when that takes fewer transforms than the direct product: KP's -u u_x
-becomes D_x(-u^2/2), and Novikov-Veselov's four products become two.
-The two forms agree to round-off.  Every other nonlinear part keeps the
-direct product: vorticity (its flux needs as many transforms), KdV's
-u_x^2 (not a divergence), and the cubic umKP and shear parts, on which
-the 2/3 rule is a documented approximation that the divergence form
-would alias differently.
+Products are dealiased by the 2/3 rule, which keeps a quadratic product
+of masked fields alias-free when no axis length is a multiple of 3.  On
+such grids a quadratic nonlinear part that is an exact divergence,
+N = Div Phi (Phi from variational.invert_divergence), is evaluated as
+sum_a ik_a rfftn(Phi_a) when that takes fewer transforms: KP's -u u_x
+becomes D_x(-u^2/2), NV's four products two fluxes; the forms agree to
+round-off.  Vorticity (as many transforms), KdV's u_x^2 (no divergence)
+and the cubic umKP and shear parts (where the 2/3 rule is a documented
+approximation the divergence form would alias differently) keep the
+direct product.
+
+The right-hand side is compiled once, when the evolver is built, into
+rhs_hat(v) = L v + sum_i W_i rfftn(terms_i(v)): one linear symbol L, and
+one complex weight W_i per nonlinear part (its mask or divergence symbol
+times its block's outer factor, and P^{-1} for an inverted block).  The
+constraint guard evaluates the inverted blocks on the zero set of P
+alone, by the same elementwise expression; the whole-spectrum scale it
+compares against is built only when that plane exceeds mean_tol.
 
 Time stepping is classical RK4 with a step controlled by the largest
 linear spectral symbol over the 2/3-dealiased modes plus an advective
@@ -42,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridField, SpectralEvaluator, compile_terms, dealias_mask, ik_symbol, to_grid
+from .grids import (GridField, SpectralEvaluator, compile_terms, dealias_mask, ik_symbol, to_grid,
+                    to_spectrum)
 from .jetexpr import ZERO_MI, JetExpr, T
 from .pde import PdeSpec
 from .printing import to_source
@@ -109,9 +116,17 @@ def _unit(axis: int) -> tuple:
     return tuple(int(a == axis) for a in range(3))
 
 
-def _linear(blocks: list):
-    """Total linear symbol of term blocks."""
-    return sum((b.L if b.outer is None else b.outer * b.L) for b in blocks)
+def _weighted(blocks: list, u_hat: np.ndarray, hats) -> np.ndarray | float:
+    """sum over blocks of outer (L u_hat + sum of weight * hat), where `hats`
+    yields the transforms of the blocks' nonlinear parts in turn."""
+    hats = iter(hats)
+    out = 0.0
+    for b in blocks:
+        F = b.L * u_hat
+        for weight, _terms in b.nonlinear:
+            F = F + next(hats) * weight
+        out = out + (F if b.outer is None else b.outer * F)
+    return out
 
 
 def _divergence_flux(e: JetExpr, dim: int) -> tuple | None:
@@ -179,10 +194,18 @@ class KhatEvolver:
         with np.errstate(divide="ignore", invalid="ignore"):
             self._inv_P = np.where(self._pinned, 0.0, 1.0 / P)
         self._P_text = to_source(P_u)
-        # effective linear symbol for the time-step estimate; |symbol| is even
-        # in k, so its maximum over the half-spectrum is that of the full one
-        L_tot = _linear(self.through) + _linear(self.inverted) * self._inv_P
-        self._sym_max = float(np.max(np.abs(L_tot * self.mask)))
+        # the plan of the module docstring; the inverted blocks' parts come first
+        scaled = [(b, (1.0 if b.outer is None else b.outer) * inv)
+                  for blocks, inv in ((self.inverted, self._inv_P), (self.through, 1.0)) for b in blocks]
+        self._L = sum(s * b.L for b, s in scaled)
+        self._parts = [(s * w, terms) for b, s in scaled for w, terms in b.nonlinear]
+        at = self._plane = np.nonzero(self._pinned) if self.inverted and self._pinned.any() else None
+        self._plane_blocks = [_Block(None if b.outer is None else b.outer[at], b.L[at],
+                                     [(w[at], terms) for w, terms in b.nonlinear], b.phi)
+                              for b in self.inverted]
+        self.rhs_calls = 0
+        # |symbol| is even in k, so its maximum over the half-spectrum is that of the full one
+        self._sym_max = float(np.max(np.abs(self._L * self.mask)))
         self._kmax = max(float(np.max(np.abs(grid.wavenumbers(a) * mask)))
                          for a in range(self.dim))
 
@@ -206,36 +229,39 @@ class KhatEvolver:
                      for a, p in enumerate(phi) if not p.is_zero()]
         return _Block(outer, self._symbol(linear), parts, phi)
 
-    def _apply(self, blocks: list, u_hat: np.ndarray):
-        out = 0.0
-        for b in blocks:
-            F = b.L * u_hat
-            for weight, terms in b.nonlinear:
-                F = F + np.fft.rfftn(self.ev.terms(terms)) * weight
-            out = out + (F if b.outer is None else b.outer * F)
-        return out
-
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
+        self.rhs_calls += 1
         self.ev.reset(u_hat)
-        ut_hat = self._apply(self.through, u_hat)
-        if self.inverted:
-            rest = self._apply(self.inverted, u_hat)
-            plane = np.abs(rest[self._pinned])
-            scale = float(np.max(np.abs(rest)))
-            if plane.size and scale > 0 and float(plane.max()) > self.mean_tol * max(scale, 1.0):
-                raise NonIntegrableSymbol(
-                    f"inverting P(D) (P(D)u = {self._P_text}) met a nonzero component "
-                    f"on the zero set of P (max {float(plane.max()):.3e}); "
-                    "the initial data violate the integral constraint"
-                )
-            ut_hat = ut_hat + rest * self._inv_P
+        hats = [to_spectrum(self.ev.terms(terms)) for _w, terms in self._parts]
+        if self._plane is not None:
+            self._guard(u_hat, hats)
+        ut_hat = self._L * u_hat
+        for (weight, _terms), hat in zip(self._parts, hats):
+            ut_hat += weight * hat
         if forcing is not None:
             zero = (0,) * self.dim
             ut_hat[zero] += forcing(t) * self.grid.data.size
         return ut_hat
 
+    def _guard(self, u_hat: np.ndarray, hats: list):
+        """NonIntegrableSymbol when the inverted blocks' sum `rest`, whose
+        transforms lead `hats`, exceeds mean_tol * max(max|rest|, 1) on the
+        zero set of P; below mean_tol there, max|rest| is never built."""
+        at = self._plane
+        peak = float(np.max(np.abs(_weighted(self._plane_blocks, u_hat[at], (h[at] for h in hats)))))
+        if peak <= self.mean_tol:
+            return
+        rest = _weighted(self.inverted, u_hat, hats)
+        scale = float(np.max(np.abs(rest)))
+        if scale > 0 and peak > self.mean_tol * max(scale, 1.0):
+            raise NonIntegrableSymbol(
+                f"inverting P(D) (P(D)u = {self._P_text}) met a nonzero component "
+                f"on the zero set of P (max {peak:.3e}); "
+                "the initial data violate the integral constraint"
+            )
+
     def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
-        u_hat = np.fft.rfftn(field.data) * self.mask
+        u_hat = to_spectrum(field.data) * self.mask
         return to_grid(self.rhs_hat(u_hat, field.time, forcing), field.shape)
 
     def dt_estimate(self, u_hat: np.ndarray, cfl: float) -> float:
@@ -278,12 +304,13 @@ def evolve(
 ) -> Trajectory:
     """March to t_end with RK4, sampling the trajectory at even intervals.
 
-    The state is the masked half-spectrum of u.
+    The state is the masked half-spectrum of u.  `meta` counts the steps
+    and right-hand sides taken and the range of the steps' dt.
     """
-    state = np.fft.rfftn(u0.data) * evolver.mask
+    state = to_spectrum(u0.data) * evolver.mask
+    calls, steps, dt_min, dt_max = evolver.rhs_calls, 0, math.inf, 0.0
     sample_times = [t_end * i / (n_samples - 1) for i in range(n_samples)] if n_samples > 1 else [0.0, t_end]
     t = 0.0
-    steps = 0
     traj = Trajectory([], [], [], meta={"cfl": cfl, "dealias": "2/3 rule", "scheme": "RK4"})
 
     def record(tv):
@@ -300,6 +327,7 @@ def evolve(
             if not math.isfinite(step) or step <= 0:
                 raise CflViolation(f"step estimate degenerate at t={t}")
             step = min(step, target - t)
+            dt_min, dt_max = min(dt_min, step), max(dt_max, step)
             state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing)
             t += step
             steps += 1
@@ -310,6 +338,6 @@ def evolve(
                 if not math.isfinite(peak) or peak > blowup:
                     raise CflViolation(f"solution blew up at t={t} (peak {peak:.3e})")
         record(t)
-    traj.meta["steps"] = steps
-    traj.meta["dt_last"] = dt if dt is not None else evolver.dt_estimate(state, cfl)
+    traj.meta.update(steps=steps, rhs_calls=evolver.rhs_calls - calls,
+                     dt_min=dt_min if steps else None, dt_max=dt_max if steps else None)
     return traj

@@ -101,21 +101,29 @@ def _wavenumbers(shape: tuple, periods: tuple, axis: int) -> np.ndarray:
     return k.reshape(out)
 
 
+def to_spectrum(data: np.ndarray) -> np.ndarray:
+    """Half-spectrum of real grid values; a 1D grid skips rfftn's axis handling."""
+    return np.fft.rfft(data) if data.ndim == 1 else np.fft.rfftn(data)
+
+
 def to_grid(hat: np.ndarray, shape: tuple) -> np.ndarray:
     """Real grid values of a half-spectrum on a grid of `shape`."""
+    if len(shape) == 1:
+        return np.fft.irfft(hat, shape[0])
     return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))))
 
 
 def dealias_mask(shape: tuple) -> np.ndarray:
-    """2/3-rule mask of the full spectrum of `shape`; cut its last axis to
-    n//2 + 1 modes to mask a half-spectrum."""
+    """2/3-rule mask of the full spectrum of `shape`, keeping the integer
+    modes |k| <= n//3 of each axis; cut its last axis to n//2 + 1 modes to
+    mask a half-spectrum."""
     mask = np.ones(shape, dtype=bool)
     for axis, n in enumerate(shape):
-        modes = np.abs(np.fft.fftfreq(n) * n)
-        cut = modes > (n // 3)
+        keep = np.zeros(n, dtype=bool)  # modes 0..n//3 and -(n//3)..-1, in fftfreq order
+        keep[: n // 3 + 1] = keep[n - n // 3:] = True
         sl = [np.newaxis] * len(shape)
         sl[axis] = slice(None)
-        mask &= ~cut[tuple(sl)]
+        mask &= keep[tuple(sl)]
     return mask
 
 
@@ -175,6 +183,7 @@ class SpectralEvaluator:
         self.fields = fields or {}
         self._hats: dict[int, np.ndarray] = {}
         self._jets: dict[tuple, np.ndarray] = {}
+        self._symbols: dict[tuple, np.ndarray | None] = {}  # None: no derivative
 
     def reset(self, u_hat: np.ndarray):
         self.fields = {}
@@ -189,38 +198,39 @@ class SpectralEvaluator:
         got = self._jets.get(mi)
         if got is not None:
             return got
-        t_order = mi[T]
-        spatial = mi[1:]
-        if mi_order(spatial) > MAX_STENCIL_ORDER:
-            raise DerivativeOrderTooHigh(
-                f"spatial derivative order {mi_order(spatial)} exceeds "
-                f"{MAX_STENCIL_ORDER}"
-            )
+        t_order, spatial = mi[T], mi[1:]
+        if spatial not in self._symbols:  # each symbol is resolved once per evaluator
+            order = mi_order(spatial)
+            if order > MAX_STENCIL_ORDER:
+                raise DerivativeOrderTooHigh(
+                    f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
+            self._symbols[spatial] = ik_symbol(self.grid, spatial) if order else None
+        symbol = self._symbols[spatial]
         if t_order not in self.fields and t_order not in self._hats:
             raise MissingTimeDerivative(
                 f"expression needs d_t^{t_order} u but only orders "
                 f"{sorted(self.fields)} are bound"
             )
-        if mi_order(spatial) == 0 and t_order in self.fields:
+        if symbol is None and t_order in self.fields:
             out = np.asarray(self.fields[t_order], dtype=float)
         else:
             hat = self._hats.get(t_order)
             if hat is None:
-                hat = self._hats[t_order] = np.fft.rfftn(self.fields[t_order])
-            if mi_order(spatial):
-                hat = hat * ik_symbol(self.grid, spatial)
-            out = to_grid(hat, self.grid.shape)
+                hat = self._hats[t_order] = to_spectrum(self.fields[t_order])
+            out = to_grid(hat if symbol is None else hat * symbol, self.grid.shape)
         self._jets[mi] = out
         return out
 
     def terms(self, terms) -> np.ndarray:
         """Sum of factor * prod jet(mi)^p over (factor, ((mi, p), ...)) terms."""
-        total = np.zeros(self.grid.shape)
+        total = None
         for factor, jets in terms:
-            value = np.full(self.grid.shape, factor)
+            value = factor
             for mi, p in jets:
                 value = value * self.jet(mi) ** p
-            total += value
+            total = value if total is None else total + value
+        if np.shape(total) != self.grid.shape:  # no term has a u-jet
+            total = np.full(self.grid.shape, 0.0 if total is None else total)
         return total
 
 

@@ -138,9 +138,17 @@ def _face_integral(values: np.ndarray, periods, method: str):
     if method == "exact":
         hat = np.fft.fftn(values) / values.size
         return lambda spans: _exact_integral(hat, periods, spans)
-    if method == "cubic":
-        return lambda spans: _cubic_integral(values, periods, spans)
-    raise ValueError(f"unknown interpolation method {method!r}")
+    return lambda spans: _cubic_integral(values, periods, spans)
+
+
+def _component_faces(gamma, grid: GridField, method: str, *fields) -> list:
+    """The face integral of each Gamma component; a zero component is not
+    evaluated on the grid and integrates to 0.0."""
+    if method not in LOOP_METHODS:
+        raise ValueError(f"unknown interpolation method {method!r}")
+    return [(lambda spans: 0.0) if g.is_zero() else
+            _face_integral(evaluate_on_grid(g, grid, *fields), grid.periods, method)
+            for g in gamma]
 
 
 def loop_integral(
@@ -163,11 +171,7 @@ def loop_integral(
     """
     if grid.dim != 2:
         raise ValueError("loop integrals are two-dimensional")
-    gx, gy = (
-        _face_integral(evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields),
-                       grid.periods, method)
-        for g in gamma
-    )
+    gx, gy = _component_faces(gamma, grid, method, u_t, fun_bindings, params, extra_fields)
     total = 0.0
     for (x0, y0), (x1, y1) in zip(curve.vertices[:-1], curve.vertices[1:]):
         if x0 == x1:
@@ -204,10 +208,8 @@ def surface_integral(
     if grid.dim != 3:
         raise ValueError("surface integrals are three-dimensional")
     total = 0.0
-    for axis, g in enumerate(gamma):
-        face = _face_integral(
-            evaluate_on_grid(g, grid, u_t, fun_bindings, params, extra_fields),
-            grid.periods, method)
+    faces = _component_faces(gamma, grid, method, u_t, fun_bindings, params, extra_fields)
+    for axis, face in enumerate(faces):
         for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
             spans = list(box.bounds)
             spans[axis] = side

@@ -14,6 +14,8 @@ from topocharge.grids import (
     UnboundArbFun,
     dealias_mask,
     evaluate_on_grid,
+    to_grid,
+    to_spectrum,
 )
 from topocharge.jetexpr import Y, Z, biharmonic_rule, substitute_arbfun
 from topocharge.parsing import default_symbols, parse_expr
@@ -98,3 +100,34 @@ def test_dealias_mask_fraction():
     m = dealias_mask((96,))
     # the 2/3 rule keeps |k| <= N/3
     assert m.sum() == 2 * 32 + 1
+
+
+def test_dealias_mask_keeps_integer_modes_up_to_a_third():
+    for n in range(16, 101):
+        mask = dealias_mask((n,))
+        assert mask.sum() == 2 * (n // 3) + 1, n
+        assert mask[n // 3] and mask[-(n // 3)], n
+
+
+@pytest.mark.parametrize("n", [24, 32, 48, 64, 96, 128, 256])
+def test_dealias_mask_unchanged_where_the_float_test_was_exact(n):
+    by_float = ~(np.abs(np.fft.fftfreq(n) * n) > n // 3)
+    assert np.array_equal(dealias_mask((n,)), by_float)
+    assert np.array_equal(dealias_mask((n, 32)), np.logical_and.outer(by_float, dealias_mask((32,))))
+
+
+@pytest.mark.parametrize("shape", [(64,), (65,), (32, 24), (16, 17, 18)])
+def test_transforms_match_the_n_dimensional_ones(shape):
+    data = np.random.default_rng(3).standard_normal(shape)
+    hat = np.fft.rfftn(data)
+    assert np.array_equal(to_spectrum(data), hat)
+    assert np.array_equal(to_grid(hat, shape), np.fft.irfftn(hat, s=shape, axes=range(len(shape))))
+
+
+@pytest.mark.parametrize("text", ["2", "x", "2 + x"])
+def test_terms_without_u_jets_fill_the_grid(text):
+    g = GridField(np.zeros((16, 20)), (TWO_PI, 3.0))
+    x = np.arange(16)[:, None] * (TWO_PI / 16)
+    want = {"2": 2.0, "x": x, "2 + x": 2.0 + x}[text] + np.zeros((16, 20))
+    got = evaluate_on_grid(parse_expr(text, 2), g)
+    assert got.shape == (16, 20) and np.allclose(got, want, rtol=0, atol=1e-15)

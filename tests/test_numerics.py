@@ -92,6 +92,49 @@ class TestLoopIntegral:
         loop_integral(gamma, g, None, CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2), method="cubic")
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("method", ["cubic", "exact"])
+    def test_zero_component_is_not_evaluated(self, method, monkeypatch):
+        g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
+        u = parse_expr("u", 2)
+        x0, x1, y0, y1 = 0.7, 3.9, 1.1, 5.2
+        face = quadrature._face_integral(evaluate_on_grid(u, g), g.periods, method)
+        want = face((x1, (y0, y1))) + face((x0, (y1, y0)))
+        calls = []
+
+        def spy(e, *args):
+            calls.append(e)
+            return evaluate_on_grid(e, *args)
+
+        monkeypatch.setattr(quadrature, "evaluate_on_grid", spy)
+        got = loop_integral((u, parse_expr("0", 2)), g, None, CurveSpec.rectangle(x0, x1, y0, y1),
+                            method=method)
+        assert calls == [u]
+        assert got == want
+
+    def test_zero_component_is_not_evaluated_on_a_box(self, monkeypatch):
+        n = 16
+        x = np.arange(n) * TWO_PI / n
+        X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+        g = GridField(np.sin(X) * np.cos(Y) + 0.3 * np.sin(Z), (TWO_PI,) * 3)
+        gamma = (parse_expr("0", 3), parse_expr("u^2", 3), parse_expr("0", 3))
+        calls = []
+
+        def spy(e, *args):
+            calls.append(e)
+            return evaluate_on_grid(e, *args)
+
+        box = BoxSpec.cube(0.5, 2.5, 1.0, 4.0, 0.2, 3.3)
+        full = surface_integral(gamma, g, None, box, method="exact")
+        monkeypatch.setattr(quadrature, "evaluate_on_grid", spy)
+        assert surface_integral(gamma, g, None, box, method="exact") == full
+        assert calls == [gamma[1]]
+
+    def test_unknown_method_is_refused(self):
+        zero = parse_expr("0", 2)
+        with pytest.raises(ValueError, match="unknown interpolation method"):
+            loop_integral((zero, zero), grid_2d(16), None, CurveSpec.rectangle(0, 1, 0, 1),
+                          method="spline")
+
     def test_kp_charge_on_evolved_field(self):
         kp = get_entry("kp")
         g = grid_2d(48)
@@ -250,6 +293,19 @@ class TestEvolution:
         traj = evolve(KhatEvolver(kp.pde, g, {"sigma": 1.0}), g, 1.0, n_samples=3)
         assert np.all(np.isfinite(traj.fields[-1].data))
         assert float(np.max(np.abs(traj.fields[-1].data))) < 1.0
+
+    def test_meta_counts_rhs_calls_and_dt_range(self):
+        kp = get_entry("kp")
+        g = grid_2d(32, amplitude=0.05)
+        ev = KhatEvolver(kp.pde, g, {"sigma": 1.0})
+        ev.rhs_hat(np.fft.rfftn(g.data) * ev.mask, 0.0)  # counted by the evolver, not the run
+        traj = evolve(ev, g, 0.05, n_samples=4)
+        meta = traj.meta
+        assert meta["steps"] > 0
+        assert meta["rhs_calls"] == 4 * meta["steps"] + 4
+        assert ev.rhs_calls == meta["rhs_calls"] + 1
+        assert 0.0 < meta["dt_min"] <= meta["dt_max"]
+        assert meta["dt_max"] * meta["steps"] >= 0.05 - 1e-12
 
     def test_kp_constraint_violation_raises(self):
         kp = get_entry("kp")
@@ -604,6 +660,95 @@ class TestDivergenceFlux:
         ev.rhs_hat(state, 0.0)
         assert ev.ev.holds(state)
         assert ev.dt_estimate(state, 0.5) == ev.dt_estimate(state.copy(), 0.5)
+
+
+def rhs_by_blocks(ev, u_hat):
+    """rhs_hat assembled from the evolver's blocks, each block on its own
+    and the inverted ones then through the pinned P^{-1}."""
+    ev.ev.reset(u_hat)
+
+    def apply(blocks):
+        out = 0.0
+        for b in blocks:
+            F = b.L * u_hat
+            for weight, terms in b.nonlinear:
+                F = F + np.fft.rfftn(ev.ev.terms(terms)) * weight
+            out = out + (F if b.outer is None else b.outer * F)
+        return out
+
+    ut_hat = apply(ev.through)
+    return ut_hat + apply(ev.inverted) * ev._inv_P if ev.inverted else ut_hat
+
+
+def white_field(shape, seed=11):
+    rng = np.random.default_rng(seed)
+    periods = tuple(TWO_PI * (1.0 + 0.25 * a) for a in range(len(shape)))
+    return GridField(0.1 * rng.standard_normal(shape), periods)
+
+
+class TestCompiledRhs:
+    """rhs_hat = L v + sum_i W_i rfftn(terms_i(v)) against the block-by-block sum."""
+
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    def test_kdv_is_bit_identical(self, n):
+        field = white_field((n,))
+        ev = KhatEvolver(get_entry("kdv_lagrangian").pde, field, {})
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        assert np.array_equal(ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("kp", (32, 32)), ("kp", (32, 24)), ("umkp", (24, 33)), ("nv", (32, 32)),
+        ("vorticity", (33, 32)), ("shear", (16, 18, 17)), ("shear", (16, 20, 16))])
+    def test_matches_blocks(self, name, shape):
+        entry = get_entry(name)
+        field = white_field(shape)
+        params = DIVERGENCE_PARAMS.get(name) or {
+            p: 0.6 + 0.2 * i for i, p in enumerate(sorted(entry.symbols.params))}
+        ev = KhatEvolver(entry.pde, field, params, mean_tol=np.inf)
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        got, want = ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def guarded(self, mean_tol):
+        """A KP evolver and a state with a small x-mean, with the peak of the
+        inverted blocks on the zero set of P and over the whole spectrum."""
+        n = 32
+        x = np.arange(n) * TWO_PI / n
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        g = GridField(0.05 * np.sin(X + Y) + 1e-3 * np.cos(Y), (TWO_PI, TWO_PI))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0}, mean_tol=mean_tol)
+        u_hat = np.fft.rfftn(g.data) * ev.mask
+        ev.ev.reset(u_hat)
+        rest = evolution._weighted(
+            ev.inverted, u_hat, [np.fft.rfftn(ev.ev.terms(t)) for _w, t in ev._parts])
+        return ev, u_hat, float(np.max(np.abs(rest[ev._pinned]))), float(np.max(np.abs(rest)))
+
+    def test_guard_between_plane_and_scale(self, monkeypatch):
+        _, _, peak, scale = self.guarded(np.inf)
+        assert 1.0 < scale and peak < scale
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return weighted(*args)
+
+        # the plane exceeds mean_tol, so max|rest| is built, but not by enough
+        between, u_hat, _, _ = self.guarded(peak / math.sqrt(scale))
+        # below mean_tol the plane alone decides
+        below, _, _, _ = self.guarded(2.0 * peak)
+        weighted = evolution._weighted
+        monkeypatch.setattr(evolution, "_weighted", counted)
+        between.rhs_hat(u_hat, 0.0)
+        assert len(calls) == 2 and calls[1] == u_hat.shape
+        calls.clear()
+        below.rhs_hat(u_hat, 0.0)
+        assert len(calls) == 1 and calls[0] != u_hat.shape
+
+    def test_guard_above_scaled_tolerance_raises(self):
+        _, _, peak, scale = self.guarded(np.inf)
+        ev, u_hat, _, _ = self.guarded(0.99 * peak / max(scale, 1.0))
+        with pytest.raises(NonIntegrableSymbol, match="zero set of P"):
+            ev.rhs_hat(u_hat, 0.0)
 
 
 class TestSourceSink:
