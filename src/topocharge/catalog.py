@@ -14,7 +14,8 @@ recording the printed form and the fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -39,6 +40,7 @@ from .jetexpr import (
     JetExpr,
     T,
     biharmonic_rule,
+    eval_at,
     param_key,
     substitute_params,
     total_derivative,
@@ -133,6 +135,11 @@ class CatalogEntry:
     identities: list
     charges: list
     potential_systems: list
+    binding: dict
+
+    def parse(self, text: str) -> JetExpr:
+        """text in this entry's symbols, under the binding it was built with."""
+        return _bind(parse_expr(text, self.dim, self.symbols), self.binding)
 
     def pde_for_case(self, case: str) -> PdeSpec:
         return self.case_pdes[case]
@@ -168,9 +175,22 @@ def _find(seq, obj_id: str, entry: str):
 # -- loading -------------------------------------------------------------------
 
 
-def _read_yaml(name: str) -> dict:
-    ref = resources.files("topocharge").joinpath("catalog_data").joinpath(name)
-    with ref.open("r", encoding="utf-8") as fh:
+def _resolve(name: str):
+    """The entry-file Path of a name ending in .yaml or .yml, else the
+    catalog file of an entry name or alias."""
+    if name.endswith((".yaml", ".yml")):
+        return Path(name)
+    fname = f"{ALIASES.get(name, name)}.yaml"
+    if fname not in ENTRY_FILES:
+        raise KeyError(f"unknown catalog entry {name!r}")
+    return fname
+
+
+def _read_yaml(source) -> dict:
+    """The document of an entry-file Path or a catalog file name."""
+    if not isinstance(source, Path):
+        source = resources.files("topocharge").joinpath("catalog_data").joinpath(source)
+    with source.open("r", encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
 
@@ -189,10 +209,13 @@ def _build_symbols(doc: dict) -> SymbolTable:
 
 
 def _parse_binding_value(value, dim: int, sym: SymbolTable, name: str):
-    """A case binding: rational text, sqrt(p/q), or an expression in params."""
+    """A binding: rational text, sqrt(p/q) with p/q >= 0, or an expression
+    in params."""
     text = str(value).strip()
     if text.startswith("sqrt(") and text.endswith(")"):
         square = Fraction(text[5:-1])
+        if square < 0:
+            raise ValueError(f"sqrt of a negative number {square}")
         return JetExpr.param(param_key(name, square))
     return parse_expr(text, dim, sym)
 
@@ -206,9 +229,8 @@ def _case_bindings(doc: dict, dim: int, base_sym: SymbolTable) -> dict:
             expr = _parse_binding_value(value, dim, sym, pname)
             bindings[pname] = expr
             # later bindings in the same case may reference this one
-            keys = expr.param_keys()
-            for k in keys:
-                if k[0] == pname and k[1] != ():
+            for k in expr.param_keys():
+                if k[0] == pname and k[1]:
                     sym = sym.with_param(pname, Fraction(*k[1]))
         cases[case_name] = bindings
     return cases
@@ -432,32 +454,8 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         identities,
         charges,
         systems,
+        dict(overlay or {}),
     )
-
-
-def _check_constraints(name: str, doc: dict, dim: int, overlay: dict) -> None:
-    """Reject bindings that violate declared squares or constraint relations."""
-    for pname, spec in (doc.get("params") or {}).items():
-        square = spec.get("square") if isinstance(spec, dict) else None
-        if square is None or pname not in overlay:
-            continue
-        probe = overlay[pname] * overlay[pname] - JetExpr.number(Fraction(square))
-        if not probe.is_zero():
-            raise ConstraintViolation(
-                f"{name}: parameter {pname!r} must satisfy {pname}^2 = {square}"
-            )
-    # Extra constraints are parsed with the square rewrites stripped so the
-    # relation itself survives to be tested; undetermined (still symbolic)
-    # probes are not violations.
-    plain = default_symbols().with_deps("G")
-    for pname in (doc.get("params") or {}):
-        plain = plain.with_param(pname, None)
-    for text in doc.get("constraints") or []:
-        probe = _bind(parse_expr(text, dim, plain), overlay)
-        if not probe.param_keys() and not probe.is_zero():
-            raise ConstraintViolation(
-                f"{name}: constraint {text!r} violated ({to_source(probe)} != 0)"
-            )
 
 
 def _case_consistent(case_bindings: dict, overlay: dict) -> bool:
@@ -483,54 +481,80 @@ def load_catalog() -> list[CatalogEntry]:
 
 
 def get_entry(name: str) -> CatalogEntry:
-    name = ALIASES.get(name, name)
-    fname = f"{name}.yaml"
-    if fname not in ENTRY_FILES:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    if fname not in _CACHE:
-        _CACHE[fname] = _build_entry(_read_yaml(fname))
-    return _CACHE[fname]
-
-
-def _read_entry_file(path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+    """The verified entry of a catalog name or alias (cached), or of the
+    path of an entry file."""
+    source = _resolve(name)
+    if isinstance(source, Path):
+        return load_entry_file(source)
+    if source not in _CACHE:
+        _CACHE[source] = _build_entry(_read_yaml(source))
+    return _CACHE[source]
 
 
 def load_entry_file(path) -> CatalogEntry:
     """Build a user-supplied entry from a document in the catalog format."""
-    return _build_entry(_read_entry_file(path))
+    return _build_entry(_read_yaml(Path(path)))
 
 
 def _exact_params(doc: dict, params: dict) -> dict:
-    """The exact value of each binding in params for the entry document doc;
-    ConstraintViolation for an undeclared name or a value that breaks a
-    declared square or constraint."""
-    name = doc["name"]
-    sym = _build_symbols(doc)
-    dim = int(doc["dim"])
+    """The exact value of each binding in params for the entry document doc.
+
+    A value is a rational, sqrt(rational), or an expression in parameters
+    bound before it in params.  ConstraintViolation, naming the parameter,
+    for an undeclared name, a value that holds a coordinate, a jet, an
+    arbitrary function or an unbound parameter, or one that breaks a
+    declared square or constraint.
+    """
+    name, dim = doc["name"], int(doc["dim"])
+    declared = _build_symbols(doc)
+    squares = declared.params
+    # values and constraints are parsed with the square rewrites stripped, so
+    # that a relation survives to be tested and a parameter named before its
+    # binding stays a free key
+    sym = replace(declared, params=dict.fromkeys(squares))
     overlay: dict[str, JetExpr] = {}
     for pname, value in params.items():
-        if pname not in (doc.get("params") or {}):
+        if pname not in squares:
             raise ConstraintViolation(f"{name}: unknown parameter {pname!r}")
-        expr = _parse_binding_value(value, dim, sym, pname)
-        overlay[pname] = substitute_params(expr, overlay)
-    _check_constraints(name, doc, dim, overlay)
+        try:
+            expr = _bind(_parse_binding_value(value, dim, sym, pname), overlay)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConstraintViolation(f"{name}: parameter {pname!r}: {exc}") from None
+        if expr.var_degree() or expr.jet_keys() or expr.fun_keys():
+            raise ConstraintViolation(
+                f"{name}: parameter {pname!r} must be a constant, got {value!r}")
+        unbound = sorted(k[0] for k in expr.param_keys() if not k[1])
+        if unbound:
+            raise ConstraintViolation(f"{name}: parameter {pname!r} names "
+                                      f"{', '.join(unbound)}, which is not bound before it")
+        if squares[pname] is not None and not (expr * expr - squares[pname]).is_zero():
+            raise ConstraintViolation(
+                f"{name}: parameter {pname!r} must satisfy {pname}^2 = {squares[pname]}")
+        overlay[pname] = expr
+    # an undetermined (still symbolic) probe is not a violation
+    for text in doc.get("constraints") or []:
+        probe = _bind(parse_expr(text, dim, sym), overlay)
+        if not probe.param_keys() and not probe.is_zero():
+            raise ConstraintViolation(
+                f"{name}: constraint {text!r} violated ({to_source(probe)} != 0)")
     return overlay
 
 
-def check_params(name: str, params: dict) -> None:
-    """Refuse the bindings params for an entry as instantiate does; name is
-    a catalog entry or alias, or the path of an entry file (.yaml, .yml)."""
-    _exact_params(_read_entry_file(name) if name.endswith((".yaml", ".yml"))
-                  else _read_yaml(f"{ALIASES.get(name, name)}.yaml"), params)
+def numeric_params(name: str, params: dict) -> dict[str, float]:
+    """The float of each binding in params for the entry name, refused as
+    instantiate refuses it; a root sqrt(p/q) is the positive root."""
+    overlay = _exact_params(_read_yaml(_resolve(name)), params)
+    return {p: eval_at(e, params={k: math.sqrt(k[1][0] / k[1][1]) for k in e.param_keys()})
+            for p, e in overlay.items()}
 
 
 def instantiate(name: str, params: dict) -> CatalogEntry:
     """Bind parameters to exact values and re-verify the whole entry.
 
-    Values are rational text ("1", "-1/2"), "sqrt(p/q)" for adjoined
-    roots, or expressions in previously bound parameters.
+    name is a catalog entry, an alias or the path of an entry file; no
+    params is the entry itself.  Values are rational text ("1", "-1/2"),
+    "sqrt(p/q)" for adjoined roots, or expressions in previously bound
+    parameters.
 
     A non-triviality certificate is computed once per (Gamma, case
     equation, top bound, pool cap) in a process: a case equation equal to
@@ -538,5 +562,7 @@ def instantiate(name: str, params: dict) -> CatalogEntry:
     case's own (e.g. the integrable umKP case) reuses the certificates of
     an earlier load.  A different top bound is a new key.
     """
-    doc = _read_yaml(f"{ALIASES.get(name, name)}.yaml")
+    if not params:
+        return get_entry(name)
+    doc = _read_yaml(_resolve(name))
     return _build_entry(doc, overlay=_exact_params(doc, params))

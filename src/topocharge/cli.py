@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .conservation import (
 from .evolution import CflViolation, EvolutionError, KhatEvolver, NonIntegrableSymbol, evolve
 from .grids import MIN_RESOLUTION, GridError, GridField, TimeFunction, evaluate_on_grid
 from .jetexpr import JetExpr, T
-from .parsing import ParseError, parse_expr
+from .parsing import ParseError
 from .potential import UnsupportedDimension, build_potential_system
 from .printing import to_source, vector_source
 from .quadrature import LOOP_METHODS, ChargeReport, CurveSpec, check_constraint, loop_integral
@@ -44,18 +43,6 @@ EXIT_CONSTRAINT = 3
 
 class UsageError(ValueError):
     """Bad command-line or manifest input; exits with EXIT_USAGE."""
-
-
-def _load_entry(name: str, params: dict | None):
-    if name.endswith(".yaml") or name.endswith(".yml"):
-        entry = cat.load_entry_file(name)
-        if params:
-            raise UsageError("--params is not supported with entry files; "
-                             "bind values inside the document")
-        return entry
-    if params:
-        return cat.instantiate(name, params)
-    return cat.get_entry(name)
 
 
 def _parse_params(pairs) -> dict:
@@ -89,7 +76,7 @@ def cmd_catalog(args) -> int:
         for entry in cat.load_catalog():
             print(f"{entry.name:16s} dim={entry.dim}  {entry.title}")
         return EXIT_OK
-    entry = _load_entry(args.pde, _parse_params(args.params))
+    entry = cat.instantiate(args.pde, _parse_params(args.params))
     print(f"name: {entry.name}")
     print(f"title: {entry.title}")
     print(f"dim: {entry.dim}")
@@ -118,8 +105,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _parse_params(args.params)
-    entry = _load_entry(args.pde, params)
+    entry = cat.instantiate(args.pde, _parse_params(args.params))
     obj = args.object
     pde = entry.pde
     if obj.startswith("multiplier-"):
@@ -142,8 +128,8 @@ def cmd_verify(args) -> int:
             if len(parts) != entry.dim + 1:
                 print(f"expected 1 density and {entry.dim} flux components", file=sys.stderr)
                 return EXIT_USAGE
-            T_expr = parse_expr(parts[0], entry.dim, entry.symbols)
-            Phi = tuple(parse_expr(p, entry.dim, entry.symbols) for p in parts[1:])
+            T_expr = entry.parse(parts[0])
+            Phi = tuple(entry.parse(p) for p in parts[1:])
             residual = verify_current(pde, T_expr, Phi)
             if residual.is_zero():
                 print(f"{entry.name} ad-hoc current: verified")
@@ -151,7 +137,7 @@ def cmd_verify(args) -> int:
             print(f"{entry.name} ad-hoc current: residual on solutions:")
             print(f"  {to_source(residual)}")
             return EXIT_RESIDUAL
-        Q = parse_expr(obj, entry.dim, entry.symbols)
+        Q = entry.parse(obj)
         try:
             verify_multiplier(pde, Q)
         except NotAMultiplier as exc:
@@ -166,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    entry = _load_entry(args.pde, _parse_params(args.params))
+    entry = cat.instantiate(args.pde, _parse_params(args.params))
     cur = entry.current(args.object)
     pde = entry.pde_for_case(cur.case)
     flux = reduce_to_spatial_flux(cur.family, pde, certify=not args.no_certify,
@@ -186,7 +172,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    entry = _load_entry(args.pde, _parse_params(args.params))
+    entry = cat.instantiate(args.pde, _parse_params(args.params))
     charge = entry.charge(args.object)
     try:
         system = build_potential_system(charge.flux)
@@ -289,24 +275,10 @@ def _curve(spec: dict, group: str) -> CurveSpec:
     return CurveSpec.rectangle(*rect)
 
 
-def _numeric_params(manifest) -> dict:
-    out = {}
-    for name, value in (manifest.get("params") or {}).items():
-        text = str(value).strip()
-        try:
-            if text.startswith("sqrt(") and text.endswith(")"):
-                out[name] = math.sqrt(float(Fraction(text[5:-1])))
-            else:
-                out[name] = float(Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"params.{name} must be a rational or sqrt(rational), "
-                             f"got {value!r}") from None
-    return out
-
-
-def _initial_data(u0, dim: int, symbols):
-    """Parse u0 (a mapping, or an expression) once; return the function that
-    samples it on a grid of the given shape and periods."""
+def _initial_data(u0, entry):
+    """Parse u0 (a mapping, or an expression) for the entry once; return the
+    function that samples it on a grid of the given shape and periods."""
+    dim = entry.dim
     if isinstance(u0, str):
         u0 = {"expr": u0}
     constant = _number(u0, "constant", float, "u0.", 0.0)
@@ -317,7 +289,7 @@ def _initial_data(u0, dim: int, symbols):
         if amp is None or ks is None:
             raise UsageError(f"u0.modes[] needs a and k, got {mode!r}")
         modes.append((amp, ks, _numbers(mode, "phase", float, "u0.modes[].", [0.0] * dim, dim)))
-    expr = parse_expr(u0["expr"], dim, symbols) if "expr" in u0 else None
+    expr = entry.parse(u0["expr"]) if "expr" in u0 else None
 
     def on_grid(shape: tuple, periods: tuple) -> GridField:
         try:
@@ -417,14 +389,13 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
             raise UsageError(f"{key} must be > 0, got {manifest[key]!r}")
     if any(curve for *_, curve in checks) and samples < 3:
         raise UsageError("a balance check differences in time and needs samples >= 3")
-    method = manifest.get("interp", "cubic")
+    method = "cubic" if manifest.get("interp") is None else manifest["interp"]
     if method not in LOOP_METHODS:
         raise UsageError(f"unknown interp {method!r} (known: {', '.join(LOOP_METHODS)})")
 
     name = manifest["pde"]
-    entry = _load_entry(name, None)
-    params = _numeric_params(manifest)
-    cat.check_params(name, manifest.get("params") or {})
+    entry = cat.get_entry(name)
+    params = cat.numeric_params(name, manifest.get("params") or {})
     missing = sorted(set(entry.symbols.params) - set(params))
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
@@ -435,10 +406,10 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"charges and balance checks integrate around a planar curve; "
                          f"{name} has dimension {entry.dim}")
     try:
-        funs = {"f": TimeFunction.builtin(manifest.get("f", "one"))}
+        funs = {"f": TimeFunction.builtin("one" if manifest.get("f") is None else manifest["f"])}
     except GridError as exc:
         raise UsageError(str(exc)) from None
-    densities = [parse_expr(spec["density"], entry.dim, entry.symbols) for spec, _ in constraints]
+    densities = [entry.parse(spec["density"]) for spec, _ in constraints]
     gammas = [entry.charge(spec.get("id")).flux.Gamma for spec, *_ in charges]
     for (spec, *_), gamma in zip(charges, gammas):
         order = max((key[1][T] for c in gamma for key in c.jet_keys()), default=0)
@@ -447,7 +418,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
     if len(shape) != entry.dim or len(periods) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} resolutions and periods")
-    u0_on = _initial_data(manifest.get("u0") or {}, entry.dim, entry.symbols)
+    u0_on = _initial_data(manifest.get("u0") or {}, entry)
     u0 = u0_on(shape, periods)
     if min(shape) // 2 < MIN_RESOLUTION and any(tol is None for _, tol, _ in charges + checks):
         raise UsageError(f"tolerances from resolution doubling need at least "

@@ -19,6 +19,9 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+UMKP_INTEGRABLE = ["alpha=sqrt(2)", "beta=0", "sigma=1"]
+
+
 class TestVerify:
     def test_catalog_multiplier(self, capsys):
         code, out, _ = run(capsys, "verify", "kdv_lagrangian", "multiplier-f")
@@ -47,6 +50,19 @@ class TestVerify:
     def test_params_without_value_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "kp", "current-1", "--params", "sigma")
         assert code == 2 and "name=value" in err
+
+    @pytest.mark.parametrize("pde, text, params", [
+        ("umkp", "alpha*u_x*f + y*f'", UMKP_INTEGRABLE),
+        ("umkp", "(x - alpha*y*u_x)*f - 1/2*y^2*f'", UMKP_INTEGRABLE),
+        ("kp", "(u_x*f, (u*u_x + u_xxx)*f - u*f', sigma*u_y*f)", ["sigma=-1"]),
+        ("umkp", "@q1.txt", UMKP_INTEGRABLE),
+    ], ids=["q1", "q3", "kp_current", "q1_file"])
+    def test_adhoc_text_is_read_under_the_params(self, pde, text, params, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "q1.txt").write_text("alpha*u_x*f + y*f'\n")
+        code, out, _ = run(capsys, "verify", pde, text, "--params", *params)
+        assert code == 0 and "ad-hoc" in out and "verified" in out
 
 
 class TestReduce:
@@ -86,6 +102,26 @@ class TestCatalogCmd:
     def test_show(self, capsys):
         code, out, _ = run(capsys, "catalog", "show", "kdv_lagrangian")
         assert code == 0 and "multiplier-f" in out
+
+    @pytest.mark.parametrize("params, name", [
+        (["alpha=x", "beta=0", "sigma=1"], "alpha"),
+        (["alpha=u_x", "beta=0", "sigma=1"], "alpha"),
+        (["alpha=1", "beta=f", "sigma=1"], "beta"),
+        (["beta=2*alpha", "alpha=sqrt(2)", "sigma=1"], "beta"),
+        (["alpha=sqrt(-2)", "beta=0", "sigma=1"], "alpha"),
+    ], ids=["coordinate", "jet", "function", "bound_after", "negative_root"])
+    def test_binding_that_is_not_a_constant(self, params, name, capsys):
+        code, out, err = run(capsys, "catalog", "show", "umkp", "--params", *params)
+        assert code == 2 and err.startswith("error:") and f"parameter {name!r}" in err
+        assert out == ""
+
+    def test_entry_file_takes_params(self, tmp_path, capsys):
+        entry = {"name": "advect", "title": "advection at speed c", "dim": 1,
+                 "params": {"c": {}}, "G": "u_t + c*u_x", "leading": "u_t", "rhs": "-c*u_x"}
+        path = tmp_path / "advect.yaml"
+        path.write_text(yaml.safe_dump(entry))
+        code, out, _ = run(capsys, "catalog", "show", str(path), "--params", "c=2")
+        assert code == 0 and "G: 2*u_x + u_t" in out
 
 
 class TestInputFiles:
@@ -170,6 +206,38 @@ class TestSimulate:
         reports = [sorted((tmp_path / side).iterdir()) for side in ("null", "absent")]
         assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
         assert [p.read_bytes() for p in reports[0]] == [p.read_bytes() for p in reports[1]]
+
+    @pytest.mark.parametrize("key", ["interp", "f"])
+    def test_null_key_is_the_default(self, key, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest[key] = None
+        null = write_manifest(tmp_path, manifest, "null.yaml")
+        del manifest[key]
+        absent = write_manifest(tmp_path, manifest, "absent.yaml")
+        for path in (null, absent):
+            code, _, _ = run(capsys, "simulate", "--manifest", str(path),
+                             "--out", str(tmp_path / path.stem))
+            assert code == 0
+        reports = [sorted((tmp_path / side).iterdir()) for side in ("null", "absent")]
+        assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
+        assert [p.read_bytes() for p in reports[0]] == [p.read_bytes() for p in reports[1]]
+
+    def test_binding_in_earlier_params(self, monkeypatch):
+        seen = []
+        check = cli.check_constraint
+        monkeypatch.setattr(cli, "check_constraint",
+                            lambda *args, **kwargs: seen.append(args[3]) or check(*args, **kwargs))
+        manifest = {
+            "pde": "umkp",
+            "params": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
+            "grid": {"resolutions": [16, 16], "periods": [TWO_PI, TWO_PI]},
+            "u0": {"modes": [{"a": 0.05, "k": [1, 1]}]},
+            "constraints": [{"density": "u"}],
+        }
+        reports, code = cli.simulate(manifest)
+        assert code == 0 and [rep.verdict for rep in reports] == ["satisfied"]
+        assert abs(seen[0]["beta"] - 2.0 * math.sqrt(2.0 / 3.0)) <= 1e-15
+        assert seen[0]["alpha"] == math.sqrt(2.0 / 3.0) and seen[0]["sigma"] == 1.0
 
     def test_violating_datum_exits_3(self, tmp_path, capsys):
         manifest = {
@@ -368,13 +436,18 @@ class TestSimulateUsage:
         (lambda m: m["u0"]["modes"][0].pop("a"), "needs a and k"),
         (lambda m: m["params"].update(alpha="2"), "unknown parameter 'alpha'"),
         (lambda m: m.update(params={"sigma": "2"}), "sigma^2 = 1"),
+        (lambda m: m.update(params={"sigma": "x"}), "parameter 'sigma' must be a constant"),
+        (lambda m: m.update(params={"sigma": "u_x"}), "parameter 'sigma' must be a constant"),
+        (lambda m: m.update(params={"sigma": "f"}), "parameter 'sigma' must be a constant"),
+        (lambda m: m.update(params={"sigma": "sigma"}), "parameter 'sigma' names sigma"),
         (lambda m: m["charges"][0].update(id="charge-3"), "charge-3 needs d_t^2 u"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
             "grid_not_mapping", "params_not_mapping", "short_k", "short_phase", "long_k",
             "long_phase", "out_not_a_path", "mode_without_a", "undeclared_param",
-            "param_breaks_square", "charge_needs_u_tt"])
+            "param_breaks_square", "param_coordinate", "param_jet", "param_function",
+            "param_unbound", "charge_needs_u_tt"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
