@@ -186,12 +186,31 @@ def _resolve(name: str):
     return fname
 
 
+# libyaml's safe loader where PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(source):
+    """The document of YAML text or an open text file, read with libyaml
+    where PyYAML has it.
+
+    A source that libyaml refuses is read again by the pure-Python loader,
+    which either reads it or raises an error that quotes the failing line.
+    """
+    try:
+        return yaml.load(source, Loader=_YAML_LOADER)
+    except yaml.YAMLError:
+        if not isinstance(source, str):
+            source.seek(0)
+        return yaml.load(source, Loader=yaml.SafeLoader)
+
+
 def _read_yaml(source) -> dict:
     """The document of an entry-file Path or a catalog file name."""
     if not isinstance(source, Path):
         source = resources.files("topocharge").joinpath("catalog_data").joinpath(source)
     with source.open("r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+        return load_yaml(fh)
 
 
 def _build_symbols(doc: dict) -> SymbolTable:
@@ -208,16 +227,26 @@ def _build_symbols(doc: dict) -> SymbolTable:
     return sym
 
 
+BINDING_FORMS = ("a rational, a whole sqrt(p/q), or an expression in parameters "
+                 "bound before it")
+
+
 def _parse_binding_value(value, dim: int, sym: SymbolTable, name: str):
     """A binding: rational text, sqrt(p/q) with p/q >= 0, or an expression
-    in params."""
-    text = str(value).strip()
-    if text.startswith("sqrt(") and text.endswith(")"):
-        square = Fraction(text[5:-1])
-        if square < 0:
-            raise ValueError(f"sqrt of a negative number {square}")
-        return JetExpr.param(param_key(name, square))
-    return parse_expr(text, dim, sym)
+    in params; a YAML float is its exact decimal (1.0e-05 is 1/100000).
+    ValueError naming BINDING_FORMS for anything else."""
+    text = repr(value) if isinstance(value, float) else str(value).strip()
+    try:
+        if isinstance(value, float):
+            return JetExpr.number(Fraction(text))
+        if text.startswith("sqrt(") and text.endswith(")"):
+            square = Fraction(text[5:-1])
+            if square < 0:
+                raise ValueError(f"sqrt of a negative number {square}")
+            return JetExpr.param(param_key(name, square))
+        return parse_expr(text, dim, sym)
+    except ValueError as exc:
+        raise ValueError(f"{text!r} is not {BINDING_FORMS} ({exc})") from None
 
 
 def _case_bindings(doc: dict, dim: int, base_sym: SymbolTable) -> dict:

@@ -491,7 +491,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
 
 def cmd_simulate(args) -> int:
-    manifest = yaml.safe_load(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = cat.load_yaml(Path(args.manifest).read_text(encoding="utf-8"))
     try:
         reports, code = simulate(manifest)
     except CflViolation as exc:

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jetexpr import JetExpr, T, arbfun_key, curl, divergence, total_derivative
-from .pde import PdeSpec, expand_r_operator, substitute_on_solutions, substitute_with_ledger
+from .pde import (
+    PdeSpec,
+    derivative_on_solutions,
+    expand_r_operator,
+    substitute_on_solutions,
+    substitute_with_ledger,
+)
 from .variational import AnsatzExhausted, _mono_expr, build_pools, euler_u, solve_ansatz
 
 # Pool-growth rounds and pool-size cap of each curl-witness ansatz.
@@ -320,28 +326,32 @@ def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
         return [e if i == pot else JetExpr.zero() for i in range(npots)]
 
     g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
+    feeds = []  # per slot, (component, axis, sign) of each Gamma component its curl feeds
     columns: list[tuple[int, tuple]] = []
     for pot in range(npots):
-        pool = set()
-        # the curl of a bare jet in this slot: the Gamma components it feeds, and by which axis
-        for comp, fed in zip(g_sub, curl(theta(pot, JetExpr.jet("w")), dim)):
-            if comp.is_zero() or fed.is_zero():
+        fed, pool = [], set()
+        for comp, d in enumerate(curl(theta(pot, JetExpr.jet("w")), dim)):
+            if d.is_zero():
                 continue
-            ((_, mi),) = fed.jet_keys()
+            ((_, mi),), ((_, sign),) = d.jet_keys(), d.terms
             axis = mi.index(1)
-            pools = build_pools(
-                comp,
-                [axis],
-                order_bound,
-                {axis: comp.var_degree(axis) + 1},
-                CURL_ROUNDS,
-                CURL_POOL_CAP,
-            )
-            pool |= set(pools[axis])
+            fed.append((comp, axis, sign))
+            target = g_sub[comp]
+            if not target.is_zero():
+                pool |= set(build_pools(target, [axis], order_bound,
+                                        {axis: target.var_degree(axis) + 1},
+                                        CURL_ROUNDS, CURL_POOL_CAP)[axis])
+        feeds.append(fed)
         columns.extend((pot, m) for m in sorted(pool))
 
-    def image(pot: int, m: tuple) -> tuple:
-        return tuple(substitute_on_solutions(c, pde) for c in curl(theta(pot, _mono_expr(m)), dim))
+    def image(pot: int, m: tuple) -> list:
+        """curl(theta)|_E as (coeff, monomial) pairs per component; a
+        monomial holding leading-jet consequences restricts first."""
+        w = substitute_on_solutions(_mono_expr(m), pde)
+        parts = [()] * dim
+        for comp, axis, sign in feeds[pot]:
+            parts[comp] = [(sign * c, mm) for c, mm in derivative_on_solutions(w, axis, pde)]
+        return parts
 
     sol = solve_ansatz(columns, (image(pot, m) for pot, m in columns), g_sub)
     if sol is None:

@@ -1,13 +1,18 @@
 """Exact polynomial expressions on jet space.
 
 An expression is a canonical sum of terms.  Each term is an exact
-``Fraction`` coefficient times a monomial in
+coefficient times a monomial in
 
 * independent variables ``t, x, y, z`` (axis indices 0..3),
 * jet coordinates ``(depvar, multi-index)`` such as ``u_txx``,
 * arbitrary-function symbols such as ``f''`` or ``phi_yz``,
 * named constant parameters such as ``alpha`` or an adjoined root ``a``
   with a rewrite rule ``a^2 -> 2``.
+
+A canonical coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise (see :func:`_canon`), so that the common integral
+case runs on native integer arithmetic.  A division of coefficients goes
+through ``Fraction``, since ``int / int`` is a float.
 
 Jet coordinates always carry a length-4 multi-index ``(t, x, y, z)``;
 the spatial dimension of a problem only restricts which axes may occur.
@@ -91,7 +96,7 @@ def biharmonic_rule(slot: int = 0) -> tuple:
     d2 = [0, 0]
     d2[slot] = -4
     d2[other] = 4
-    return (slot, 4, ((Rat(-2), tuple(d1)), (Rat(-1), tuple(d2))))
+    return (slot, 4, ((-2, tuple(d1)), (-1, tuple(d2))))
 
 
 def param_key(name: str, square=None) -> tuple:
@@ -148,6 +153,11 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _canon(c):
+    """The canonical type of a coefficient: an int when integral, else the Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 def _normalize_params(coeff: Rat, parampows: tuple) -> tuple[Rat, tuple]:
     """Reduce root-symbol powers: a^2 -> square.  Exponents end in {0, 1}."""
     if not parampows:
@@ -162,7 +172,7 @@ def _normalize_params(coeff: Rat, parampows: tuple) -> tuple[Rat, tuple]:
         reduced = True
         q, r = divmod(e, 2)
         num, den = square if q > 0 else (square[1], square[0])
-        coeff *= Rat(num ** abs(q), den ** abs(q))
+        coeff = _canon(coeff * Rat(num ** abs(q), den ** abs(q)))
         if r:
             out.append((key, r))
     return (coeff, tuple(sorted(out))) if reduced else (coeff, parampows)
@@ -189,8 +199,13 @@ def _rewrite_funs(coeff: Rat, mono: tuple) -> list[tuple[Rat, tuple]]:
     return [(coeff, mono)]
 
 
-def _build(pairs: Iterable[tuple[Rat, tuple]]) -> tuple:
-    """Merge (coeff, monomial) pairs into a canonical sorted term tuple."""
+def _collect(pairs: Iterable[tuple[Rat, tuple]]) -> dict:
+    """Merge (coeff, monomial) pairs into {canonical monomial: canonical coeff}.
+
+    The pairs may repeat monomials and need not be normal: root-symbol
+    powers and arbitrary-function rewrite rules are applied here.  Zero
+    coefficients are dropped.  The result is unsorted.
+    """
     acc: dict[tuple, Rat] = {}
     for coeff, mono in pairs:
         if not coeff:
@@ -204,8 +219,11 @@ def _build(pairs: Iterable[tuple[Rat, tuple]]) -> tuple:
             if c0:
                 acc[m2] = c0
             else:
-                acc.pop(m2, None)
-    return tuple(sorted(acc.items(), key=lambda it: it[0]))
+                del acc[m2]
+    for m, c in acc.items():
+        if type(c) is not int:
+            acc[m] = _canon(c)
+    return acc
 
 
 class JetExpr:
@@ -220,7 +238,7 @@ class JetExpr:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Rat, tuple]]) -> "JetExpr":
-        return JetExpr(_build(pairs))
+        return JetExpr(tuple(sorted(_collect(pairs).items())))
 
     @staticmethod
     def zero() -> "JetExpr":
@@ -228,7 +246,7 @@ class JetExpr:
 
     @staticmethod
     def number(value) -> "JetExpr":
-        c = Rat(value)
+        c = _canon(Rat(value))
         if not c:
             return _ZERO
         return JetExpr(((EMPTY_MONO, c),))
@@ -236,23 +254,23 @@ class JetExpr:
     @staticmethod
     def variable(axis: int) -> "JetExpr":
         mono = (((axis, 1),), (), (), ())
-        return JetExpr(((mono, Rat(1)),))
+        return JetExpr(((mono, 1),))
 
     @staticmethod
     def jet(dep: str, mi: Sequence[int] | str = ZERO_MI) -> "JetExpr":
         if isinstance(mi, str):
             mi = multi_index(mi)
         mono = ((), (((dep, tuple(mi)), 1),), (), ())
-        return JetExpr(((mono, Rat(1)),))
+        return JetExpr(((mono, 1),))
 
     @staticmethod
     def arbfun(key: tuple) -> "JetExpr":
         mono = ((), (), ((key, 1),), ())
-        return JetExpr(((mono, Rat(1)),))
+        return JetExpr(((mono, 1),))
 
     @staticmethod
     def param(key: tuple, exp: int = 1) -> "JetExpr":
-        c, pars = _normalize_params(Rat(1), ((key, exp),))
+        c, pars = _normalize_params(1, ((key, exp),))
         mono = ((), (), (), pars)
         return JetExpr(((mono, c),))
 
@@ -304,10 +322,10 @@ class JetExpr:
 
     def __mul__(self, other) -> "JetExpr":
         if isinstance(other, (int, Fraction)):
-            c = Rat(other)
+            c = _canon(other)
             if not c:
                 return _ZERO
-            return JetExpr(tuple((m, c * c0) for m, c0 in self.terms))
+            return JetExpr(tuple((m, _canon(c * c0)) for m, c0 in self.terms))
         other = as_expr(other)
         pairs = []
         for m1, c1 in self.terms:
@@ -410,7 +428,7 @@ def div_unit(e: JetExpr, unit) -> JetExpr:
     if mono[0] or mono[1] or mono[2]:
         raise ExprError("division by jet variables or functions is not allowed")
     inv_pars = tuple((k, -x) for k, x in mono[3])
-    inv = JetExpr.from_pairs([(1 / coeff, ((), (), (), inv_pars))])
+    inv = JetExpr.from_pairs([(Rat(1, coeff), ((), (), (), inv_pars))])
     return e * inv
 
 
@@ -423,10 +441,16 @@ def div_unit(e: JetExpr, unit) -> JetExpr:
 _BUMPED: dict[tuple, tuple] = {}
 
 
-def total_derivative(e: JetExpr, axis: int) -> JetExpr:
-    """Total derivative D_axis on jet space (Leibniz over every factor)."""
+def _leibniz(terms: Iterable[tuple], axis: int, jet_image=None) -> list:
+    """Unmerged (coeff, monomial) pairs of D_axis over (monomial, coeff) terms.
+
+    Leibniz over every factor.  jet_image(key), when given, may return an
+    expression that stands for the differentiated jet `key` (its image
+    multiplies the rest of the monomial), or None to keep the jet.  The
+    pairs go through :func:`_collect` or ``JetExpr.from_pairs``.
+    """
     pairs = []
-    for m, c in e.terms:
+    for m, c in terms:
         varpows, jetpows, funpows, parampows = m
         for k, p in varpows:
             if k == axis:
@@ -436,8 +460,14 @@ def total_derivative(e: JetExpr, axis: int) -> JetExpr:
             bumped = _BUMPED.get((k, axis))
             if bumped is None:
                 bumped = _BUMPED[k, axis] = (k[0], mi_bump(k[1], axis))
-            nj = _merge_pow(_merge_pow(jetpows, k, -1), bumped, 1)
-            pairs.append((c * p, (varpows, nj, funpows, parampows)))
+            image = None if jet_image is None else jet_image(bumped)
+            if image is None:
+                nj = _merge_pow(_merge_pow(jetpows, k, -1), bumped, 1)
+                pairs.append((c * p, (varpows, nj, funpows, parampows)))
+            else:
+                rest = (varpows, _merge_pow(jetpows, k, -1), funpows, parampows)
+                cp = c * p
+                pairs.extend((cp * ci, _mono_mul(rest, mi)) for mi, ci in image.terms)
         for k, p in funpows:
             if axis not in k[1]:
                 continue
@@ -445,7 +475,12 @@ def total_derivative(e: JetExpr, axis: int) -> JetExpr:
             bumped = (k[0], k[1], mi_bump(k[2], slot), k[3])
             nf = _merge_pow(_merge_pow(funpows, k, -1), bumped, 1)
             pairs.append((c * p, (varpows, jetpows, nf, parampows)))
-    return JetExpr.from_pairs(pairs)
+    return pairs
+
+
+def total_derivative(e: JetExpr, axis: int) -> JetExpr:
+    """Total derivative D_axis on jet space (Leibniz over every factor)."""
+    return JetExpr.from_pairs(_leibniz(e.terms, axis))
 
 
 def total_derivative_mi(e: JetExpr, mi: Sequence[int]) -> JetExpr:

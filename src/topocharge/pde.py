@@ -3,7 +3,9 @@
 A PDE ``G = 0`` carries a solved form ``leading = rhs`` used to evaluate
 expressions on solutions: every occurrence of the leading derivative and
 its differential consequences is replaced by the corresponding total
-derivative of ``rhs``, restricted in turn, until none is left.
+derivative of ``rhs``, restricted in turn, until none is left.  The total
+derivative on solutions, D_a|_E, differentiates an expression free of
+those jets and replaces each new one by its cached restriction.
 
 The ledger variant records every replacement as ``coefficient * D^K G``,
 yielding the operator ``R(G)`` of a divergence-type identity
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .jetexpr import (
     JetExpr,
-    Rat,
     ZERO_MI,
+    _leibniz,
     _merge_pow,
     _mono_mul,
     divergence,
@@ -146,12 +148,34 @@ def _restrict(e: JetExpr, pde: PdeSpec, max_steps: int | None, active: set) -> J
     return JetExpr.from_pairs(pairs) if changed else e
 
 
+def derivative_on_solutions(e: JetExpr, axis: int, pde: PdeSpec, active=None) -> list:
+    """D_axis|_E of an R-normal e (one free of the leading jet and its
+    consequences), as unmerged (coeff, monomial) pairs for
+    ``JetExpr.from_pairs``.
+
+    Leibniz over the factors of e; a differentiated jet that is a
+    consequence of the leading jet is replaced by its cached image R(u_K).
+    Every other factor is R-normal, so the pairs are.  An e that holds such
+    jets is restricted first, since R(D_a e) == R(D_a R(e)).
+    """
+    dep, lead_mi = pde.leading
+    active = set() if active is None else active
+
+    def image(key):
+        if key[0] == dep and all(map(operator.ge, key[1], lead_mi)):
+            return _jet_image(key, pde, active)
+        return None
+
+    return _leibniz(e.terms, axis, image)
+
+
 def _jet_image(key: tuple, pde: PdeSpec, active: set) -> JetExpr:
-    """R(u_K) = R(D_a R(u_(K - e_a))), or R(rhs) at K = leading.
+    """R(u_K) = D_a|_E R(u_(K - e_a)), or rhs at K = leading.
 
     Equal to R(D^(K - leading) rhs) because D_a maps the ideal of the
     equation and its consequences into itself; the spatial axes go first
-    so that D_a of an already restricted expression meets few hits.
+    so that D_a of an already restricted expression meets few hits.  The
+    rhs holds no consequence of the leading jet (PdeSpec checks it).
     """
     hits = ((key, 1),)
     got = pde._restrictions.get(hits)
@@ -167,11 +191,11 @@ def _jet_image(key: tuple, pde: PdeSpec, active: set) -> JetExpr:
     K = [a - b for a, b in zip(key[1], lead_mi)]
     axis = max((i for i, k in enumerate(K) if k), default=None)
     if axis is None:
-        got = _restrict(pde.rhs, pde, None, active)
+        got = pde.rhs
     else:
         lower = (dep, mi_bump(key[1], axis, -1))
-        got = _restrict(total_derivative(_jet_image(lower, pde, active), axis), pde,
-                        None, active)
+        got = JetExpr.from_pairs(
+            derivative_on_solutions(_jet_image(lower, pde, active), axis, pde, active))
     active.discard(key)
     pde._restrictions[hits] = got
     return got
@@ -194,15 +218,15 @@ def substitute_with_ledger(
             _jet_image(key, pde, set())
     inv_factor = JetExpr.number(1) / pde.factor
     dcache: dict[tuple, JetExpr] = {ZERO_MI: pde.rhs}
-    ledger_pairs: list[tuple[Rat, tuple]] = []
-    done: dict[tuple, Rat] = {}
+    ledger_pairs: list[tuple] = []
+    done: dict[tuple, object] = {}
     pending = list(e.terms)
     steps = 0
     while pending:
         mono, coeff = pending.pop()
         hits = _hits(mono[1], dep, lead_mi)
         if not hits:
-            c0 = done.get(mono, Rat(0)) + coeff
+            c0 = done.get(mono, 0) + coeff
             if c0:
                 done[mono] = c0
             else:
@@ -225,7 +249,7 @@ def substitute_with_ledger(
         pending.extend((rest_expr * repl).terms)
         g_term = rest_expr * inv_factor * JetExpr.jet(G_DEP, K)
         ledger_pairs.extend((c, m) for m, c in g_term.terms)
-    result = JetExpr(tuple(sorted(done.items(), key=lambda it: it[0])))
+    result = JetExpr.from_pairs((c, m) for m, c in done.items())
     return result, JetExpr.from_pairs(ledger_pairs)
 
 

@@ -20,12 +20,14 @@ from .jetexpr import (
     JetExpr,
     Rat,
     T,
+    _canon,
+    _collect,
+    _leibniz,
     _merge_pow,
     arbfun_mi,
     mi_bump,
     mi_order,
     partial,
-    total_derivative,
     total_derivative_mi,
     divergence,
 )
@@ -124,8 +126,9 @@ def is_total_spatial_divergence(e: JetExpr, dim: int) -> bool:
 def solve_linear(rows: Iterable[tuple[dict, Rat]], ncols: int) -> list[Rat] | None:
     """Solve a sparse exact linear system; free unknowns are set to zero.
 
-    `rows` yields (coefficients-by-column, rhs) pairs.  Returns the
-    solution vector, or None when the system is inconsistent.
+    `rows` yields (coefficients-by-column, rhs) pairs of ints and
+    Fractions.  Returns the solution vector, or None when the system is
+    inconsistent.
     """
     pivots: dict[int, tuple[dict, Rat]] = {}
     for row, rhs in rows:
@@ -139,7 +142,7 @@ def solve_linear(rows: Iterable[tuple[dict, Rat]], ncols: int) -> list[Rat] | No
                 for pc, pv in prow.items():
                     if pc == c:
                         continue
-                    nv = row.get(pc, Rat(0)) - factor * pv
+                    nv = row.get(pc, 0) - factor * pv
                     if nv:
                         row[pc] = nv
                     else:
@@ -147,20 +150,21 @@ def solve_linear(rows: Iterable[tuple[dict, Rat]], ncols: int) -> list[Rat] | No
                 rhs = rhs - factor * prhs
             else:
                 lead = row[c]
-                prow = {k: v / lead for k, v in row.items()}
-                pivots[c] = (prow, rhs / lead)
+                # through Fraction: int / int would be a float
+                prow = {k: _canon(Rat(v, lead)) for k, v in row.items()}
+                pivots[c] = (prow, _canon(Rat(rhs, lead)))
                 consumed = True
                 break
         if not consumed and rhs:
             return None
-    solution = [Rat(0)] * ncols
+    solution = [0] * ncols
     for c in sorted(pivots, reverse=True):
         prow, prhs = pivots[c]
         val = prhs
         for pc, pv in prow.items():
             if pc != c:
                 val -= pv * solution[pc]
-        solution[c] = val
+        solution[c] = _canon(val)
     return solution
 
 
@@ -170,8 +174,9 @@ def solve_ansatz(
     """Exact coefficients c with sum_col c_col * images[col] == targets.
 
     `columns` are (label, monomial) pairs, `images` yields each column's
-    image per target component, in column order; a generator keeps only
-    one image alive at a time.  There is one row per (component,
+    image per target component, in column order, as (coeff, monomial)
+    pairs that need not be merged (Leibniz pairs, say); a generator keeps
+    only one image alive at a time.  There is one row per (component,
     monomial) and free coefficients are pinned to zero, so the solution
     does not depend on the row order.  Returns {label: sum of c*monomial
     over the label's columns}, or None when the targets are out of reach.
@@ -182,8 +187,8 @@ def solve_ansatz(
             rows[comp, mm] = ({}, c)
     for col, image in enumerate(images):
         for comp, part in enumerate(image):
-            for mm, c in part.terms:
-                rows.setdefault((comp, mm), ({}, Rat(0)))[0][col] = c
+            for mm, c in _collect(part).items():
+                rows.setdefault((comp, mm), ({}, 0))[0][col] = c
     sol = solve_linear([rows[key] for key in sorted(rows)], len(columns))
     if sol is None:
         return None
@@ -198,7 +203,7 @@ def solve_ansatz(
 
 
 def _mono_expr(mono: tuple) -> JetExpr:
-    return JetExpr(((mono, Rat(1)),))
+    return JetExpr(((mono, 1),))
 
 
 def _mono_max_order(mono: tuple) -> int:
@@ -257,7 +262,7 @@ def build_pools(
         for d in axes:
             pools[d] |= new_by_dir[d]
             for cand in new_by_dir[d]:
-                for mm, _ in total_derivative(_mono_expr(cand), d).terms:
+                for mm in _collect(_leibniz(((cand, 1),), d)):
                     if mm not in seen:
                         seen.add(mm)
                         next_frontier.add(mm)
@@ -295,7 +300,7 @@ def invert_divergence(
     pools = build_pools(e, axes, order_bound, var_bounds, rounds)
     columns = [(d, m) for d in axes for m in pools[d]
                if sum(x for _, x in m[1]) <= degree_bound]
-    images = ((total_derivative(_mono_expr(m), d),) for d, m in columns)
+    images = ((_leibniz(((m, 1),), d),) for d, m in columns)
     sol = solve_ansatz(columns, images, (e,))
     if sol is None:
         raise AnsatzExhausted(

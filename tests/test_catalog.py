@@ -1,8 +1,10 @@
 """Catalog self-verification, typo repairs, and parameter instantiation."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 from topocharge import catalog as cat
 from topocharge import cli, conservation
@@ -239,3 +241,40 @@ class TestSharedCaseSpecs:
         assert not any(s is o for e in new for s in e.case_pdes.values()
                        for o in old_specs)
         assert len(calls) > 0
+
+
+class TestYamlLoaders:
+    """libyaml and the pure-Python loader read every shipped document alike."""
+
+    SHIPPED = sorted((Path(__file__).resolve().parents[1] / "manifests").glob("*.yaml"))
+
+    @pytest.mark.parametrize("source", [*cat.ENTRY_FILES, *SHIPPED],
+                             ids=lambda s: Path(s).name)
+    def test_equal_documents(self, source):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML without libyaml")
+        if not isinstance(source, Path):
+            source = Path(cat.__file__).parent / "catalog_data" / source
+        text = source.read_text(encoding="utf-8")
+        doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+        assert cat.load_yaml(text) == doc and doc
+
+    def test_refused_text_quotes_the_line(self):
+        with pytest.raises(yaml.YAMLError, match=r"pde: \[kp"):
+            cat.load_yaml("pde: [kp\n")
+
+
+class TestBindingValues:
+    @pytest.mark.parametrize("value", [1.0e-05, 1e+20, 0.01, 2.5])
+    def test_yaml_float_is_its_exact_decimal(self, value):
+        assert cat.numeric_params("vorticity", {"mu": value}) == {"mu": value}
+        doc = _read_yaml(cat._resolve("vorticity"))
+        (mu,) = cat._exact_params(doc, {"mu": value}).values()
+        assert mu == parse_expr(str(Fraction(repr(value))), 2)
+
+    @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2", "1e+20", "sqrt(2"])
+    def test_outside_the_grammar_names_the_accepted_forms(self, text):
+        with pytest.raises(ConstraintViolation) as exc:
+            cat.numeric_params("vorticity", {"mu": text})
+        assert "'mu'" in str(exc.value) and cat.BINDING_FORMS in str(exc.value)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from topocharge import catalog as cat
 from topocharge import cli
 from topocharge.cli import main
 
@@ -238,6 +239,29 @@ class TestSimulate:
         assert code == 0 and [rep.verdict for rep in reports] == ["satisfied"]
         assert abs(seen[0]["beta"] - 2.0 * math.sqrt(2.0 / 3.0)) <= 1e-15
         assert seen[0]["alpha"] == math.sqrt(2.0 / 3.0) and seen[0]["sigma"] == 1.0
+
+    @pytest.mark.parametrize("text, value", [("1.0e-05", 1e-05), ("1.0e+20", 1e20)])
+    def test_manifest_float_in_exponent_form(self, text, value, tmp_path, capsys,
+                                             monkeypatch):
+        seen = []
+        check = cli.check_constraint
+        monkeypatch.setattr(cli, "check_constraint",
+                            lambda *args, **kwargs: seen.append(args[3]) or check(*args, **kwargs))
+        path = tmp_path / "vorticity.yaml"
+        path.write_text(f"pde: vorticity\nparams: {{mu: {text}}}\n"
+                        "grid: {resolutions: [16, 16], periods: [6.283185307179586, "
+                        "6.283185307179586]}\nu0: {modes: [{a: 0.05, k: [1, 1]}]}\n"
+                        "constraints: [{density: u}]\n")
+        code, out, err = run(capsys, "simulate", "--manifest", str(path),
+                             "--out", str(tmp_path / "rep"))
+        assert (code, err) == (0, "") and "constraint: satisfied" in out
+        assert seen == [{"mu": value}]
+
+    @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2"])
+    def test_binding_outside_the_grammar(self, text, capsys):
+        code, out, err = run(capsys, "catalog", "show", "vorticity", "--params", f"mu={text}")
+        assert code == 2 and out == ""
+        assert f"parameter 'mu': {text!r} is not {cat.BINDING_FORMS}" in err
 
     def test_violating_datum_exits_3(self, tmp_path, capsys):
         manifest = {

@@ -24,7 +24,7 @@ from topocharge.conservation import (
     verify_current,
     verify_multiplier,
 )
-from topocharge.jetexpr import JetExpr, T, X, divergence, total_derivative
+from topocharge.jetexpr import JetExpr, T, X, curl, divergence, total_derivative
 from topocharge.parsing import parse_expr
 from topocharge.pde import (
     PdeSpec,
@@ -378,3 +378,53 @@ class TestCertificate:
                 for lower, upper in zip(pools, pools[1:]):
                     for feed, pool in lower.items():
                         assert pool <= upper[feed], (entry.name, ch.id, feed)
+
+
+UMKP_BINDINGS = {
+    "integrable": {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"},
+    "gardner": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
+    "equal-transverse": {"alpha": "1/2", "beta": "alpha", "sigma": "-1"},
+    "generic": {"alpha": "1/2", "beta": "2/3", "sigma": "1"},
+}
+
+
+class TestColumnImages:
+    """Each curl-witness column image is D_a|_E of the restricted column
+    monomial; it must equal the restriction of the curl, column by column."""
+
+    # searches with column monomials that hold a consequence of the leading jet
+    WITH_HIT_COLUMNS = {"kp", "nv", "umkp-integrable", "umkp-gardner", "umkp-generic"}
+
+    @staticmethod
+    def searched_entry(name):
+        if name.startswith("umkp-"):
+            return instantiate("umkp", UMKP_BINDINGS[name[len("umkp-"):]])
+        return get_entry(name)
+
+    @pytest.mark.parametrize("name", ["kp", "nv", "vorticity", "shear",
+                                      *(f"umkp-{case}" for case in UMKP_BINDINGS)])
+    def test_equal_to_the_restricted_curl(self, name, monkeypatch):
+        entry = self.searched_entry(name)
+        seen = {"columns": 0, "hits": 0}
+        solve = conservation.solve_ansatz
+
+        def checked(columns, images, targets):
+            images = list(images)
+            assert len(images) == len(columns)
+            npots = 1 if pde.dim == 2 else 3
+            for (pot, mono), image in zip(columns, images):
+                m = JetExpr(((mono, 1),))
+                theta = [m if i == pot else JetExpr.zero() for i in range(npots)]
+                want = tuple(substitute_on_solutions(c, pde) for c in curl(theta, pde.dim))
+                assert tuple(JetExpr.from_pairs(part) for part in image) == want, (pot, mono)
+                seen["columns"] += 1
+                seen["hits"] += substitute_on_solutions(m, pde) != m
+            return solve(columns, images, targets)
+
+        monkeypatch.setattr(conservation, "solve_ansatz", checked)
+        for ch, gamma, pde in charge_cases(entry):
+            if isinstance(ch.flux.nontrivial_up_to_order, int):
+                assert curl_witness_on_solutions(
+                    gamma, pde, ch.flux.nontrivial_up_to_order) is None
+        assert seen["columns"] > 0
+        assert (seen["hits"] > 0) == (name in self.WITH_HIT_COLUMNS)

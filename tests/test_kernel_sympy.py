@@ -105,11 +105,13 @@ def same(a, b) -> bool:
 
 
 def assert_canonical(e: JetExpr) -> None:
-    """Sorted distinct terms; every slot sorted by distinct keys; exponents reduced."""
+    """Sorted distinct terms; every slot sorted by distinct keys; exponents
+    reduced; each coefficient an int when integral, else a Fraction."""
     monos = [m for m, _ in e.terms]
     assert monos == sorted(monos) and len(set(monos)) == len(monos)
     for mono, coeff in e.terms:
-        assert isinstance(coeff, Fraction) and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
         for slot in mono:
             keys = [k for k, _ in slot]
             assert list(slot) == sorted(slot) and len(set(keys)) == len(keys)
@@ -254,3 +256,32 @@ def test_curl(theta, dim):
 @pytest.mark.parametrize("dim, pots", [(2, POTENTIALS_2D), (3, POTENTIALS_3D)])
 def test_curl_side_is_the_curl_of_the_potential_jets(dim, pots):
     assert curl_side(dim) == curl([JetExpr.jet(p) for p in pots], dim)
+
+
+# -- coefficient types --------------------------------------------------------
+
+ROOT_BINDINGS = (  # a free parameter bound to a root symbol, so its powers reduce
+    {"alpha": JetExpr.param(param_key("a", 2))},
+    {"alpha": JetExpr.param(param_key("b", Fraction(3, 5))) * Fraction(5, 3)},
+    {"alpha": JetExpr.param(param_key("c", -3), -1) * 3},
+)
+
+STEPS = {
+    "add": lambda a, b, unit, binding: a + b,
+    "mul": lambda a, b, unit, binding: a * b,
+    "scale": lambda a, b, unit, binding: a * Fraction(3, 2) * Fraction(2, 3),
+    "total_derivative": lambda a, b, unit, binding: total_derivative(a, X),
+    "substitute_params": lambda a, b, unit, binding: substitute_params(a, binding),
+    "div_unit": lambda a, b, unit, binding: div_unit(a, unit),
+}
+
+
+@given(exprs(), st.lists(st.tuples(st.sampled_from(sorted(STEPS)), small_exprs(),
+                                   st.sampled_from(UNITS), st.sampled_from(ROOT_BINDINGS)),
+                         min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_coefficients_stay_int_or_fraction(a, steps):
+    """No operation leaves a float or an integral Fraction behind."""
+    for name, b, unit, binding in steps:
+        a = STEPS[name](a, b, unit, binding)
+        assert_canonical(a)
