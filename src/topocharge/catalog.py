@@ -232,19 +232,21 @@ BINDING_FORMS = ("a rational, a whole sqrt(p/q), or an expression in parameters 
 
 
 def _parse_binding_value(value, dim: int, sym: SymbolTable, name: str):
-    """A binding: rational text, sqrt(p/q) with p/q >= 0, or an expression
-    in params; a YAML float is its exact decimal (1.0e-05 is 1/100000).
-    ValueError naming BINDING_FORMS for anything else."""
+    """A binding: rational or decimal text, sqrt(p/q) with p/q >= 0, or an
+    expression in params.  Decimal text and a YAML float are exact, exponent
+    form included (1e-5 and 1.0e-05 are 1/100000).  ValueError naming
+    BINDING_FORMS for anything else."""
     text = repr(value) if isinstance(value, float) else str(value).strip()
     try:
-        if isinstance(value, float):
-            return JetExpr.number(Fraction(text))
         if text.startswith("sqrt(") and text.endswith(")"):
             square = Fraction(text[5:-1])
             if square < 0:
                 raise ValueError(f"sqrt of a negative number {square}")
             return JetExpr.param(param_key(name, square))
-        return parse_expr(text, dim, sym)
+        try:
+            return JetExpr.number(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            return parse_expr(text, dim, sym)
     except ValueError as exc:
         raise ValueError(f"{text!r} is not {BINDING_FORMS} ({exc})") from None
 

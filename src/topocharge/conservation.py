@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jetexpr import JetExpr, T, arbfun_key, curl, divergence, total_derivative
+from .jetexpr import JET_SLOT, JetExpr, T, arbfun_key, curl, divergence, total_derivative
 from .pde import (
     PdeSpec,
     derivative_on_solutions,
@@ -22,7 +22,14 @@ from .pde import (
     substitute_on_solutions,
     substitute_with_ledger,
 )
-from .variational import AnsatzExhausted, _mono_expr, build_pools, euler_u, solve_ansatz
+from .variational import (
+    AnsatzExhausted,
+    _euler_sum,
+    _mono_expr,
+    build_pools,
+    euler_u,
+    solve_ansatz,
+)
 
 # Pool-growth rounds and pool-size cap of each curl-witness ansatz.
 CURL_ROUNDS = 2
@@ -269,6 +276,11 @@ def nontriviality_certificate(
     bound whose ansatz pools fit the cap decides: "trivial" if a witness
     exists, else that bound.  None means every bound exhausted the cap.
 
+    Where `not_a_curl_on_solutions` proves that no witness exists at any
+    order (every searched catalog charge but NV's), each bound still builds
+    its pools, so the bound returned is still the first that fits the cap,
+    but the column images and the solve are skipped.
+
     This is the value of the ascending search that stops at the first
     exhausted bound: pools only filter by order, so pool(b) is a subset of
     pool(b+1) and a bound that exhausts the cap makes every higher one
@@ -300,22 +312,65 @@ def nontriviality_certificate(
 
 
 def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
+    proven = not_a_curl_on_solutions(gamma, pde)
     for bound in range(order_bound, min(2, order_bound) - 1, -1):
         try:
-            witness = curl_witness_on_solutions(gamma, pde, bound)
+            witness = curl_witness_on_solutions(gamma, pde, bound, proven)
         except AnsatzExhausted:
             continue
         return "trivial" if witness is not None else bound
     return None
 
 
-def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
+def not_a_curl_on_solutions(gamma: tuple, pde: PdeSpec) -> bool:
+    """True when Gamma|_E is proven not to be a curl on solutions at any order.
+
+    Take a spatial axis a such that the leading jet has no derivative along
+    any other spatial axis b.  Then D_b maps jets free of the leading jet's
+    consequences to such jets, so D_b acts freely on solutions, and
+    Gamma = curl(theta) on solutions puts Gamma_a|_E in the sum of the
+    images of the D_b.  Every Euler operator over the axes b annihilates
+    that sum (Olver, Applications of Lie Groups to Differential Equations,
+    Thm 4.7), each family of u-jets of one t-order and one a-order counting
+    as a field; coordinates and arbitrary functions are explicit functions
+    of the independent variables (under a rule such as shear's biharmonic
+    one, the canonical derivatives of phi can still take any values at a
+    point).  So one nonzero image is a proof.  False decides nothing: no
+    axis qualifies (NV's u_txy) or every image vanishes.
+    """
+    lead = pde.leading[1]
+    spatial = range(1, pde.dim + 1)
+    for a in spatial:
+        if any(lead[b] for b in spatial if b != a):
+            continue
+        g_a = substitute_on_solutions(gamma[a - 1], pde)
+
+        def family(key):
+            return key[0], key[1][T], key[1][a]
+
+        # the highest families occur in the fewest terms: cheapest first
+        for fam in sorted({family(k) for k in g_a.jet_keys()}, reverse=True):
+            def field(key, fam=fam):
+                if family(key) != fam:
+                    return None
+                return tuple(0 if axis in (T, a) else n for axis, n in enumerate(key[1]))
+
+            if not _euler_sum(g_a, JET_SLOT, field).is_zero():
+                return True
+    return False
+
+
+def curl_witness_on_solutions(
+    gamma: tuple, pde: PdeSpec, order_bound: int, proven: bool = False
+):
     """Search for a skew potential with Gamma|_E = curl(theta)|_E.
 
     The ansatz for each potential component is drawn from antiderivative
     closures of the flux components it feeds.  Returns the potential
     (scalar in 2D, 3-vector in 3D) or None, which certifies
-    non-triviality up to `order_bound`.
+    non-triviality up to `order_bound`.  With `proven` (a true
+    `not_a_curl_on_solutions`) the pools are still built, so AnsatzExhausted
+    is raised as before, but None is returned without the solve.
     """
     dim = pde.dim
     if dim not in (2, 3):
@@ -343,6 +398,8 @@ def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
                                         CURL_ROUNDS, CURL_POOL_CAP)[axis])
         feeds.append(fed)
         columns.extend((pot, m) for m in sorted(pool))
+    if proven:
+        return None
 
     def image(pot: int, m: tuple) -> list:
         """curl(theta)|_E as (coeff, monomial) pairs per component; a

@@ -273,7 +273,19 @@ class TestBindingValues:
         (mu,) = cat._exact_params(doc, {"mu": value}).values()
         assert mu == parse_expr(str(Fraction(repr(value))), 2)
 
-    @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2", "1e+20", "sqrt(2"])
+    @pytest.mark.parametrize("text, value", [("1e-5", Fraction(1, 100000)),
+                                             ("1e+20", Fraction(10**20)),
+                                             ("-25E-4", Fraction(-1, 400))],
+                             ids=["1e-5", "1e+20", "-25E-4"])
+    def test_exponent_text_binds_exactly(self, text, value):
+        # YAML 1.1 reads a float without a decimal point (mu: 1e-5) as text
+        assert yaml.safe_load(f"mu: {text}") == {"mu": text}
+        assert cat.numeric_params("vorticity", {"mu": text}) == {"mu": float(value)}
+        doc = _read_yaml(cat._resolve("vorticity"))
+        (mu,) = cat._exact_params(doc, {"mu": text}).values()
+        assert mu == parse_expr(str(value), 2)
+
+    @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2", "sqrt(2"])
     def test_outside_the_grammar_names_the_accepted_forms(self, text):
         with pytest.raises(ConstraintViolation) as exc:
             cat.numeric_params("vorticity", {"mu": text})

@@ -240,7 +240,9 @@ class TestSimulate:
         assert abs(seen[0]["beta"] - 2.0 * math.sqrt(2.0 / 3.0)) <= 1e-15
         assert seen[0]["alpha"] == math.sqrt(2.0 / 3.0) and seen[0]["sigma"] == 1.0
 
-    @pytest.mark.parametrize("text, value", [("1.0e-05", 1e-05), ("1.0e+20", 1e20)])
+    # YAML reads 1e-5 and 1e+20 (no decimal point) as text, not as floats
+    @pytest.mark.parametrize("text, value", [("1.0e-05", 1e-05), ("1.0e+20", 1e20),
+                                             ("1e-5", 1e-05), ("1e+20", 1e20)])
     def test_manifest_float_in_exponent_form(self, text, value, tmp_path, capsys,
                                              monkeypatch):
         seen = []
@@ -256,6 +258,10 @@ class TestSimulate:
                              "--out", str(tmp_path / "rep"))
         assert (code, err) == (0, "") and "constraint: satisfied" in out
         assert seen == [{"mu": value}]
+
+    def test_params_exponent_text(self, capsys):
+        code, out, err = run(capsys, "catalog", "show", "vorticity", "--params", "mu=1e+20")
+        assert (code, err) == (0, "") and "vorticity" in out
 
     @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2"])
     def test_binding_outside_the_grammar(self, text, capsys):

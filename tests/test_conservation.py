@@ -1,6 +1,7 @@
 """Conservation-law mechanics: verification, splitting, reduction, identities."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from topocharge.conservation import (
     curl_witness_on_solutions,
     divergence_identity,
     nontriviality_certificate,
+    not_a_curl_on_solutions,
     reduce_to_spatial_flux,
     split_by_arbitrary_function,
     trivializing_potentials,
@@ -303,6 +305,14 @@ def largest_pool(gamma, pde, bound):
     return max(len(pool) for pool in feed_pools(gamma, pde, bound).values())
 
 
+UMKP_BINDINGS = {
+    "integrable": {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"},
+    "gardner": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
+    "equal-transverse": {"alpha": "1/2", "beta": "alpha", "sigma": "-1"},
+    "generic": {"alpha": "1/2", "beta": "2/3", "sigma": "1"},
+}
+
+
 class TestCertificate:
     def test_curl_on_solutions_is_trivial(self, kp):
         # Gamma = curl(x*u_t); its y-component only reads as a curl after
@@ -311,10 +321,11 @@ class TestCertificate:
         gamma = (total_derivative(theta, 2), -total_derivative(theta, 1))
         assert nontriviality_certificate(gamma, kp.pde) == "trivial"
 
-    @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity"])
+    @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity", "umkp",
+                                      *(f"umkp-{case}" for case in UMKP_BINDINGS)])
     def test_matches_ascending_ladder(self, name):
         searched = 0
-        for ch, gamma, pde in charge_cases(get_entry(name)):
+        for ch, gamma, pde in charge_cases(TestColumnImages.searched_entry(name)):
             cert = nontriviality_certificate(gamma, pde)
             if cert != "u_t-certificate":
                 assert cert == ascending_ladder(gamma, pde), ch.id
@@ -380,14 +391,6 @@ class TestCertificate:
                         assert pool <= upper[feed], (entry.name, ch.id, feed)
 
 
-UMKP_BINDINGS = {
-    "integrable": {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"},
-    "gardner": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
-    "equal-transverse": {"alpha": "1/2", "beta": "alpha", "sigma": "-1"},
-    "generic": {"alpha": "1/2", "beta": "2/3", "sigma": "1"},
-}
-
-
 class TestColumnImages:
     """Each curl-witness column image is D_a|_E of the restricted column
     monomial; it must equal the restriction of the curl, column by column."""
@@ -428,3 +431,84 @@ class TestColumnImages:
                     gamma, pde, ch.flux.nontrivial_up_to_order) is None
         assert seen["columns"] > 0
         assert (seen["hits"] > 0) == (name in self.WITH_HIT_COLUMNS)
+
+
+def curl_atoms(entry, normal: bool) -> list:
+    """Coordinates, u-jets of spatial order <= 2 with and without one t, and
+    shear's phi, phi_y, phi_z; `normal` drops the consequences of the
+    leading jet."""
+    space = "xyz"[:entry.dim]
+    pairs = [a + b for i, a in enumerate(space) for b in space[i:]]
+    jets = [f"u_{t}{k}" for t in ("", "t") for k in (*space, *pairs)] + ["u", "u_t"]
+    out = [*jets, *space, "t"] + (["phi", "phi_y", "phi_z"] if entry.name == "shear" else [])
+    if normal:
+        out = [a for a in out if substitute_on_solutions(expr(entry, a), entry.pde)
+               == expr(entry, a)]
+    return out
+
+
+def random_curls(entry, seed: int, count: int, normal: bool) -> list:
+    """`count` seeded random curls on solutions: curl(theta) of a polynomial
+    potential theta, plus in each component a multiple of a derivative of
+    G, which vanishes on solutions."""
+    rng = random.Random(f"{entry.name}-{seed}")
+    atoms = curl_atoms(entry, normal)
+    npots = 1 if entry.dim == 2 else 3
+
+    def poly(terms):
+        return expr(entry, " + ".join(
+            f"{rng.choice((1, 2, -3, '1/2'))}*" + "*".join(rng.sample(atoms, rng.randint(1, 3)))
+            for _ in range(terms)))
+
+    out = []
+    for _ in range(count):
+        theta = [poly(rng.randint(1, 3)) for _ in range(npots)]
+        out.append(tuple(c + poly(1) * total_derivative(entry.pde.G, rng.randint(0, entry.dim))
+                         for c in curl(theta, entry.dim)))
+    return out
+
+
+class TestNotACurl:
+    """The Euler-operator proof that Gamma is not a curl on solutions."""
+
+    CURL_ENTRIES = ["kp", "umkp", "vorticity", "shear", "nv"]
+
+    @pytest.mark.parametrize("name", CURL_ENTRIES)
+    def test_genuine_curls_never_fire(self, name):
+        entry = get_entry(name)
+        for gamma in random_curls(entry, 1, 60, normal=False):
+            assert not not_a_curl_on_solutions(gamma, entry.pde), gamma
+
+    @pytest.mark.parametrize("name", CURL_ENTRIES)
+    def test_normal_curls_stay_trivial(self, name):
+        # potentials free of leading-jet consequences are in the search's reach
+        entry = get_entry(name)
+        for gamma in random_curls(entry, 2, 4 if name == "shear" else 12, normal=True):
+            assert not not_a_curl_on_solutions(gamma, entry.pde), gamma
+            assert nontriviality_certificate(gamma, entry.pde) == "trivial", gamma
+
+    # NV's leading jet u_txy differentiates along both spatial axes
+    @pytest.mark.parametrize("name, proven", [
+        ("kp", True), ("umkp", True), ("vorticity", True), ("shear", True), ("nv", False),
+        *((f"umkp-{case}", True) for case in UMKP_BINDINGS)])
+    def test_decides_the_searched_charges(self, name, proven):
+        searched = [(ch, gamma, pde) for ch, gamma, pde
+                    in charge_cases(TestColumnImages.searched_entry(name))
+                    if isinstance(ch.flux.nontrivial_up_to_order, int)]
+        assert searched
+        for ch, gamma, pde in searched:
+            assert not_a_curl_on_solutions(gamma, pde) == proven, ch.id
+
+    @pytest.mark.parametrize("name, charge_id, solves",
+                             [("kp", "charge-3", False), ("umkp", "charge-4", False),
+                              ("nv", "charge-2", True)])
+    def test_proof_skips_the_solve(self, name, charge_id, solves, monkeypatch):
+        (ch, gamma, pde), = [c for c in charge_cases(get_entry(name)) if c[0].id == charge_id]
+        calls = []
+        solve = conservation.solve_ansatz
+        monkeypatch.setattr(conservation, "solve_ansatz",
+                            lambda *args: calls.append(args) or solve(*args))
+        cert = nontriviality_certificate(gamma, dataclasses.replace(pde))
+        assert bool(calls) == solves
+        assert cert == ch.flux.nontrivial_up_to_order
+
