@@ -34,10 +34,13 @@ constraint guard evaluates the inverted blocks on the zero set of P
 alone, by the same elementwise expression; the whole-spectrum scale it
 compares against is built only when that plane exceeds mean_tol.
 
-Time stepping is classical RK4 with a step controlled by the largest
-linear spectral symbol over the 2/3-dealiased modes plus an advective
-estimate.  Each step evaluates the right-hand side four times; the step
-estimate reads u off the first of them.
+Time stepping is classical RK4.  Its step is set by the frozen-coefficient
+symbol of the plan: max|L| over the 2/3-dealiased modes plus, for each part
+i and each jet u_K it reads, max_k|W_i (ik)^K| times max|d terms_i / d u_K|.
+The first of a step's four right-hand sides holds those jets, so the
+estimate takes no transform, and a jet the plan never reads (u itself in
+potential KdV) cannot shrink the step.  The three later stage inputs are
+formed in one reused buffer.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .grids import (GridField, SpectralEvaluator, compile_terms, dealias_mask, ik_symbol, to_grid,
                     to_spectrum)
-from .jetexpr import ZERO_MI, JetExpr, T
+from .jetexpr import JetExpr, T
 from .pde import PdeSpec
 from .printing import to_source
 from .variational import AnsatzExhausted, invert_divergence, is_total_spatial_divergence
@@ -129,6 +132,16 @@ def _weighted(blocks: list, u_hat: np.ndarray, hats) -> np.ndarray | float:
     return out
 
 
+def _jacobian(terms: list) -> list:
+    """[(mi, d terms / d u_mi)] over the jets of compiled terms."""
+    out = {}
+    for c, jets in terms:
+        for j, (mi, p) in enumerate(jets):
+            rest = jets[:j] + (((mi, p - 1),) if p > 1 else ()) + jets[j + 1:]
+            out.setdefault(mi, []).append((c * p, rest))
+    return list(out.items())
+
+
 def _divergence_flux(e: JetExpr, dim: int) -> tuple | None:
     """Phi with Div Phi == the nonlinear part N of e, when N is quadratic,
     Phi is free of x, y, z, and evaluating sum_a D_a Phi_a takes fewer
@@ -168,8 +181,7 @@ class KhatEvolver:
         if pde.dim != grid.dim:
             raise EvolutionError("grid dimension does not match the PDE")
         self.grid = grid
-        mask = dealias_mask(grid.shape)
-        self.mask = mask[..., : grid.shape[-1] // 2 + 1]
+        self.mask = dealias_mask(grid.shape)[..., : grid.shape[-1] // 2 + 1]
         self.ev = SpectralEvaluator(grid)
         self.mean_tol = mean_tol
 
@@ -204,10 +216,11 @@ class KhatEvolver:
                                      [(w[at], terms) for w, terms in b.nonlinear], b.phi)
                               for b in self.inverted]
         self.rhs_calls = 0
-        # |symbol| is even in k, so its maximum over the half-spectrum is that of the full one
+        # |symbol| is even in k, so its maxima over the half-spectrum are those of the full one
         self._sym_max = float(np.max(np.abs(self._L * self.mask)))
-        self._kmax = max(float(np.max(np.abs(grid.wavenumbers(a) * mask)))
-                         for a in range(self.dim))
+        # per part i and jet u_K: (max_k |W_i (ik)^K|, d terms_i / d u_K), the step's rate terms
+        self._rates = [(float(np.max(np.abs(w * ik_symbol(grid, mi[1:])))), d)
+                       for w, terms in self._parts for mi, d in _jacobian(terms)]
 
     def _symbol(self, linear: list) -> np.ndarray:
         out = np.zeros(self.mask.shape, dtype=complex)
@@ -237,7 +250,8 @@ class KhatEvolver:
             self._guard(u_hat, hats)
         ut_hat = self._L * u_hat
         for (weight, _terms), hat in zip(self._parts, hats):
-            ut_hat += weight * hat
+            hat *= weight
+            ut_hat += hat
         if forcing is not None:
             zero = (0,) * self.dim
             ut_hat[zero] += forcing(t) * self.grid.data.size
@@ -265,26 +279,36 @@ class KhatEvolver:
         return to_grid(self.rhs_hat(u_hat, field.time, forcing), field.shape)
 
     def dt_estimate(self, u_hat: np.ndarray, cfl: float) -> float:
-        """The RK4 step for the state u_hat.  When u_hat is the array the last
-        rhs_hat call was given (and has not been changed since), its grid
-        values come from that call."""
-        u = self.ev.jet(ZERO_MI) if self.ev.holds(u_hat) else to_grid(u_hat, self.grid.shape)
-        amp = float(np.max(np.abs(u)))
-        rate = self._sym_max + self._kmax * (amp + amp * amp) + 1e-12
-        return cfl * RK4_IMAG_LIMIT / rate
+        """cfl * RK4_IMAG_LIMIT over the rate of the module docstring at u_hat.
+        When u_hat is the array the last rhs_hat call was given (and has not
+        been changed since), its jets come from that call, without a transform."""
+        if not self.ev.holds(u_hat):
+            self.ev.reset(u_hat)
+        rate = self._sym_max + sum(s * float(np.abs(self.ev.terms(d)).max())
+                                   for s, d in self._rates)
+        return cfl * RK4_IMAG_LIMIT / (rate + 1e-12)
 
 
-def _rk4_step(rhs, state, k1, t, dt, forcing):
+def _rk4_step(rhs, state, k1, t, dt, forcing, stage=None):
     """state + (dt/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = rhs(state, t, forcing).
 
-    The stages are combined in place, in that expression's association
-    order, so the result is bit-identical to it; k1 holds the result.
+    The stage inputs state + h k are formed in turn in `stage` (an array
+    like state, allocated when None), and the stages are combined in place,
+    in that expression's association order, so the result is bit-identical
+    to it; k1 holds the result.
     """
-    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt, forcing)
-    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt, forcing)
-    k4 = rhs(state + dt * k3, t + dt, forcing)
-    k1 += 2.0 * k2
-    k1 += 2.0 * k3
+    stage = np.empty_like(state) if stage is None else stage
+
+    def at(h, k):
+        return np.add(np.multiply(k, h, out=stage), state, out=stage)
+
+    k2 = rhs(at(0.5 * dt, k1), t + 0.5 * dt, forcing)
+    k3 = rhs(at(0.5 * dt, k2), t + 0.5 * dt, forcing)
+    k4 = rhs(at(dt, k3), t + dt, forcing)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
     k1 += k4
     k1 *= dt / 6.0
     k1 += state
@@ -308,6 +332,7 @@ def evolve(
     and right-hand sides taken and the range of the steps' dt.
     """
     state = to_spectrum(u0.data) * evolver.mask
+    stage = np.empty_like(state)
     calls, steps, dt_min, dt_max = evolver.rhs_calls, 0, math.inf, 0.0
     sample_times = [t_end * i / (n_samples - 1) for i in range(n_samples)] if n_samples > 1 else [0.0, t_end]
     t = 0.0
@@ -328,7 +353,7 @@ def evolve(
                 raise CflViolation(f"step estimate degenerate at t={t}")
             step = min(step, target - t)
             dt_min, dt_max = min(dt_min, step), max(dt_max, step)
-            state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing)
+            state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing, stage)
             t += step
             steps += 1
             if steps > max_steps:

@@ -76,9 +76,6 @@ class GridField:
         shape[axis] = n
         return c.reshape(shape)
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        return _wavenumbers(self.shape, self.periods, axis)
-
     def cell_volume(self) -> float:
         return float(np.prod(self.periods))
 
@@ -176,6 +173,9 @@ class SpectralEvaluator:
     `fields` maps a time-derivative order to grid values; a jet without
     spatial derivatives returns them as given, other jets transform them
     once.  `reset(u_hat)` starts over from the half-spectrum of u alone.
+    Each multi-index is checked and resolved to its time order and
+    derivative symbol once per evaluator; after that a jet is one lookup,
+    one multiply and one transform.
     """
 
     def __init__(self, grid: GridField, fields: dict[int, np.ndarray] | None = None):
@@ -183,7 +183,7 @@ class SpectralEvaluator:
         self.fields = fields or {}
         self._hats: dict[int, np.ndarray] = {}
         self._jets: dict[tuple, np.ndarray] = {}
-        self._symbols: dict[tuple, np.ndarray | None] = {}  # None: no derivative
+        self._plan: dict[tuple, tuple] = {}  # mi -> (time order, symbol or None)
 
     def reset(self, u_hat: np.ndarray):
         self.fields = {}
@@ -194,28 +194,29 @@ class SpectralEvaluator:
         """True iff the last reset was given this very array."""
         return self._hats.get(0) is u_hat
 
+    def _resolve(self, mi: tuple) -> tuple:
+        order = mi_order(mi[1:])
+        if order > MAX_STENCIL_ORDER:
+            raise DerivativeOrderTooHigh(
+                f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
+        plan = self._plan[mi] = (mi[T], ik_symbol(self.grid, mi[1:]) if order else None)
+        return plan
+
     def jet(self, mi: tuple) -> np.ndarray:
         got = self._jets.get(mi)
         if got is not None:
             return got
-        t_order, spatial = mi[T], mi[1:]
-        if spatial not in self._symbols:  # each symbol is resolved once per evaluator
-            order = mi_order(spatial)
-            if order > MAX_STENCIL_ORDER:
-                raise DerivativeOrderTooHigh(
-                    f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
-            self._symbols[spatial] = ik_symbol(self.grid, spatial) if order else None
-        symbol = self._symbols[spatial]
-        if t_order not in self.fields and t_order not in self._hats:
-            raise MissingTimeDerivative(
-                f"expression needs d_t^{t_order} u but only orders "
-                f"{sorted(self.fields)} are bound"
-            )
+        t_order, symbol = self._plan.get(mi) or self._resolve(mi)
         if symbol is None and t_order in self.fields:
             out = np.asarray(self.fields[t_order], dtype=float)
         else:
             hat = self._hats.get(t_order)
             if hat is None:
+                if t_order not in self.fields:
+                    raise MissingTimeDerivative(
+                        f"expression needs d_t^{t_order} u but only orders "
+                        f"{sorted(self.fields)} are bound"
+                    )
                 hat = self._hats[t_order] = to_spectrum(self.fields[t_order])
             out = to_grid(hat if symbol is None else hat * symbol, self.grid.shape)
         self._jets[mi] = out
@@ -227,9 +228,9 @@ class SpectralEvaluator:
         for factor, jets in terms:
             value = factor
             for mi, p in jets:
-                value = value * self.jet(mi) ** p
+                value = value * (self.jet(mi) if p == 1 else self.jet(mi) ** p)
             total = value if total is None else total + value
-        if np.shape(total) != self.grid.shape:  # no term has a u-jet
+        if getattr(total, "shape", None) != self.grid.shape:  # no term has a u-jet
             total = np.full(self.grid.shape, 0.0 if total is None else total)
         return total
 

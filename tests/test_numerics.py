@@ -375,6 +375,16 @@ class TestEvolution:
         with pytest.raises(CflViolation, match="blew up"):
             evolve(ev, u0, 50 * dt, n_samples=2, dt=dt, blowup=peak * (1 - 1e-9))
 
+    def test_constant_shift_keeps_the_step(self):
+        # u -> u + c is an exact symmetry of potential KdV, whose plan reads u_x alone
+        kdv = get_entry("kdv_lagrangian")
+        x = np.arange(64) * TWO_PI / 64
+        steps = []
+        for c in (0.0, 1.0, 10.0):
+            g = GridField(0.15 * np.sin(x) + c, (TWO_PI,))
+            steps.append(evolve(KhatEvolver(kdv.pde, g, {}), g, 0.01, n_samples=2).meta["steps"])
+        assert steps == [steps[0]] * 3
+
     def test_nv_smoke(self):
         n = 32
         x = np.arange(n) * TWO_PI / n
@@ -567,20 +577,25 @@ def evolver_pair(name, field, monkeypatch, **kwargs):
     return built, direct
 
 
-def transforms_per_rhs(ev, u_hat, monkeypatch):
+def fft_calls(call, monkeypatch, names=("rfftn", "irfftn")):
+    """The names of the np.fft functions among `names` that call() calls, in order."""
     calls = []
 
-    def counted(transform):
+    def counted(name, transform):
         def wrapper(*args, **kwargs):
-            calls.append(transform)
+            calls.append(name)
             return transform(*args, **kwargs)
         return wrapper
 
     with monkeypatch.context() as m:
-        for name in ("rfftn", "irfftn"):
-            m.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        ev.rhs_hat(u_hat, 0.0)
-    return len(calls)
+        for name in names:
+            m.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        call()
+    return calls
+
+
+def transforms_per_rhs(ev, u_hat, monkeypatch):
+    return len(fft_calls(lambda: ev.rhs_hat(u_hat, 0.0), monkeypatch))
 
 
 class TestDivergenceFlux:
@@ -653,6 +668,40 @@ class TestDivergenceFlux:
         assert np.array_equal(got, want)
         assert np.array_equal(state, before)
 
+    def test_buffered_rk4_step_is_bit_identical(self):
+        g = grid_2d(32, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        state = np.fft.rfftn(g.data) * ev.mask
+        t, dt = 0.1, 3e-3
+        k1 = ev.rhs_hat(state, t)
+        k2 = ev.rhs_hat(state + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = ev.rhs_hat(state + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = ev.rhs_hat(state + dt * k3, t + dt)
+        want = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        before = state.copy()
+        stage = np.full_like(state, np.nan)
+        got = _rk4_step(ev.rhs_hat, state, k1.copy(), t, dt, None, stage)
+        assert np.array_equal(got, want)
+        assert np.array_equal(state, before)
+        assert np.array_equal(stage, state + dt * k3)  # the last stage input
+
+    def test_step_estimate_sees_only_the_state_of_its_first_stage(self, monkeypatch):
+        # the stage buffer is what the evaluator holds after a step, never the state
+        g = grid_2d(32, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        seen = []
+        estimate = KhatEvolver.dt_estimate
+
+        def checked(self, u_hat, cfl):
+            held = self.ev.holds(u_hat)
+            got = estimate(self, u_hat, cfl)
+            seen.append((held, got == estimate(self, u_hat.copy(), cfl)))
+            return got
+
+        monkeypatch.setattr(KhatEvolver, "dt_estimate", checked)
+        evolve(ev, g, 0.02, n_samples=3)
+        assert seen and all(held and fresh for held, fresh in seen)
+
     def test_step_estimate_reuses_the_first_stage(self):
         g = grid_2d(32, modes=((1, 1), (2, 1)))
         ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
@@ -660,6 +709,48 @@ class TestDivergenceFlux:
         ev.rhs_hat(state, 0.0)
         assert ev.ev.holds(state)
         assert ev.dt_estimate(state, 0.5) == ev.dt_estimate(state.copy(), 0.5)
+
+
+class TestStepEstimate:
+    """The RK4 step from the frozen-coefficient symbol of the compiled plan."""
+
+    @pytest.mark.parametrize("name, shape", [
+        ("kdv_lagrangian", (64,)), ("kp", (32, 32)), ("nv", (32, 32)), ("vorticity", (32, 32)),
+        ("umkp", (32, 20)), ("shear", (16, 20, 16))])
+    def test_no_transform_on_the_state_it_holds(self, name, shape, monkeypatch):
+        field = masked_noise(shape, seed=4, periods=(TWO_PI,) * len(shape))
+        ev, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        ev.rhs_hat(u_hat, 0.0)
+        held, fresh = [], []
+        every = np.fft.__all__
+        assert fft_calls(lambda: held.append(ev.dt_estimate(u_hat, 0.5)), monkeypatch, every) == []
+        # a copy is not held, so its jets are transformed afresh, to the same estimate
+        assert fft_calls(lambda: fresh.append(ev.dt_estimate(u_hat.copy(), 0.5)), monkeypatch,
+                         every)
+        assert held == fresh
+
+    def test_kdv_rate(self):
+        n = 256
+        field = masked_noise((n,), seed=8, periods=(TWO_PI,))
+        ev = KhatEvolver(get_entry("kdv_lagrangian").pde, field, {})
+        u_hat = np.fft.rfft(field.data) * ev.mask
+        u_x = np.fft.irfft(1j * np.arange(n // 2 + 1) * u_hat, n)
+        # the plan is mask * rfft(-u_x^2/2) beside L = -(ik)^3, masked to |k| <= 85
+        rate = 85 * np.max(np.abs(u_x)) + 85 ** 3
+        want = 0.5 * evolution.RK4_IMAG_LIMIT / rate
+        assert ev.dt_estimate(u_hat, 0.5) == pytest.approx(want, rel=1e-12)
+
+    def test_kp_rate(self):
+        g = grid_2d(64, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        u_hat = np.fft.rfftn(g.data) * ev.mask
+        u = np.fft.irfftn(u_hat, g.shape, axes=(0, 1))
+        # the plan is ik_x mask * rfftn(-u^2/2) beside |L| = |k_x^3 - k_y^2/k_x|, which
+        # peaks at |k_x| = 21, k_y = 0 on the masked modes
+        rate = 21 * np.max(np.abs(u)) + 21 ** 3
+        want = 0.5 * evolution.RK4_IMAG_LIMIT / rate
+        assert ev.dt_estimate(u_hat, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 def rhs_by_blocks(ev, u_hat):
