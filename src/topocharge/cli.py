@@ -32,7 +32,7 @@ from .grids import MIN_RESOLUTION, GridError, GridField, TimeFunction, evaluate_
 from .jetexpr import JetExpr, T
 from .parsing import ParseError
 from .potential import UnsupportedDimension, build_potential_system
-from .printing import to_source, vector_source
+from .printing import jet_name, to_source, vector_source
 from .quadrature import LOOP_METHODS, ChargeReport, CurveSpec, check_constraint, loop_integral
 
 EXIT_OK = 0
@@ -82,8 +82,6 @@ def cmd_catalog(args) -> int:
     print(f"dim: {entry.dim}")
     print(f"G: {to_source(entry.pde.G)}")
     dep, mi = entry.pde.leading
-    from .printing import jet_name
-
     print(f"leading: {jet_name((dep, mi))}")
     if entry.pde.div_form:
         print(f"div_form: k={'txyz'[entry.pde.div_form.k_axis]} "
@@ -193,102 +191,104 @@ def cmd_potential(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-# the keys a manifest may use: a nested table names the keys of a mapping (or
-# of each mapping in a list), None leaves the value to the reader of the key
-_CURVE_KEYS = {"rect": None}
-MANIFEST_KEYS = {
-    "pde": None, "params": None, "t_end": None, "samples": None, "cfl": None, "dt": None,
-    "f": None, "interp": None, "seed": None, "out": None,
-    "grid": {"resolutions": None, "periods": None},
-    "u0": {"expr": None, "constant": None, "modes": {"a": None, "k": None, "phase": None}},
-    "constraints": {"density": None, "tolerance": None},
-    "charges": {"id": None, "tolerance": None, "curve": _CURVE_KEYS},
-    "checks": {"type": None, "tolerance": None, "curve": _CURVE_KEYS},
+def _read(value, kind, path: str = ""):
+    """value read as a MANIFEST kind and named by its key path.
+
+    A table refuses keys it does not name and drops null values, so a null
+    key takes its default; an int refuses a number with a fractional part.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise UsageError(f"{path} must be a list, got {value!r}")
+        # a number in a list is named by the list, a mapping by its index
+        return [_read(item, kind[0], path if kind[0] in (int, float) else f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    if kind in (int, float):
+        try:
+            if isinstance(value, bool):  # YAML reads true, yes and on as booleans
+                raise TypeError
+            number = kind(value)
+            integral = kind is float or number == float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"{path} must be a number, got {value!r}") from None
+        if not integral:
+            raise UsageError(f"{path} must be an integer, got {value!r}")
+        return number
+    if not isinstance(kind, (type, dict)):
+        return kind(value, path)
+    if kind in (str, Path):
+        if not isinstance(value, str):
+            raise UsageError(f"{path} must be {'a path' if kind is Path else 'text'}, "
+                             f"got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise UsageError(f"{path or 'a manifest'} must be a mapping, got {value!r}")
+    if kind is dict:
+        return value
+    where = f"{path}." if path else ""
+    unknown = [f"{where}{key}" for key in value if key not in kind]
+    if unknown:
+        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
+    return {key: _read(item, kind[key], f"{where}{key}")
+            for key, item in value.items() if item is not None}
+
+
+def _u0(value, path: str) -> dict:
+    """u0 is a table; an expression is short for {expr: ...}."""
+    return _read({"expr": value} if isinstance(value, str) else value, _U0, path)
+
+
+def _check(value, path: str) -> dict:
+    """A check: its type picks its key table and its default tolerance."""
+    kind = _read(value, dict, path).get("type")
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise UsageError(f"unknown check type {kind!r} (known: {', '.join(CHECKS)})")
+    keys, tolerance = CHECKS[kind]
+    return {"tolerance": tolerance} | _read(value, keys, path)
+
+
+# The manifest format.  A key's kind is str (text), Path (a path), dict (a
+# mapping its reader checks), float or int, a nested table, a one-item list
+# of a kind, or a function that reads the value.
+_CURVE = {"rect": [float]}
+_U0 = {"expr": str, "constant": float, "modes": [{"a": float, "k": [int], "phase": [float]}]}
+# check types: their keys and default tolerance (None is resolution doubling)
+CHECKS = {"mass": ({"type": str, "tolerance": float}, 1e-9),
+          "balance": ({"type": str, "tolerance": float, "curve": _CURVE}, None)}
+MANIFEST = {
+    "pde": str, "params": dict, "t_end": float, "samples": int, "cfl": float, "dt": float,
+    "f": str, "interp": str, "seed": int, "out": Path,
+    "grid": {"resolutions": [int], "periods": [float]},
+    "u0": _u0,
+    "constraints": [{"density": str, "tolerance": float}],
+    "charges": [{"id": str, "tolerance": float, "curve": _CURVE}],
+    "checks": [_check],
 }
-# check types and their default tolerances; None is resolution doubling
-CHECK_TOLERANCE = {"mass": 1e-9, "balance": None}
 VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
 
 
-def _specs(manifest, group: str) -> list[dict]:
-    """The entries of a manifest list, refusing anything but mappings."""
-    specs = manifest.get(group) or []
-    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
-        raise UsageError(f"{group} must be a list of mappings, got {specs!r}")
-    return specs
-
-
-def _unknown_keys(doc: dict, known: dict, where: str = "") -> list[str]:
-    """The key paths in doc that the known-key table does not name."""
-    unknown = []
-    for key, value in doc.items():
-        if key not in known:
-            unknown.append(f"{where}{key}")
-        elif known[key] is not None:
-            items = enumerate(value) if isinstance(value, list) else [(None, value)]
-            for i, item in items:
-                if isinstance(item, dict):
-                    index = "" if i is None else f"[{i}]"
-                    unknown += _unknown_keys(item, known[key], f"{where}{key}{index}.")
-    return unknown
-
-
-def _convert(value, kind, name: str, shown):
-    """kind(value); an int refuses a number with a fractional part."""
-    try:
-        number = kind(value)
-        integral = kind is not int or number == float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name} must be a number, got {shown!r}") from None
-    if not integral:
-        raise UsageError(f"{name} must be an integer, got {shown!r}")
-    return number
-
-
-def _number(doc: dict, key: str, kind, where: str, default=None):
-    """doc[key] converted by kind, or default when absent or null; where prefixes key."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    return _convert(value, kind, where + key, value)
-
-
-def _numbers(doc: dict, key: str, kind, where: str, default=None, axes=None):
-    """_number for a list, which needs one entry per grid axis when axes is given."""
-    values = doc.get(key)
-    if values is None:
-        return default
-    if not isinstance(values, list):
-        raise UsageError(f"{where}{key} must be a list, got {values!r}")
-    numbers = [_convert(value, kind, where + key, values) for value in values]
-    if axes is not None and len(numbers) != axes:
-        raise UsageError(f"{where}{key} needs an entry per grid axis, got {values!r}")
-    return numbers
-
-
-def _curve(spec: dict, group: str) -> CurveSpec:
+def _curve(spec: dict, path: str) -> CurveSpec:
     """The rectangle a charge or balance check integrates around."""
-    curve = spec.get("curve")
-    rect = _numbers(curve, "rect", float, f"{group}[].curve.") if isinstance(curve, dict) else None
+    rect = spec.get("curve", {}).get("rect")
     if rect is None or len(rect) != 4:
-        raise UsageError(f"{group}[] needs curve: {{rect: [x0, x1, y0, y1]}}, got {curve!r}")
+        raise UsageError(f"{path} needs curve: {{rect: [x0, x1, y0, y1]}}, "
+                         f"got {spec.get('curve')!r}")
     return CurveSpec.rectangle(*rect)
 
 
-def _initial_data(u0, entry):
-    """Parse u0 (a mapping, or an expression) for the entry once; return the
+def _initial_data(u0: dict, entry):
+    """Check the read u0 against the entry and parse it once; return the
     function that samples it on a grid of the given shape and periods."""
     dim = entry.dim
-    if isinstance(u0, str):
-        u0 = {"expr": u0}
-    constant = _number(u0, "constant", float, "u0.", 0.0)
-    modes = []
-    for mode in _specs(u0, "modes"):
-        amp = _number(mode, "a", float, "u0.modes[].")
-        ks = _numbers(mode, "k", int, "u0.modes[].", axes=dim)
-        if amp is None or ks is None:
-            raise UsageError(f"u0.modes[] needs a and k, got {mode!r}")
-        modes.append((amp, ks, _numbers(mode, "phase", float, "u0.modes[].", [0.0] * dim, dim)))
+    modes = u0.get("modes", [])
+    for i, mode in enumerate(modes):
+        if "a" not in mode or "k" not in mode:
+            raise UsageError(f"u0.modes[{i}] needs a and k, got {mode!r}")
+        mode.setdefault("phase", [0.0] * dim)
+        for key in ("k", "phase"):
+            if len(mode[key]) != dim:
+                raise UsageError(f"u0.modes[{i}].{key} needs an entry per grid axis, "
+                                 f"got {mode[key]!r}")
     expr = entry.parse(u0["expr"]) if "expr" in u0 else None
 
     def on_grid(shape: tuple, periods: tuple) -> GridField:
@@ -296,14 +296,14 @@ def _initial_data(u0, entry):
             fld = GridField(np.zeros(shape), periods)
         except GridError as exc:
             raise UsageError(f"grid {list(shape)}: {exc}") from None
-        data = fld.data + constant
-        for amp, ks, phases in modes:
+        data = fld.data + u0.get("constant", 0.0)
+        for mode in modes:
             factor = np.ones(shape)
-            for axis in range(dim):
-                if ks[axis] != 0:
-                    theta = 2.0 * math.pi * ks[axis] / periods[axis]
-                    factor = factor * np.sin(theta * fld.coords(axis) + phases[axis])
-            data = data + amp * factor
+            for axis, k in enumerate(mode["k"]):
+                if k != 0:
+                    theta = 2.0 * math.pi * k / periods[axis]
+                    factor = factor * np.sin(theta * fld.coords(axis) + mode["phase"][axis])
+            data = data + mode["a"] * factor
         if expr is not None:
             data = data + evaluate_on_grid(expr, fld)
         return GridField(data, periods)
@@ -341,61 +341,41 @@ def _tolerance(tolerance: float | None, doubled) -> float:
 def simulate(manifest) -> tuple[list[ChargeReport], int]:
     """Run a simulation manifest; return its reports and exit code.
 
-    A key that MANIFEST_KEYS does not name, at any depth, is refused.
-    Each manifest value is converted and checked once, where it is read,
-    and the run uses that value; an integer field refuses a fraction.  The
-    checks that need no catalog entry run before the entry is loaded, and
-    every constraint density, charge Gamma, curve and check is resolved
-    before anything is evolved: bad input raises UsageError, KeyError,
-    ParseError or ConstraintViolation (params that instantiate refuses)
-    and evolves nothing.  A null value means its default; a null
-    tolerance is 1e-9 for constraints and mass checks and resolution
-    doubling for charges and balance checks.  A run the time stepper cannot
-    finish raises CflViolation.
+    The manifest is read by _read against MANIFEST before the catalog entry
+    is loaded, and the run uses the converted values.  A null tolerance is
+    1e-9 for constraints and mass checks and resolution doubling for charges
+    and balance checks.  The checks that need the entry or the run settings
+    follow, and every constraint density, charge Gamma, curve and check is
+    resolved before anything is evolved: bad input raises UsageError,
+    KeyError, ParseError or ConstraintViolation (params that instantiate
+    refuses) and evolves nothing.  A run the time stepper cannot finish
+    raises CflViolation.
     """
-    if not isinstance(manifest, dict):
-        raise UsageError("a manifest is a mapping")
-    unknown = _unknown_keys(manifest, MANIFEST_KEYS)
-    if unknown:
-        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
-    for key, kind, what in (("grid", dict, "a mapping"), ("params", dict, "a mapping"),
-                            ("u0", (dict, str), "a mapping or an expression"),
-                            ("out", str, "a path")):
-        if manifest.get(key) is not None and not isinstance(manifest[key], kind):
-            raise UsageError(f"{key} must be {what}, got {manifest[key]!r}")
-    t_end = _number(manifest, "t_end", float, "", 0.0)
-    samples = _number(manifest, "samples", int, "", 9)
-    cfl = _number(manifest, "cfl", float, "", 0.5)
-    dt = _number(manifest, "dt", float, "")
-    seed = _number(manifest, "seed", int, "", 0)
-    grid = manifest.get("grid") or {}
-    shape = tuple(_numbers(grid, "resolutions", int, "grid.", []))
-    periods = tuple(_numbers(grid, "periods", float, "grid.", []))
-    constraints = [(spec, _number(spec, "tolerance", float, "constraints[].", 1e-9))
-                   for spec in _specs(manifest, "constraints")]
-    charges = [(spec, _number(spec, "tolerance", float, "charges[]."), _curve(spec, "charges"))
-               for spec in _specs(manifest, "charges")]
-    checks = []
-    for spec in _specs(manifest, "checks"):
-        if spec.get("type") not in CHECK_TOLERANCE:
-            raise UsageError(f"unknown check type {spec.get('type')!r} "
-                             f"(known: {', '.join(CHECK_TOLERANCE)})")
-        tol = _number(spec, "tolerance", float, "checks[].", CHECK_TOLERANCE[spec["type"]])
-        checks.append((spec, tol, _curve(spec, "checks") if spec["type"] == "balance" else None))
+    m = _read(manifest, MANIFEST)
+    t_end, samples, seed = m.get("t_end", 0.0), m.get("samples", 9), m.get("seed", 0)
+    cfl, dt, method = m.get("cfl", 0.5), m.get("dt"), m.get("interp", "cubic")
+    shape, periods = (tuple(m.get("grid", {}).get(key, [])) for key in ("resolutions", "periods"))
+    constraints = [(spec, spec.get("tolerance", 1e-9)) for spec in m.get("constraints", [])]
+    charges = [(spec, spec.get("tolerance"), _curve(spec, f"charges[{i}]"))
+               for i, spec in enumerate(m.get("charges", []))]
+    checks = [(spec, spec["tolerance"],
+               _curve(spec, f"checks[{i}]") if spec["type"] == "balance" else None)
+              for i, spec in enumerate(m.get("checks", []))]
     if (charges or checks) and not t_end > 0:
         raise UsageError("charges and checks need t_end > 0")
     for key, value in (("cfl", cfl), ("dt", dt)):
         if value is not None and not value > 0:
-            raise UsageError(f"{key} must be > 0, got {manifest[key]!r}")
+            raise UsageError(f"{key} must be > 0, got {value!r}")
+    if samples < 2:
+        raise UsageError(f"samples must be >= 2 (t = 0 and t_end), got {samples}")
     if any(curve for *_, curve in checks) and samples < 3:
         raise UsageError("a balance check differences in time and needs samples >= 3")
-    method = "cubic" if manifest.get("interp") is None else manifest["interp"]
     if method not in LOOP_METHODS:
         raise UsageError(f"unknown interp {method!r} (known: {', '.join(LOOP_METHODS)})")
 
-    name = manifest["pde"]
+    name = m["pde"]
     entry = cat.get_entry(name)
-    params = cat.numeric_params(name, manifest.get("params") or {})
+    params = cat.numeric_params(name, m.get("params", {}))
     missing = sorted(set(entry.symbols.params) - set(params))
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
@@ -406,7 +386,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"charges and balance checks integrate around a planar curve; "
                          f"{name} has dimension {entry.dim}")
     try:
-        funs = {"f": TimeFunction.builtin("one" if manifest.get("f") is None else manifest["f"])}
+        funs = {"f": TimeFunction.builtin(m.get("f", "one"))}
     except GridError as exc:
         raise UsageError(str(exc)) from None
     densities = [entry.parse(spec["density"]) for spec, _ in constraints]
@@ -418,7 +398,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
     if len(shape) != entry.dim or len(periods) != entry.dim:
         raise UsageError(f"grid must have {entry.dim} resolutions and periods")
-    u0_on = _initial_data(manifest.get("u0") or {}, entry)
+    u0_on = _initial_data(m.get("u0", {}), entry)
     u0 = u0_on(shape, periods)
     if min(shape) // 2 < MIN_RESOLUTION and any(tol is None for _, tol, _ in charges + checks):
         raise UsageError(f"tolerances from resolution doubling need at least "

@@ -36,7 +36,9 @@ compares against is built only when that plane exceeds mean_tol.
 
 Time stepping is classical RK4.  Its step is set by the frozen-coefficient
 symbol of the plan: max|L| over the 2/3-dealiased modes plus, for each part
-i and each jet u_K it reads, max_k|W_i (ik)^K| times max|d terms_i / d u_K|.
+i and each group of the jets u_K it reads that share one derivative
+d = d terms_i / d u_K, max_k|W_i sum_K (ik)^K| times max|d| (vorticity's
+u_y (u_xxx + u_xyy) is one advection, bounded by |k_x|, not |k_x| + |k_x|/2).
 The first of a step's four right-hand sides holds those jets, so the
 estimate takes no transform, and a jet the plan never reads (u itself in
 potential KdV) cannot shrink the step.  The three later stage inputs are
@@ -133,13 +135,17 @@ def _weighted(blocks: list, u_hat: np.ndarray, hats) -> np.ndarray | float:
 
 
 def _jacobian(terms: list) -> list:
-    """[(mi, d terms / d u_mi)] over the jets of compiled terms."""
+    """[(jets, d)] over the jets u_mi of compiled terms, grouped by their
+    derivative d = d terms / d u_mi: the jets of a group share one d."""
     out = {}
     for c, jets in terms:
         for j, (mi, p) in enumerate(jets):
             rest = jets[:j] + (((mi, p - 1),) if p > 1 else ()) + jets[j + 1:]
             out.setdefault(mi, []).append((c * p, rest))
-    return list(out.items())
+    groups = {}
+    for mi, d in out.items():
+        groups.setdefault(tuple(d), []).append(mi)
+    return [(mis, d) for d, mis in groups.items()]
 
 
 def _divergence_flux(e: JetExpr, dim: int) -> tuple | None:
@@ -218,9 +224,9 @@ class KhatEvolver:
         self.rhs_calls = 0
         # |symbol| is even in k, so its maxima over the half-spectrum are those of the full one
         self._sym_max = float(np.max(np.abs(self._L * self.mask)))
-        # per part i and jet u_K: (max_k |W_i (ik)^K|, d terms_i / d u_K), the step's rate terms
-        self._rates = [(float(np.max(np.abs(w * ik_symbol(grid, mi[1:])))), d)
-                       for w, terms in self._parts for mi, d in _jacobian(terms)]
+        # per part i and jets u_K sharing d: (max_k |W_i sum_K (ik)^K|, d), the step's rate terms
+        self._rates = [(float(np.max(np.abs(w * sum(ik_symbol(grid, mi[1:]) for mi in mis)))), d)
+                       for w, terms in self._parts for mis, d in _jacobian(terms)]
 
     def _symbol(self, linear: list) -> np.ndarray:
         out = np.zeros(self.mask.shape, dtype=complex)

@@ -63,9 +63,9 @@ def _euler_sum(e: JetExpr, slot: int, field) -> JetExpr:
     return out
 
 
-def euler_u(e: JetExpr, dep: str = "u") -> JetExpr:
+def euler_u(e: JetExpr) -> JetExpr:
     """Full variational derivative: sum over J of (-D)^J d e/d u_J."""
-    return _euler_sum(e, JET_SLOT, lambda k: k[1] if k[0] == dep else None)
+    return _euler_sum(e, JET_SLOT, lambda k: k[1] if k[0] == "u" else None)
 
 
 def spatial_euler(e: JetExpr, dep: str = "u", t_order: int = 0) -> JetExpr:
@@ -277,23 +277,22 @@ def build_pools(
 def invert_divergence(
     e: JetExpr,
     dim: int,
-    degree_bound: int | None = None,
     order_bound: int | None = None,
     var_bounds: Mapping[int, int] | int | None = None,
     rounds: int = 3,
 ) -> DivergenceWitness:
     """Write `e` as an exact spatial divergence Div(X, Y, ...).
 
-    Raises AnsatzExhausted when no witness exists within the bounds; that
-    signals the ansatz was too small, not that `e` is not a divergence.
+    The ansatz has the jet degree of `e`.  Raises AnsatzExhausted when no
+    witness exists within the bounds; that signals the ansatz was too
+    small, not that `e` is not a divergence.
     """
     if e.is_zero():
         return DivergenceWitness((JetExpr.zero(),) * dim)
     axes = list(range(1, dim + 1))
     if order_bound is None:
         order_bound = max(e.max_order() - 1, 0)
-    if degree_bound is None:
-        degree_bound = e.jet_degree()
+    degree_bound = e.jet_degree()
     if var_bounds is None:
         var_bounds = {d: e.var_degree(d) + 1 for d in axes}
 

@@ -471,13 +471,22 @@ class TestSimulateUsage:
         (lambda m: m.update(params={"sigma": "f"}), "parameter 'sigma' must be a constant"),
         (lambda m: m.update(params={"sigma": "sigma"}), "parameter 'sigma' names sigma"),
         (lambda m: m["charges"][0].update(id="charge-3"), "charge-3 needs d_t^2 u"),
+        (lambda m: m.update(pde=5), "pde must be text"),
+        (lambda m: m.update(constraints=[{"density": 5}]), "constraints[0].density must be text"),
+        (lambda m: m["u0"].update(expr=5), "u0.expr must be text"),
+        (lambda m: m.update(checks=[{"type": ["mass"]}]), "unknown check type ['mass']"),
+        (lambda m: m["checks"][0].update(curve={"rect": RECT}),
+         "unknown manifest key(s) checks[0].curve"),
+        (lambda m: m.update(seed=True), "seed must be a number, got True"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
             "grid_not_mapping", "params_not_mapping", "short_k", "short_phase", "long_k",
             "long_phase", "out_not_a_path", "mode_without_a", "undeclared_param",
             "param_breaks_square", "param_coordinate", "param_jet", "param_function",
-            "param_unbound", "charge_needs_u_tt"])
+            "param_unbound", "charge_needs_u_tt", "pde_not_text", "density_not_text",
+            "expr_not_text", "check_type_not_text", "mass_check_with_curve",
+            "seed_boolean"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
@@ -501,12 +510,19 @@ class TestSimulateUsage:
         assert code == 2 and needle in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_samples_below_two(self, samples, no_evolution, kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["samples"] = samples
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and f"samples must be >= 2 (t = 0 and t_end), got {samples}" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda m: m.update(samples=2.7), "samples must be an integer"),
         (lambda m: m["grid"].update(resolutions=[32.9, 32]), "grid.resolutions must be an integer"),
         (lambda m: m.update(seed=1.5), "seed must be an integer"),
-        (lambda m: m["u0"]["modes"][0].update(k=[1.5, 1]), "u0.modes[].k must be an integer"),
+        (lambda m: m["u0"]["modes"][0].update(k=[1.5, 1]), "u0.modes[0].k must be an integer"),
     ], ids=["samples", "resolutions", "seed", "k"])
     def test_fraction_where_an_integer_belongs(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
@@ -517,8 +533,10 @@ class TestSimulateUsage:
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     def test_integral_number_is_an_integer(self):
-        assert cli._number({"samples": 17.0}, "samples", int, "") == 17
-        assert cli._numbers({"k": [2.0, -1]}, "k", int, "u0.modes[].", axes=2) == [2, -1]
+        samples = cli._read({"samples": 17.0}, cli.MANIFEST)["samples"]
+        assert samples == 17 and type(samples) is int
+        k = cli._read([2.0, -1], [int], "u0.modes[0].k")
+        assert k == [2, -1] and all(type(v) is int for v in k)
 
     @pytest.mark.parametrize("edit, path", [
         (lambda m: m["grid"].update(resolution=[64, 64]), "grid.resolution"),
@@ -547,7 +565,7 @@ class TestSimulateUsage:
         docs.append(workloads.kp_manifest(ROOT, 1))
         assert len(docs) == 3 and "phase" in docs[-1]["u0"]["modes"][0]
         for doc in docs:
-            assert cli._unknown_keys(doc, cli.MANIFEST_KEYS) == []
+            assert set(cli._read(doc, cli.MANIFEST)) == set(doc)
 
     @pytest.mark.parametrize("manifest", [
         {"pde": "shear", "params": {"alpha": "1", "beta": "1"},
