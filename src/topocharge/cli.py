@@ -344,9 +344,10 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     The manifest is read by _read against MANIFEST before the catalog entry
     is loaded, and the run uses the converted values.  A null tolerance is
     1e-9 for constraints and mass checks and resolution doubling for charges
-    and balance checks.  The checks that need the entry or the run settings
-    follow, and every constraint density, charge Gamma, curve and check is
-    resolved before anything is evolved: bad input raises UsageError,
+    and balance checks; t_end and a given tolerance must be >= 0.  The
+    checks that need the entry or the run settings follow, and every
+    constraint density, charge Gamma, curve and check is resolved before
+    anything is evolved: bad input raises UsageError,
     KeyError, ParseError or ConstraintViolation (params that instantiate
     refuses) and evolves nothing.  A run the time stepper cannot finish
     raises CflViolation.
@@ -361,6 +362,12 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     checks = [(spec, spec["tolerance"],
                _curve(spec, f"checks[{i}]") if spec["type"] == "balance" else None)
               for i, spec in enumerate(m.get("checks", []))]
+    if not t_end >= 0:
+        raise UsageError(f"t_end must be >= 0, got {t_end!r}")
+    for group, specs in (("constraints", constraints), ("charges", charges), ("checks", checks)):
+        for i, (_, tol, *_) in enumerate(specs):
+            if tol is not None and not tol >= 0:
+                raise UsageError(f"{group}[{i}].tolerance must be >= 0, got {tol!r}")
     if (charges or checks) and not t_end > 0:
         raise UsageError("charges and checks need t_end > 0")
     for key, value in (("cfl", cfl), ("dt", dt)):

@@ -228,16 +228,22 @@ def trivializing_potentials(cur: CurrentFamily) -> list[tuple]:
 def reduce_to_spatial_flux(
     cur: CurrentFamily, pde: PdeSpec, certify: bool = True, order_bound: int | None = None
 ) -> FluxVector:
-    """Gamma = sum_j (-D_t)^j Phi_j with Div Gamma|_E = 0 checked."""
+    """Gamma = sum_j (-D_t)^j Phi_j with Div Gamma|_E = 0 checked.
+
+    A Gamma that passed the check is recorded on the PdeSpec, so the check
+    runs once per (spec, Gamma) in a process; a failure is not recorded.
+    """
     gamma = (JetExpr.zero(),) * cur.dim
     for j in range(cur.N + 2):
         term = _alternating_dt(cur.Flux_coeffs[j], j)
         gamma = tuple(a + b for a, b in zip(gamma, term))
-    residual = substitute_on_solutions(divergence(list(gamma), cur.dim), pde)
-    if not residual.is_zero():
-        raise CurrentVerificationError(
-            "Div Gamma does not vanish on solutions", {0: residual}
-        )
+    if gamma not in pde._div_free:
+        residual = substitute_on_solutions(divergence(list(gamma), cur.dim), pde)
+        if not residual.is_zero():
+            raise CurrentVerificationError(
+                "Div Gamma does not vanish on solutions", {0: residual}
+            )
+        pde._div_free.add(gamma)
     cert = nontriviality_certificate(gamma, pde, order_bound) if certify else None
     return FluxVector(gamma, cur.dim, cert)
 
@@ -276,6 +282,12 @@ def nontriviality_certificate(
     bound whose ansatz pools fit the cap decides: "trivial" if a witness
     exists, else that bound.  None means every bound exhausted the cap.
 
+    A bound N certifies only the ansatz: a potential holding u_tx, u_txx or
+    u_txy, whose restriction has a jet order above N, lies outside it, so
+    such a curl can read N.  The Euler-operator proof of
+    `not_a_curl_on_solutions` is not affected, but NV's three searched
+    charges rest on the search alone.
+
     Where `not_a_curl_on_solutions` proves that no witness exists at any
     order (every searched catalog charge but NV's), each bound still builds
     its pools, so the bound returned is still the first that fits the cap,
@@ -312,10 +324,13 @@ def nontriviality_certificate(
 
 
 def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
-    proven = not_a_curl_on_solutions(gamma, pde)
+    # Restricted once here: restricting an R-normal expression again only
+    # scans its terms and returns it, so the searches below reuse this work.
+    g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
+    proven = not_a_curl_on_solutions(g_sub, pde)
     for bound in range(order_bound, min(2, order_bound) - 1, -1):
         try:
-            witness = curl_witness_on_solutions(gamma, pde, bound, proven)
+            witness = curl_witness_on_solutions(g_sub, pde, bound, proven)
         except AnsatzExhausted:
             continue
         return "trivial" if witness is not None else bound

@@ -72,6 +72,8 @@ class PdeSpec:
     # curl-witness ladder results, keyed by (Gamma, top bound, rounds, cap)
     _certificates: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
+    # spatial fluxes Gamma whose Div Gamma|_E == 0 check passed
+    _div_free: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dep, mi = self.leading

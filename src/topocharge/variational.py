@@ -241,7 +241,14 @@ def build_pools(
     rounds: int = 3,
     cap: int = 6000,
 ) -> dict[int, list]:
-    """Candidate witness monomials per direction, closed under differentiation."""
+    """Candidate witness monomials per direction, closed under differentiation.
+
+    The monomials of D_d(candidate) are read straight off the Leibniz
+    pairs: bumping distinct factors of one monomial gives distinct
+    monomials, so nothing cancels.  Only a candidate holding a rewrite-rule
+    function goes through _collect.  An antiderivative never raises jet
+    order, so those of a frontier monomial within the bound skip the check.
+    """
     if isinstance(var_bounds, int):
         var_bounds = {d: var_bounds for d in axes}
     pools: dict[int, set] = {d: set() for d in axes}
@@ -249,12 +256,15 @@ def build_pools(
     for _ in range(rounds):
         new_by_dir = {d: set() for d in axes}
         for m in frontier:
+            check = _mono_max_order(m) > order_bound
             for d in axes:
+                pool, new = pools[d], new_by_dir[d]
                 for cand in one_step_antiderivatives(m, d, var_bounds):
-                    if _mono_max_order(cand) > order_bound:
+                    if cand in pool or cand in new:
                         continue
-                    if cand not in pools[d]:
-                        new_by_dir[d].add(cand)
+                    if check and _mono_max_order(cand) > order_bound:
+                        continue
+                    new.add(cand)
         if not any(new_by_dir.values()):
             break
         seen = set(frontier)
@@ -262,7 +272,9 @@ def build_pools(
         for d in axes:
             pools[d] |= new_by_dir[d]
             for cand in new_by_dir[d]:
-                for mm in _collect(_leibniz(((cand, 1),), d)):
+                pairs = _leibniz(((cand, 1),), d)
+                ruled = any(k[3] for k, _ in cand[2])
+                for mm in _collect(pairs) if ruled else (mm for _, mm in pairs):
                     if mm not in seen:
                         seen.add(mm)
                         next_frontier.add(mm)

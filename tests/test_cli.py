@@ -510,6 +510,29 @@ class TestSimulateUsage:
         assert code == 2 and needle in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("key, index", [
+        ("constraints", 0), ("charges", 0), ("checks", 0), ("checks", 1)],
+        ids=["constraint", "charge", "mass", "balance"])
+    def test_tolerance_below_zero(self, key, index, value, no_evolution,
+                                  kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["checks"].append({"type": "balance", "curve": {"rect": RECT}})
+        manifest[key][index]["tolerance"] = value
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and f"{key}[{index}].tolerance must be >= 0, got {value!r}" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_t_end_below_zero_with_constraints_only(self, value, no_evolution,
+                                                    kp_manifest, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        del manifest["charges"], manifest["checks"]
+        manifest["t_end"] = value
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and f"t_end must be >= 0, got {value!r}" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
     @pytest.mark.parametrize("samples", [1, 0, -5])
     def test_samples_below_two(self, samples, no_evolution, kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())

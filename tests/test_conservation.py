@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocharge import conservation
+from topocharge import pde as pde_module
 from topocharge.catalog import get_entry, instantiate, load_catalog
 from topocharge.conservation import (
     CurrentVerificationError,
@@ -26,7 +27,9 @@ from topocharge.conservation import (
     verify_current,
     verify_multiplier,
 )
-from topocharge.jetexpr import JetExpr, T, X, curl, divergence, total_derivative
+from topocharge.jetexpr import (
+    JetExpr, T, X, _collect, _leibniz, curl, divergence, total_derivative,
+)
 from topocharge.parsing import parse_expr
 from topocharge.pde import (
     PdeSpec,
@@ -35,7 +38,12 @@ from topocharge.pde import (
     substitute_on_solutions,
     substitute_with_ledger,
 )
-from topocharge.variational import AnsatzExhausted, build_pools
+from topocharge.variational import (
+    AnsatzExhausted,
+    _mono_max_order,
+    build_pools,
+    one_step_antiderivatives,
+)
 
 
 @pytest.fixture(scope="module")
@@ -288,15 +296,15 @@ def ascending_ladder(gamma, pde):
     return certified
 
 
-def feed_pools(gamma, pde, bound):
+def feed_pools(gamma, pde, bound, build=build_pools):
     """The ansatz pools a curl-witness search at `bound` builds, by
     (flux component, antiderivative axis), without the cap."""
     out = {}
     for idx, comp in enumerate(substitute_on_solutions(c, pde) for c in gamma):
         for axis in range(1, len(gamma) + 1):
             if axis != idx + 1 and not comp.is_zero():
-                pools = build_pools(comp, [axis], bound, {axis: comp.var_degree(axis) + 1},
-                                    conservation.CURL_ROUNDS, 10**6)
+                pools = build(comp, [axis], bound, {axis: comp.var_degree(axis) + 1},
+                              conservation.CURL_ROUNDS, 10**6)
                 out[idx, axis] = set(pools[axis])
     return out
 
@@ -389,6 +397,115 @@ class TestCertificate:
                 for lower, upper in zip(pools, pools[1:]):
                     for feed, pool in lower.items():
                         assert pool <= upper[feed], (entry.name, ch.id, feed)
+
+
+def collected_pools(target, axes, order_bound, var_bounds, rounds, cap):
+    """Reference harvest for build_pools: every candidate's order is checked
+    and every D_d(candidate) is merged by _collect before its monomials
+    join the next frontier."""
+    pools = {d: set() for d in axes}
+    frontier = {m for m, _ in target.terms}
+    for _ in range(rounds):
+        new_by_dir = {d: set() for d in axes}
+        for m in frontier:
+            for d in axes:
+                for cand in one_step_antiderivatives(m, d, var_bounds):
+                    if _mono_max_order(cand) <= order_bound and cand not in pools[d]:
+                        new_by_dir[d].add(cand)
+        if not any(new_by_dir.values()):
+            break
+        seen = set(frontier)
+        frontier = set()
+        for d in axes:
+            pools[d] |= new_by_dir[d]
+            for cand in new_by_dir[d]:
+                frontier |= set(_collect(_leibniz(((cand, 1),), d))) - seen
+        if sum(len(p) for p in pools.values()) > cap:
+            raise AnsatzExhausted(f"ansatz pool exceeded {cap} monomials")
+    return {d: sorted(pools[d]) for d in axes}
+
+
+class TestPoolParity:
+    """build_pools reads the monomials of D_d(candidate) off the Leibniz
+    pairs, merging only where a rewrite rule may fire, and skips the order
+    check of an antiderivative of a monomial within the bound."""
+
+    @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity", "umkp",
+                                      *(f"umkp-{case}" for case in UMKP_BINDINGS)])
+    def test_matches_collected_harvest(self, name):
+        ruled = set()
+        for ch, gamma, pde in charge_cases(TestColumnImages.searched_entry(name)):
+            top = max(c.max_order() for c in gamma)
+            for bound in range(2, top + 1):
+                assert (feed_pools(gamma, pde, bound)
+                        == feed_pools(gamma, pde, bound, collected_pools)), (ch.id, bound)
+            if any(key[3] for c in gamma for key in c.fun_keys()):
+                ruled.add(ch.id)
+        # shear's biharmonic phi is the one rewrite-rule function
+        assert ruled == ({"charge-phi"} if name == "shear" else set())
+
+    @pytest.mark.parametrize("text", ["u_y*phi_yyy", "x*u_y*phi_yyyz", "u_yy*phi_yy"])
+    def test_rewrite_rule_fires(self, text):
+        # D_y of a candidate reaches phi_yyyy, which the biharmonic rule rewrites
+        target = expr(get_entry("shear"), text)
+        for rounds in (2, 3):
+            args = (target, [2], 6, {2: 1}, rounds, 10**6)
+            assert build_pools(*args) == collected_pools(*args), rounds
+
+    def test_cap_raises_alike(self):
+        (_, gamma, pde), = [c for c in charge_cases(get_entry("umkp")) if c[0].id == "charge-4"]
+        target = substitute_on_solutions(gamma[0], pde)
+        args = (target, [2], 6, {2: target.var_degree(2) + 1}, conservation.CURL_ROUNDS)
+        size = len(build_pools(*args, 10**6)[2])
+        assert build_pools(*args, size)[2] == collected_pools(*args, size)[2]
+        for build in (build_pools, collected_pools):
+            with pytest.raises(AnsatzExhausted):
+                build(*args, size - 1)
+
+
+class TestRestrictionMemos:
+    """A certificate restricts each Gamma component once, and a spec checks
+    Div Gamma|_E = 0 once per Gamma."""
+
+    @pytest.mark.parametrize("name, charge_id",
+                             [("umkp", "charge-1"), ("nv", "charge-2"), ("shear", "charge-phi")])
+    def test_ladder_restricts_each_component_once(self, name, charge_id, monkeypatch):
+        (_, gamma, pde), = [c for c in charge_cases(get_entry(name)) if c[0].id == charge_id]
+        pde = dataclasses.replace(pde)
+        assert all(substitute_on_solutions(c, pde) != c for c in gamma)
+        changed = []
+        restrict = pde_module._restrict
+
+        def counted(e, *args):
+            out = restrict(e, *args)
+            if out is not e:
+                changed.append(e)
+            return out
+
+        monkeypatch.setattr(pde_module, "_restrict", counted)
+        assert isinstance(nontriviality_certificate(gamma, pde), int)
+        assert [sum(e == c for e in changed) for c in gamma] == [1] * len(gamma)
+
+    def test_flux_check_runs_once_per_spec(self, kp, monkeypatch):
+        cur = kp.current("current-3")
+        pde = dataclasses.replace(kp.pde_for_case(cur.case))
+        checks = []
+        restrict = conservation.substitute_on_solutions
+        monkeypatch.setattr(conservation, "substitute_on_solutions",
+                            lambda *args: checks.append(args) or restrict(*args))
+        first = reduce_to_spatial_flux(cur.family, pde, certify=False)
+        assert len(checks) == 1
+        assert reduce_to_spatial_flux(cur.family, pde, certify=False) == first
+        assert len(checks) == 1
+
+        # a corrupted Gamma on the same spec is checked, and never recorded
+        phi0 = cur.family.Flux_coeffs[0]
+        bad = dataclasses.replace(cur.family, Flux_coeffs=(
+            (phi0[0] + expr(kp, "u"), *phi0[1:]), *cur.family.Flux_coeffs[1:]))
+        for _ in range(2):
+            with pytest.raises(CurrentVerificationError):
+                reduce_to_spatial_flux(bad, pde, certify=False)
+        assert len(checks) == 3
 
 
 class TestColumnImages:
