@@ -46,7 +46,7 @@ from .jetexpr import (
     total_derivative,
 )
 from .parsing import SymbolTable, default_symbols, parse_expr
-from .pde import DivForm, PdeSpec
+from .pde import DivForm, PdeSpec, verified
 from .potential import PotentialSystem, build_potential_system
 from .printing import to_source
 from .variational import AnsatzExhausted, invert_divergence_auto
@@ -335,7 +335,9 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
 
     # A case equation equal to one already built here or in the cached
     # verified entry reuses that PdeSpec, and so its restriction images and
-    # certificates.  PdeSpec is unhashable (SymbolTable holds dicts): scan.
+    # the memo of the checks that passed on it (pde.verified): a check meets
+    # its key again only when every input is equal.  PdeSpec is unhashable
+    # (SymbolTable holds dicts): scan.
     cached = _CACHE.get(f"{name}.yaml")
     shared = list(cached.case_pdes.values()) if cached else []
     case_pdes = {}
@@ -352,8 +354,9 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         if case not in cases:
             continue
         Q = P(m["Q"], cases[case])
+        cpde = case_pdes[case]
         try:
-            verify_multiplier(case_pdes[case], Q)
+            verified(cpde, ("multiplier", Q), lambda: verify_multiplier(cpde, Q))
         except NotAMultiplier as exc:
             raise CatalogCorrupt(name, m["id"], str(exc), exc.residual) from None
         multipliers.append(
@@ -374,23 +377,30 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         reconstructed = False
         if c.get("Phi") == "reconstruct":
             fam0 = split_by_arbitrary_function(cpde, T_expr, (JetExpr.zero(),) * dim, check=False)
+            fun = fam0.fun or ("f", (T,), ())
             try:
-                T_coeffs, flux_coeffs = _reconstruct_fluxes(cpde, fam0.fun or ("f", (T,), ()), fam0.T_coeffs, cQ)
+                T_coeffs, flux_coeffs = verified(
+                    cpde, ("reconstruct", fun, fam0.T_coeffs, cQ),
+                    lambda: _reconstruct_fluxes(cpde, fun, fam0.T_coeffs, cQ))
             except AnsatzExhausted as exc:
                 raise CatalogCorrupt(name, c["id"], f"flux reconstruction failed: {exc}") from None
-            family = CurrentFamily(dim, fam0.fun or ("f", (T,), ()), T_coeffs, flux_coeffs)
+            family = CurrentFamily(dim, fun, T_coeffs, flux_coeffs)
             T_expr, Phi = family.assemble()
             reconstructed = True
         else:
             Phi = tuple(P(s, bindings) for s in c["Phi"])
             family = split_by_arbitrary_function(cpde, T_expr, Phi, check=False)
-        residuals = verify_family(cpde, family)
-        if residuals:
-            raise CatalogCorrupt(
-                name, c["id"],
-                "split relations fail for f^(i), i in " + str(sorted(residuals)),
-                residuals,
-            )
+
+        def family_holds():
+            residuals = verify_family(cpde, family)
+            if residuals:
+                raise CatalogCorrupt(
+                    name, c["id"],
+                    "split relations fail for f^(i), i in " + str(sorted(residuals)),
+                    residuals,
+                )
+
+        verified(cpde, ("family", family), family_holds)
         exact = current_divergence(cpde, T_expr, Phi) - cQ * cpde.G
         pairing_exact = exact.is_zero()
         if not pairing_exact:
@@ -415,7 +425,8 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         cpde = case_pdes[cur.case]
         idx = int(ident.get("index", 0))
         try:
-            result = divergence_identity(cpde, cur.family, idx)
+            result = verified(cpde, ("identity", cur.family, idx),
+                              lambda: divergence_identity(cpde, cur.family, idx))
         except (CurrentVerificationError, AssertionError) as exc:
             raise CatalogCorrupt(name, ident["id"], str(exc)) from None
         if ident.get("R"):
@@ -580,18 +591,21 @@ def numeric_params(name: str, params: dict) -> dict[str, float]:
 
 
 def instantiate(name: str, params: dict) -> CatalogEntry:
-    """Bind parameters to exact values and re-verify the whole entry.
+    """Bind parameters to exact values and verify the entry under them.
 
     name is a catalog entry, an alias or the path of an entry file; no
     params is the entry itself.  Values are rational text ("1", "-1/2"),
     "sqrt(p/q)" for adjoined roots, or expressions in previously bound
     parameters.
 
-    A non-triviality certificate is computed once per (Gamma, case
-    equation, top bound, pool cap) in a process: a case equation equal to
-    one of the loaded entry's shares its PdeSpec, so a binding that is a
-    case's own (e.g. the integrable umKP case) reuses the certificates of
-    an earlier load.  A different top bound is a new key.
+    Each check runs once per (case equation, inputs) in a process: a case
+    equation equal to one of the loaded entry's shares its PdeSpec, and
+    with it the memo of the checks that passed there (pde.verified).  So a
+    binding that is a case's own (e.g. the integrable umKP case) reuses that
+    case's multiplier, split-relation, flux-reconstruction, identity,
+    Div Gamma and certificate results from an earlier load, while an object
+    whose bound inputs differ is verified anew.  The comparisons with the
+    document (an identity's R, a printed Gamma) run every time.
     """
     if not params:
         return get_entry(name)

@@ -278,7 +278,9 @@ def _curve(spec: dict, path: str) -> CurveSpec:
 
 def _initial_data(u0: dict, entry):
     """Check the read u0 against the entry and parse it once; return the
-    function that samples it on a grid of the given shape and periods."""
+    function that samples it on a grid of the given shape and periods,
+    which raises UsageError for a grid that GridField refuses or for data
+    that is not finite on it."""
     dim = entry.dim
     modes = u0.get("modes", [])
     for i, mode in enumerate(modes):
@@ -306,6 +308,8 @@ def _initial_data(u0: dict, entry):
             data = data + mode["a"] * factor
         if expr is not None:
             data = data + evaluate_on_grid(expr, fld)
+        if not np.isfinite(data).all():
+            raise UsageError(f"u0 is not finite on the grid {list(shape)}")
         return GridField(data, periods)
 
     return on_grid
@@ -314,8 +318,21 @@ def _initial_data(u0: dict, entry):
 def series(gamma, traj, curve: CurveSpec, params: dict, funs: dict | None = None,
            method: str = "cubic") -> list[float]:
     """The circulation of gamma around the curve at every sample of traj."""
-    return [loop_integral(gamma, fld, ut, curve, funs, params, method=method)
-            for fld, ut in zip(traj.fields, traj.ut)]
+    return curve_series(traj, [(gamma, curve)], params, funs, method)[0]
+
+
+def curve_series(traj, jobs: list, params: dict, funs: dict | None = None,
+                 method: str = "cubic") -> list[list[float]]:
+    """The series of each (gamma, curve) in jobs, taken sample by sample:
+    each nonzero Gamma component is evaluated once per sample for all the
+    jobs (see loop_integral), and one sample's values are held at a time."""
+    out = [[] for _ in jobs]
+    for fld, ut in zip(traj.fields, traj.ut):
+        faces: dict = {}
+        for vals, (gamma, curve) in zip(out, jobs):
+            vals.append(loop_integral(gamma, fld, ut, curve, funs, params, method=method,
+                                      faces=faces))
+    return out
 
 
 def balance_residuals(times, circ_u, circ_F):
@@ -421,9 +438,21 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     def halved():
         return run(u0_on(tuple(n // 2 for n in shape), periods))
 
+    # every (Gamma, curve) that a verdict reads: each charge's, and u's and
+    # F's around each balance curve; a run integrates them all at once
+    jobs = list(dict.fromkeys(
+        [(gamma, curve) for (_, _, curve), gamma in zip(charges, gammas)]
+        + [(g, curve) for *_, curve in checks if curve for g in (u_gamma, entry.pde.div_form.F)]))
+    tables: dict = {}  # id of a trajectory -> {job: its series}
+
+    def circulation(gamma, traj, curve):
+        if id(traj) not in tables:
+            tables[id(traj)] = dict(zip(jobs, curve_series(traj, jobs, params, funs, method)))
+        return tables[id(traj)][gamma, curve]
+
     def circulations(traj, curve):
-        return (series(u_gamma, traj, curve, params, None, method),
-                series(entry.pde.div_form.F, traj, curve, params, None, method))
+        return (circulation(u_gamma, traj, curve),
+                circulation(entry.pde.div_form.F, traj, curve))
 
     # initial-data constraint checks never need evolution
     reports: list[ChargeReport] = []
@@ -448,9 +477,8 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         meta = {"seed": seed, "interp": method, "scheme": traj.meta.get("scheme"),
                 "dealias": traj.meta.get("dealias"), "steps": traj.meta.get("steps")}
         for (spec, tol, curve), gamma in zip(charges, gammas):
-            vals = series(gamma, traj, curve, params, funs, method)
-            tol = _tolerance(tol, lambda: [
-                (vals, series(gamma, halved(), curve, params, funs, method))])
+            vals = circulation(gamma, traj, curve)
+            tol = _tolerance(tol, lambda: [(vals, circulation(gamma, halved(), curve))])
             verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
             reports.append(ChargeReport("charge", f"{spec['id']} rect={spec['curve']['rect']}",
                                         list(traj.times), vals, tol, verdict, dict(meta)))

@@ -21,6 +21,7 @@ from .pde import (
     expand_r_operator,
     substitute_on_solutions,
     substitute_with_ledger,
+    verified,
 )
 from .variational import (
     AnsatzExhausted,
@@ -230,20 +231,23 @@ def reduce_to_spatial_flux(
 ) -> FluxVector:
     """Gamma = sum_j (-D_t)^j Phi_j with Div Gamma|_E = 0 checked.
 
-    A Gamma that passed the check is recorded on the PdeSpec, so the check
-    runs once per (spec, Gamma) in a process; a failure is not recorded.
+    A Gamma that passed the check is recorded in the PdeSpec's memo, so the
+    check runs once per (spec, Gamma) in a process; a failure is not
+    recorded.
     """
     gamma = (JetExpr.zero(),) * cur.dim
     for j in range(cur.N + 2):
         term = _alternating_dt(cur.Flux_coeffs[j], j)
         gamma = tuple(a + b for a, b in zip(gamma, term))
-    if gamma not in pde._div_free:
+
+    def div_free():
         residual = substitute_on_solutions(divergence(list(gamma), cur.dim), pde)
         if not residual.is_zero():
             raise CurrentVerificationError(
                 "Div Gamma does not vanish on solutions", {0: residual}
             )
-        pde._div_free.add(gamma)
+
+    verified(pde, ("div-free", gamma), div_free)
     cert = nontriviality_certificate(gamma, pde, order_bound) if certify else None
     return FluxVector(gamma, cur.dim, cert)
 
@@ -300,9 +304,10 @@ def nontriviality_certificate(
     the new columns set to zero, since the rows those columns add have
     target zero.
 
-    The ladder's result is memoised on the PdeSpec under (Gamma, top
-    bound, CURL_ROUNDS, CURL_POOL_CAP), the last two read at call time, so
-    it runs once per key for the spec and every catalog spec shared with it.
+    The ladder's result is memoised in the PdeSpec's memo under (Gamma,
+    top bound, CURL_ROUNDS, CURL_POOL_CAP), the last two read at call time,
+    so it runs once per key for the spec and every catalog spec shared with
+    it.
     """
     dim = pde.dim
     u_t = JetExpr.jet("u", (1, 0, 0, 0))
@@ -317,10 +322,8 @@ def nontriviality_certificate(
         return "nonzero-flux" if not g.is_zero() else "trivial"
     if order_bound is None:
         order_bound = max(c.max_order() for c in gamma)
-    key = (tuple(gamma), order_bound, CURL_ROUNDS, CURL_POOL_CAP)
-    if key not in pde._certificates:
-        pde._certificates[key] = _curl_ladder(gamma, pde, order_bound)
-    return pde._certificates[key]
+    key = ("certificate", tuple(gamma), order_bound, CURL_ROUNDS, CURL_POOL_CAP)
+    return verified(pde, key, lambda: _curl_ladder(gamma, pde, order_bound))
 
 
 def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:

@@ -54,8 +54,8 @@ class GridField:
             raise GridError("grids support 1 to 3 spatial dimensions")
         if any(n < MIN_RESOLUTION for n in self.data.shape):
             raise GridError(f"resolutions must be >= {MIN_RESOLUTION}")
-        if any(p <= 0 for p in self.periods):
-            raise GridError("periods must be positive")
+        if not all(0 < p < math.inf for p in self.periods):
+            raise GridError(f"periods must be positive and finite, got {list(self.periods)}")
 
     @property
     def dim(self) -> int:

@@ -69,11 +69,8 @@ class PdeSpec:
     # restriction images, keyed by a tuple of hit (jet, power) factors
     _restrictions: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
-    # curl-witness ladder results, keyed by (Gamma, top bound, rounds, cap)
-    _certificates: dict = field(default_factory=dict, init=False, compare=False,
-                                repr=False)
-    # spatial fluxes Gamma whose Div Gamma|_E == 0 check passed
-    _div_free: set = field(default_factory=set, init=False, compare=False, repr=False)
+    # results of the checks that passed on this spec (see verified)
+    _verified: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dep, mi = self.leading
@@ -94,6 +91,20 @@ class PdeSpec:
             div = divergence(list(self.div_form.F), self.dim)
             if not (self.G - self.div_form.factor * (lhs - div)).is_zero():
                 raise PdeError(f"{self.name}: declared divergence form does not match G")
+
+
+def verified(pde: PdeSpec, key: tuple, check):
+    """check()'s result, computed once per key for the spec.
+
+    The key names the check and holds every input it reads besides the
+    spec, so a case equation equal to a cached one (which shares its
+    PdeSpec) reuses the results verified there.  A check that raises
+    stores nothing and runs again on the next call.
+    """
+    memo = pde._verified
+    if key not in memo:
+        memo[key] = check()
+    return memo[key]
 
 
 def _hits(jetpows: tuple, dep: str, lead_mi: tuple) -> tuple:

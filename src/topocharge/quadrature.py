@@ -141,14 +141,19 @@ def _face_integral(values: np.ndarray, periods, method: str):
     return lambda spans: _cubic_integral(values, periods, spans)
 
 
-def _component_faces(gamma, grid: GridField, method: str, *fields) -> list:
+def _component_faces(gamma, grid: GridField, method: str, faces: dict | None,
+                     *fields) -> list:
     """The face integral of each Gamma component; a zero component is not
-    evaluated on the grid and integrates to 0.0."""
+    evaluated on the grid and integrates to 0.0.  faces, when given, keeps
+    them by component for later calls on the same grid values."""
     if method not in LOOP_METHODS:
         raise ValueError(f"unknown interpolation method {method!r}")
-    return [(lambda spans: 0.0) if g.is_zero() else
-            _face_integral(evaluate_on_grid(g, grid, *fields), grid.periods, method)
-            for g in gamma]
+    faces = {} if faces is None else faces
+    for g in gamma:
+        if g not in faces:
+            faces[g] = ((lambda spans: 0.0) if g.is_zero() else
+                        _face_integral(evaluate_on_grid(g, grid, *fields), grid.periods, method))
+    return [faces[g] for g in gamma]
 
 
 def loop_integral(
@@ -161,6 +166,7 @@ def loop_integral(
     extra_fields: dict | None = None,
     *,
     method: str = "cubic",
+    faces: dict | None = None,
 ) -> float:
     """Circulation of (Gamma^x dy - Gamma^y dx) around a closed polyline.
 
@@ -168,10 +174,14 @@ def loop_integral(
     one a face of -Gamma^y with an x span, each oriented as traversed.
     Methods: "cubic" (periodic bicubic interpolation, composite
     trapezoid) and "exact" (closed-form integrals of the trig interpolant).
+    faces, a dict shared by the calls on one grid sample with the same
+    u_t, bindings and method, evaluates each component once for all of
+    their curves.
     """
     if grid.dim != 2:
         raise ValueError("loop integrals are two-dimensional")
-    gx, gy = _component_faces(gamma, grid, method, u_t, fun_bindings, params, extra_fields)
+    gx, gy = _component_faces(gamma, grid, method, faces, u_t, fun_bindings, params,
+                              extra_fields)
     total = 0.0
     for (x0, y0), (x1, y1) in zip(curve.vertices[:-1], curve.vertices[1:]):
         if x0 == x1:
@@ -208,7 +218,8 @@ def surface_integral(
     if grid.dim != 3:
         raise ValueError("surface integrals are three-dimensional")
     total = 0.0
-    faces = _component_faces(gamma, grid, method, u_t, fun_bindings, params, extra_fields)
+    faces = _component_faces(gamma, grid, method, None, u_t, fun_bindings, params,
+                             extra_fields)
     for axis, face in enumerate(faces):
         for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
             spans = list(box.bounds)

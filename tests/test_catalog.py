@@ -1,5 +1,6 @@
 """Catalog self-verification, typo repairs, and parameter instantiation."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from topocharge.catalog import (
     instantiate,
     load_catalog,
 )
-from topocharge.conservation import current_divergence, verify_current
+from topocharge.conservation import NotAMultiplier, current_divergence, verify_current
+from topocharge.jetexpr import JetExpr
 from topocharge.parsing import parse_expr
-from topocharge.pde import substitute_on_solutions
+from topocharge.pde import substitute_on_solutions, verified
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -241,6 +243,108 @@ class TestSharedCaseSpecs:
         assert not any(s is o for e in new for s in e.case_pdes.values()
                        for o in old_specs)
         assert len(calls) > 0
+
+
+def _edit(doc: dict, group: str, obj_id: str, **changes) -> None:
+    (obj,) = [o for o in doc[group] if o["id"] == obj_id]
+    obj.update(changes)
+
+
+class TestVerifiedMemo:
+    """One memo per PdeSpec holds the results of the checks that passed on
+    it, keyed by every input of the check: a binding that is a case's own
+    reuses what the load verified, new inputs run, and a failure is never
+    stored."""
+
+    @staticmethod
+    def record(monkeypatch) -> dict:
+        """The inputs of each multiplier, split-relation, reconstruction and
+        identity check that runs; a reconstruction by its result."""
+        calls = {"multiplier": [], "family": [], "reconstruct": [], "identity": []}
+
+        def spy(name, kind, pick):
+            real = getattr(cat, name)
+
+            def counted(*args):
+                out = real(*args)
+                calls[kind].append(pick(args, out))
+                return out
+
+            monkeypatch.setattr(cat, name, counted)
+
+        spy("verify_multiplier", "multiplier", lambda args, out: args[1])
+        spy("verify_family", "family", lambda args, out: args[1])
+        spy("_reconstruct_fluxes", "reconstruct", lambda args, out: out)
+        spy("divergence_identity", "identity", lambda args, out: args[1:])
+        return calls
+
+    @staticmethod
+    def inputs(entry, case=None) -> dict:
+        """The same inputs for the entry's objects, of one case or of all."""
+        currents = [c for c in entry.currents if case in (None, c.case)]
+        return {
+            "multiplier": [m.Q for m in entry.multipliers if case in (None, m.case)],
+            "family": [c.family for c in currents],
+            "reconstruct": [(c.family.T_coeffs, c.family.Flux_coeffs)
+                            for c in currents if c.reconstructed],
+            "identity": [(c.family, i.index) for i in entry.identities
+                         for c in currents if c.id == i.current_id],
+        }
+
+    def test_case_binding_reuses_the_load(self, monkeypatch):
+        load_catalog()
+        calls = self.record(monkeypatch)
+        inst = instantiate("umkp", UMKP_CASE_BINDINGS["integrable"])
+        own = self.inputs(inst, "integrable")
+        assert all(own.values())
+        for kind, wanted in own.items():
+            assert not [x for x in wanted if x in calls[kind]], kind
+
+    def test_new_binding_runs_every_check(self, monkeypatch):
+        load_catalog()
+        calls = self.record(monkeypatch)
+        inst = instantiate("umkp", {"alpha": "3/2", "beta": "alpha", "sigma": "-1"})
+        assert "multiplier-yf" in {m.id for m in inst.multipliers}
+        for kind, wanted in self.inputs(inst).items():
+            assert wanted and all(x in calls[kind] for x in wanted), kind
+
+    @pytest.mark.parametrize("name, group, obj_id, changes", [
+        ("umkp", "multipliers", "multiplier-q3", {"Q": "(x - alpha*y*u_x)*f - y^2*f'"}),
+        ("umkp", "identities", "id-3", {"R": "y^2*G"}),
+        ("kp", "charges", "charge-3", {"printed_gamma": [
+            "1/2*u^2 + u_xx - x*(u_t + u*u_x + u_xxx) "
+            "- 1/2*sigma*y^2*(u_tt + u_t*u_x + u*u_tx + u_txxx)",
+            "y*u_t - sigma*x*u_y - 1/3*y^2*u_ty"]}),
+    ], ids=["Q", "R", "printed_gamma"])
+    def test_corrupted_document_raises_at_the_object(self, name, group, obj_id, changes):
+        entry = get_entry(name)
+        doc = _read_yaml(f"{name}.yaml")
+        rebuilt = _build_entry(doc)
+        assert all(rebuilt.case_pdes[c] is s for c, s in entry.case_pdes.items())
+        sizes = [len(s._verified) for s in entry.case_pdes.values()]
+        _edit(doc, group, obj_id, **changes)
+        for _ in range(2):  # nothing was stored, so the second build fails alike
+            with pytest.raises(CatalogCorrupt) as err:
+                _build_entry(doc)
+            assert err.value.object_id == obj_id
+        assert [len(s._verified) for s in entry.case_pdes.values()] == sizes
+
+    def test_failed_check_is_not_stored(self):
+        pde = dataclasses.replace(get_entry("kp").pde)
+        assert not pde._verified
+        runs = []
+
+        def failing():
+            runs.append(1)
+            raise NotAMultiplier("residual", JetExpr.zero())
+
+        key = ("multiplier", JetExpr.jet("u"))
+        for _ in range(2):
+            with pytest.raises(NotAMultiplier):
+                verified(pde, key, failing)
+        assert len(runs) == 2 and not pde._verified
+        assert verified(pde, key, lambda: None) is None
+        assert verified(pde, key, failing) is None and len(runs) == 2
 
 
 class TestYamlLoaders:

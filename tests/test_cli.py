@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from topocharge import catalog as cat
-from topocharge import cli
+from topocharge import cli, quadrature
 from topocharge.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -192,6 +192,32 @@ class TestSimulate:
         for p1 in sorted((tmp_path / "r1").iterdir()):
             p2 = tmp_path / "r2" / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_components_evaluated_once_per_sample(self, kp_manifest, tmp_path, capsys,
+                                                 monkeypatch):
+        # two curves of one charge and a balance check on the first one's
+        # rectangle, at the run and at half resolution
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["charges"].append({"id": "charge-1", "curve": {"rect": [1.5, 3.1, 2.0, 4.2]}})
+        manifest["checks"].append({"type": "balance", "curve": {"rect": [0.7, 3.9, 1.1, 5.2]}})
+        calls = []
+        evaluate = quadrature.evaluate_on_grid
+
+        def counted(e, grid, *args):
+            calls.append((grid, e))
+            return evaluate(e, grid, *args)
+
+        monkeypatch.setattr(quadrature, "evaluate_on_grid", counted)
+        code, out, _ = run(capsys, "simulate", "--manifest",
+                           str(write_manifest(tmp_path, manifest)), "--out", str(tmp_path / "rep"))
+        assert code == 0 and out.count("conserved") == 3 and "balance: satisfied" in out
+        keys = [(id(grid), e) for grid, e in calls]  # the grids stay alive in calls
+        assert len(set(keys)) == len(keys)
+        assert not any(e.is_zero() for _, e in calls)
+        # per run and sample: two charge components, u and the flux's nonzero
+        # components; and the constraint density once
+        flux = [c for c in cat.get_entry("kp").pde.div_form.F if not c.is_zero()]
+        assert len(calls) == 2 * manifest["samples"] * (2 + 1 + len(flux)) + 1
 
     @pytest.mark.parametrize("group", ["constraints", "checks"])
     def test_null_tolerance_is_the_default(self, group, kp_manifest, tmp_path, capsys):
@@ -382,6 +408,25 @@ class TestSimulateUsage:
         manifest["grid"]["resolutions"] = [8, 8]
         code, out, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and "resolutions must be >= 16" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_period(self, period, kp_manifest, no_evolution, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["grid"]["periods"][1] = period
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "periods must be positive and finite" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda u0: u0["modes"][0].update(a=math.nan),
+        lambda u0: u0.update(constant=math.inf),
+    ], ids=["mode_amplitude_nan", "constant_inf"])
+    def test_non_finite_initial_data(self, edit, kp_manifest, no_evolution, tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        edit(manifest["u0"])
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert code == 2 and "u0 is not finite on the grid" in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     @pytest.mark.parametrize("doubled", ["charge", "balance"])

@@ -28,7 +28,8 @@ from topocharge.conservation import (
     verify_multiplier,
 )
 from topocharge.jetexpr import (
-    JetExpr, T, X, _collect, _leibniz, curl, divergence, total_derivative,
+    JetExpr, T, X, Y, Z, _collect, _leibniz, arbfun_key, biharmonic_rule, curl, divergence,
+    total_derivative,
 )
 from topocharge.parsing import parse_expr
 from topocharge.pde import (
@@ -425,10 +426,35 @@ def collected_pools(target, axes, order_bound, var_bounds, rounds, cap):
     return {d: sorted(pools[d]) for d in axes}
 
 
+@st.composite
+def pool_targets(draw):
+    """(target, axes): a few monomials in u-jets of order <= 5 along t and
+    the axes, x/y powers and, in some, one factor of shear's biharmonic
+    phi(y, z), whose D_y can reach the rewrite rule."""
+    axes = draw(st.sampled_from([[X, Y], [X, Y, Z]]))
+    target = JetExpr.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        term = JetExpr.number(draw(st.integers(1, 3)))
+        for axis in (X, Y):
+            term = term * JetExpr.variable(axis) ** draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(1, 2))):
+            mi = [0, 0, 0, 0]
+            for axis in draw(st.lists(st.sampled_from([T, *axes]), max_size=5)):
+                mi[axis] += 1
+            term = term * JetExpr.jet("u", mi)
+        if draw(st.booleans()):
+            orders = (draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+            term = term * JetExpr.arbfun(arbfun_key("phi", (Y, Z), orders, biharmonic_rule(0)))
+        target = target + term
+    return target, axes
+
+
 class TestPoolParity:
     """build_pools reads the monomials of D_d(candidate) off the Leibniz
     pairs, merging only where a rewrite rule may fire, and skips the order
-    check of an antiderivative of a monomial within the bound."""
+    check of an antiderivative of a monomial within the bound; it works on
+    interned jets.  Checked against the reference harvest on the catalog's
+    feeds, where the rule fires, at the cap and on random targets."""
 
     @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity", "umkp",
                                       *(f"umkp-{case}" for case in UMKP_BINDINGS)])
@@ -461,6 +487,26 @@ class TestPoolParity:
         for build in (build_pools, collected_pools):
             with pytest.raises(AnsatzExhausted):
                 build(*args, size - 1)
+
+    @given(pool_targets(), st.sampled_from([2, 3]), st.integers(2, 6), st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_targets_match_collected_harvest(self, target_axes, rounds, bound, extra):
+        target, axes = target_axes
+        var_bounds = {d: target.var_degree(d) + extra for d in axes}
+        args = (target, axes, bound, var_bounds, rounds)
+
+        def pools(build, cap):
+            try:
+                return build(*args, cap)
+            except AnsatzExhausted:
+                return "exhausted"
+
+        want = pools(collected_pools, 3000)
+        assert pools(build_pools, 3000) == want
+        if want != "exhausted":
+            size = sum(len(p) for p in want.values())
+            assert size == 0 or pools(build_pools, size - 1) == "exhausted"
+            assert size == 0 or pools(collected_pools, size - 1) == "exhausted"
 
 
 class TestRestrictionMemos:
