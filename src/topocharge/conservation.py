@@ -90,7 +90,9 @@ class CurrentFamily:
 class FluxVector:
     Gamma: tuple
     dim: int
-    nontrivial_up_to_order: object = None  # int order bound or "u_t-certificate"
+    # nontriviality_certificate's value: an int order bound, "u_t-certificate",
+    # "nonzero-flux" or "trivial"; None if not certified or every bound exhausted the cap
+    nontrivial_up_to_order: object = None
 
 
 @dataclass(frozen=True)
@@ -280,29 +282,28 @@ def nontriviality_certificate(
 
     Returns "u_t-certificate" for fluxes of the form u_t k_hat - F with F
     free of time derivatives (the jet-counting argument), and in one
-    dimension "nonzero-flux" or "trivial".  Otherwise a curl-witness
-    search runs at the order bounds from `order_bound` (default: the
-    highest jet order in Gamma) down to min(2, order_bound); the first
-    bound whose ansatz pools fit the cap decides: "trivial" if a witness
-    exists, else that bound.  None means every bound exhausted the cap.
-
-    A bound N certifies only the ansatz: a potential holding u_tx, u_txx or
-    u_txy, whose restriction has a jet order above N, lies outside it, so
-    such a curl can read N.  The Euler-operator proof of
-    `not_a_curl_on_solutions` is not affected, but NV's three searched
-    charges rest on the search alone.
+    dimension "nonzero-flux" or "trivial".
 
     Where `not_a_curl_on_solutions` proves that no witness exists at any
-    order (every searched catalog charge but NV's), each bound still builds
-    its pools, so the bound returned is still the first that fits the cap,
-    but the column images and the solve are skipped.
+    order (every searched catalog charge but NV's), Gamma is not a curl
+    within any bound either, and `order_bound` (default: the highest jet
+    order in Gamma) is returned without building a pool.  Otherwise a
+    curl-witness search runs at the order bounds from `order_bound` down to
+    min(2, order_bound); the first bound whose ansatz pools fit the cap
+    decides: "trivial" if a witness exists, else that bound.  None means
+    every bound exhausted the cap.
 
-    This is the value of the ascending search that stops at the first
-    exhausted bound: pools only filter by order, so pool(b) is a subset of
-    pool(b+1) and a bound that exhausts the cap makes every higher one
-    exhaust it too; and a witness over pool(b) is one over pool(b+1) with
-    the new columns set to zero, since the rows those columns add have
-    target zero.
+    A searched bound N certifies only the ansatz: a potential holding u_tx,
+    u_txx or u_txy, whose restriction has a jet order above N, lies outside
+    it, so such a curl can read N.  NV's three searched charges rest on the
+    search alone.
+
+    The searched value is that of the ascending search that stops at the
+    first exhausted bound: pools only filter by order, so pool(b) is a
+    subset of pool(b+1) and a bound that exhausts the cap makes every
+    higher one exhaust it too; and a witness over pool(b) is one over
+    pool(b+1) with the new columns set to zero, since the rows those
+    columns add have target zero.
 
     The ladder's result is memoised in the PdeSpec's memo under (Gamma,
     top bound, CURL_ROUNDS, CURL_POOL_CAP), the last two read at call time,
@@ -330,10 +331,11 @@ def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
     # Restricted once here: restricting an R-normal expression again only
     # scans its terms and returns it, so the searches below reuse this work.
     g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
-    proven = not_a_curl_on_solutions(g_sub, pde)
+    if not_a_curl_on_solutions(g_sub, pde):
+        return order_bound
     for bound in range(order_bound, min(2, order_bound) - 1, -1):
         try:
-            witness = curl_witness_on_solutions(g_sub, pde, bound, proven)
+            witness = curl_witness_on_solutions(g_sub, pde, bound)
         except AnsatzExhausted:
             continue
         return "trivial" if witness is not None else bound
@@ -378,17 +380,13 @@ def not_a_curl_on_solutions(gamma: tuple, pde: PdeSpec) -> bool:
     return False
 
 
-def curl_witness_on_solutions(
-    gamma: tuple, pde: PdeSpec, order_bound: int, proven: bool = False
-):
+def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
     """Search for a skew potential with Gamma|_E = curl(theta)|_E.
 
     The ansatz for each potential component is drawn from antiderivative
     closures of the flux components it feeds.  Returns the potential
     (scalar in 2D, 3-vector in 3D) or None, which certifies
-    non-triviality up to `order_bound`.  With `proven` (a true
-    `not_a_curl_on_solutions`) the pools are still built, so AnsatzExhausted
-    is raised as before, but None is returned without the solve.
+    non-triviality up to `order_bound`.
     """
     dim = pde.dim
     if dim not in (2, 3):
@@ -416,8 +414,6 @@ def curl_witness_on_solutions(
                                         CURL_ROUNDS, CURL_POOL_CAP)[axis])
         feeds.append(fed)
         columns.extend((pot, m) for m in sorted(pool))
-    if proven:
-        return None
 
     def image(pot: int, m: tuple) -> list:
         """curl(theta)|_E as (coeff, monomial) pairs per component; a

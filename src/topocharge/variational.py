@@ -11,7 +11,6 @@ which makes the output deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -234,90 +233,6 @@ def one_step_antiderivatives(mono: tuple, axis: int, var_bounds: Mapping[int, in
     return out
 
 
-class _Interner:
-    """The monomials of one pool build as flat int tuples (rest, jet, jet, ...).
-
-    The jets are the sorted multiset of their ids and the rest (variable,
-    function and parameter powers) is one id, so that the pool sets hash
-    flat int tuples; the moves along an axis are memoised per id.  Ids are
-    only compared for equality, and the pools leave in canonical form.
-    """
-
-    def __init__(self):
-        self.jet_ids: dict[tuple, int] = {}
-        self.jets: list[tuple] = []  # id -> (jet key, order)
-        self.shifts: dict[tuple, int | None] = {}  # (id, axis, +-1) -> shifted jet id
-        self.rest_ids: dict[tuple, int] = {}
-        self.rests: list[tuple] = []  # id -> (varpows, funpows, parampows, ruled)
-        self.moves: dict[tuple, tuple] = {}  # (id, axis) -> see rest_moves
-
-    def jet(self, key: tuple) -> int:
-        if key not in self.jet_ids:
-            self.jet_ids[key] = len(self.jets)
-            self.jets.append((key, mi_order(key[1])))
-        return self.jet_ids[key]
-
-    def rest(self, varpows: tuple, funpows: tuple, parampows: tuple) -> int:
-        rest = (varpows, funpows, parampows)
-        if rest not in self.rest_ids:
-            self.rest_ids[rest] = len(self.rests)
-            self.rests.append((*rest, any(k[3] for k, _ in funpows)))
-        return self.rest_ids[rest]
-
-    def intern(self, mono: tuple) -> tuple:
-        varpows, jetpows, funpows, parampows = mono
-        jets = sorted(self.jet(k) for k, p in jetpows for _ in range(p))
-        return (self.rest(varpows, funpows, parampows), *jets)
-
-    def canonical(self, m: tuple) -> tuple:
-        varpows, funpows, parampows, _ = self.rests[m[0]]
-        jets = m[1:]
-        jetpows = sorted((self.jets[j][0], jets.count(j)) for j in set(jets))
-        return (varpows, tuple(jetpows), funpows, parampows)
-
-    def ruled(self, m: tuple) -> bool:
-        """Does m hold a function with a rewrite rule?"""
-        return self.rests[m[0]][3]
-
-    def order(self, m: tuple) -> int:
-        return max((self.jets[j][1] for j in m[1:]), default=0)
-
-    def rest_moves(self, r: int, axis: int) -> tuple:
-        """(power of axis, the rest with it raised, the rests with a function
-        lowered along axis, the rests of D_axis on variables and functions),
-        read off one_step_antiderivatives and _leibniz of the jet-free
-        monomial."""
-        if (r, axis) not in self.moves:
-            varpows, funpows, parampows, _ = self.rests[r]
-            mono = (varpows, (), funpows, parampows)
-            self.moves[r, axis] = (
-                dict(varpows).get(axis, 0),
-                self.rest(_merge_pow(varpows, axis, 1), funpows, parampows),
-                [self.rest(m[0], m[2], m[3]) for m in one_step_antiderivatives(mono, axis, {})],
-                [self.rest(m[0], m[2], m[3]) for _, m in _leibniz(((mono, 1),), axis)],
-            )
-        return self.moves[r, axis]
-
-    def jet_moves(self, m: tuple, axis: int, by: int) -> list:
-        """m with one factor of each distinct jet shifted by `by` along axis,
-        where the shifted jet exists; the jets stay sorted."""
-        out, shifts = [], self.shifts
-        for i in range(1, len(m)):
-            if i > 1 and m[i] == m[i - 1]:
-                continue
-            move = (m[i], axis, by)
-            if move not in shifts:
-                dep, mi = self.jets[m[i]][0]
-                shifts[move] = (self.jet((dep, mi_bump(mi, axis, by)))
-                                if mi[axis] + by >= 0 else None)
-            j = shifts[move]
-            if j is not None:
-                rest = m[:i] + m[i + 1:]
-                k = bisect_left(rest, j, 1)
-                out.append(rest[:k] + (j,) + rest[k:])
-        return out
-
-
 def build_pools(
     target: JetExpr,
     axes: Sequence[int],
@@ -333,28 +248,21 @@ def build_pools(
     monomials, so nothing cancels.  Only a candidate holding a rewrite-rule
     function goes through _collect.  An antiderivative never raises jet
     order, so those of a frontier monomial within the bound skip the check.
-    Monomials are interned (see _Interner) until the sorted result.
     """
     if isinstance(var_bounds, int):
         var_bounds = {d: var_bounds for d in axes}
-    ids = _Interner()
-    order, rest_moves, jet_moves = ids.order, ids.rest_moves, ids.jet_moves
     pools: dict[int, set] = {d: set() for d in axes}
-    frontier = {ids.intern(m) for m, _ in target.terms}
+    frontier = {m for m, _ in target.terms}
     for _ in range(rounds):
         new_by_dir = {d: set() for d in axes}
         for m in frontier:
-            check = order(m) > order_bound
+            check = _mono_max_order(m) > order_bound
             for d in axes:
                 pool, new = pools[d], new_by_dir[d]
-                power, raised, lowered, _ = rest_moves(m[0], d)
-                cands = [(r, *m[1:]) for r in lowered] + jet_moves(m, d, -1)
-                if power < var_bounds.get(d, 0):
-                    cands.append((raised, *m[1:]))
-                for cand in cands:
+                for cand in one_step_antiderivatives(m, d, var_bounds):
                     if cand in pool or cand in new:
                         continue
-                    if check and order(cand) > order_bound:
+                    if check and _mono_max_order(cand) > order_bound:
                         continue
                     new.add(cand)
         if not any(new_by_dir.values()):
@@ -364,13 +272,9 @@ def build_pools(
         for d in axes:
             pools[d] |= new_by_dir[d]
             for cand in new_by_dir[d]:
-                if ids.ruled(cand):
-                    pairs = _leibniz(((ids.canonical(cand), 1),), d)
-                    derived = [ids.intern(mm) for mm in _collect(pairs)]
-                else:
-                    derived = [(r, *cand[1:]) for r in rest_moves(cand[0], d)[3]]
-                    derived += jet_moves(cand, d, 1)
-                for mm in derived:
+                pairs = _leibniz(((cand, 1),), d)
+                ruled = any(k[3] for k, _ in cand[2])
+                for mm in _collect(pairs) if ruled else (mm for _, mm in pairs):
                     if mm not in seen:
                         seen.add(mm)
                         next_frontier.add(mm)
@@ -379,7 +283,7 @@ def build_pools(
             raise AnsatzExhausted(
                 f"ansatz pool exceeded {cap} monomials; raise bounds explicitly"
             )
-    return {d: sorted(map(ids.canonical, pools[d])) for d in axes}
+    return {d: sorted(pools[d]) for d in axes}
 
 
 def invert_divergence(

@@ -73,7 +73,7 @@ class TestReduce:
         assert "u_x^2/2 + u_xxx + u_t" in out
 
     def test_kp_current3(self, capsys):
-        code, out, _ = run(capsys, "reduce", "kp", "current-3", "--no-certify")
+        code, out, _ = run(capsys, "reduce", "kp", "current-3")
         assert code == 0
         assert "R(G) = y^2*G*sigma/2" in out
 

@@ -346,6 +346,10 @@ class TestCertificate:
     def test_cap_at_top_bound(self, name, charge_id, monkeypatch):
         entry = get_entry(name)
         (_, gamma, pde), = [c for c in charge_cases(entry) if c[0].id == charge_id]
+        # the search's caps, also on charges the Euler-operator proof decides;
+        # a fresh memo keeps the stubbed results out of the catalog's spec
+        pde = dataclasses.replace(pde)
+        monkeypatch.setattr(conservation, "not_a_curl_on_solutions", lambda *a: False)
         top = max(c.max_order() for c in gamma)
         cap = largest_pool(gamma, pde, top - 1)
         assert largest_pool(gamma, pde, top) > cap
@@ -354,6 +358,22 @@ class TestCertificate:
         monkeypatch.setattr(conservation, "CURL_POOL_CAP", 0)
         assert nontriviality_certificate(gamma, pde) is None
         assert ascending_ladder(gamma, pde) is None
+
+    @pytest.mark.parametrize("name, charge_id",
+                             [("kp", "charge-3"), ("vorticity", "charge-1"),
+                              ("umkp", "charge-4")])
+    def test_proven_charge_builds_no_pool(self, name, charge_id, monkeypatch):
+        (_, gamma, pde), = [c for c in charge_cases(get_entry(name)) if c[0].id == charge_id]
+        pde = dataclasses.replace(pde)
+        assert not_a_curl_on_solutions(gamma, pde)
+        builds = []
+        build = conservation.build_pools
+        monkeypatch.setattr(conservation, "build_pools",
+                            lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(conservation, "CURL_POOL_CAP", 0)
+        top = max(c.max_order() for c in gamma)
+        assert nontriviality_certificate(gamma, pde) == top
+        assert builds == []
 
     def test_memo_matches_uncached_copy(self):
         entries = load_catalog()  # loaded first, so the instances share its specs
@@ -370,6 +390,7 @@ class TestCertificate:
         entry = get_entry("kp")
         (_, gamma, pde), = [c for c in charge_cases(entry) if c[0].id == "charge-3"]
         pde = dataclasses.replace(pde)
+        monkeypatch.setattr(conservation, "not_a_curl_on_solutions", lambda *a: False)
         calls = []
         search = conservation.curl_witness_on_solutions
         monkeypatch.setattr(conservation, "curl_witness_on_solutions",
@@ -452,9 +473,9 @@ def pool_targets(draw):
 class TestPoolParity:
     """build_pools reads the monomials of D_d(candidate) off the Leibniz
     pairs, merging only where a rewrite rule may fire, and skips the order
-    check of an antiderivative of a monomial within the bound; it works on
-    interned jets.  Checked against the reference harvest on the catalog's
-    feeds, where the rule fires, at the cap and on random targets."""
+    check of an antiderivative of a monomial within the bound.  Checked
+    against the reference harvest on the catalog's feeds, where the rule
+    fires, at the cap and on random targets."""
 
     @pytest.mark.parametrize("name", ["kp", "nv", "shear", "vorticity", "umkp",
                                       *(f"umkp-{case}" for case in UMKP_BINDINGS)])

@@ -1,5 +1,6 @@
-"""`reduce` and `potential --yaml` of every catalog current and charge against
-recorded outputs: stdout, stderr and the exit code of each command.
+"""`reduce` and `potential --yaml` of every catalog current and charge, and
+`catalog show umkp` at each of its four case bindings, against recorded
+outputs: stdout, stderr and the exit code of each command.
 
 The recorded outputs live in ``tests/golden/``: ``cases.json`` lists each
 case's arguments, exit code and stderr, and ``<case>.stdout`` holds its
@@ -31,8 +32,19 @@ def run(argv: list) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# The four umKP cases of the catalog as `--params` arguments; `catalog show`
+# prints the certificates of each bound instance.
+UMKP_BINDINGS = {
+    "integrable": ["alpha=sqrt(2)", "beta=0", "sigma=1"],
+    "gardner": ["alpha=sqrt(2/3)", "beta=2*alpha", "sigma=1"],
+    "equal-transverse": ["alpha=1/2", "beta=alpha", "sigma=-1"],
+    "generic": ["alpha=1/2", "beta=2/3", "sigma=1"],
+}
+
+
 def catalog_cases() -> dict:
-    """Case name -> argv: reduce of each current, potential --yaml of each charge."""
+    """Case name -> argv: reduce of each current, potential --yaml of each
+    charge, catalog show of each umKP binding."""
     from topocharge import catalog as cat
 
     cases = {}
@@ -42,6 +54,8 @@ def catalog_cases() -> dict:
         for charge in entry.charges:
             cases[f"potential_{entry.name}_{charge.id}"] = [
                 "potential", entry.name, charge.id, "--yaml"]
+    for case, params in UMKP_BINDINGS.items():
+        cases[f"show_umkp_{case}"] = ["catalog", "show", "umkp", "--params", *params]
     return cases
 
 
