@@ -38,24 +38,31 @@ from .potential import (
     check_gauge_invariance,
 )
 from .catalog import CatalogCorrupt, ConstraintViolation, get_entry, instantiate, load_catalog
-from .grids import GridField, TimeFunction, evaluate_on_grid
-from .evolution import (
-    CflViolation,
-    KhatEvolver,
-    NonIntegrableSymbol,
-    Trajectory,
-    evolve,
-)
-from .quadrature import (
-    BoxSpec,
-    ChargeReport,
-    CurveSpec,
-    CurveNotClosed,
-    check_constraint,
-    extract_source_sink,
-    loop_integral,
-    surface_integral,
-)
+# The numerical half (numpy, grids, evolution, quadrature) loads on first
+# use (PEP 562), so the exact half never imports numpy.  A name is read
+# from its module each time it is asked for, never bound here.
+_NUMERICAL = {
+    "grids": ("GridField", "TimeFunction", "evaluate_on_grid"),
+    "evolution": ("CflViolation", "KhatEvolver", "NonIntegrableSymbol", "Trajectory", "evolve"),
+    "quadrature": ("BoxSpec", "ChargeReport", "CurveSpec", "CurveNotClosed", "check_constraint",
+                   "extract_source_sink", "loop_integral", "surface_integral"),
+}
+_OWNER = {name: module for module, names in _NUMERICAL.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _NUMERICAL:
+        return import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERICAL, *_OWNER})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Entries ship as YAML documents (one per PDE) in ``catalog_data/``.  Every
 listed object is verified while loading: multipliers through the Euler
 test, currents through the split relations on solutions, identities as
-exact off-solution statements, charges through Div Gamma|_E = 0.  A load
-failure raises CatalogCorrupt carrying the failing object and residual.
+exact off-solution statements; a charge's Div Gamma|_E = 0 follows from
+its current's split relations.  A load failure raises CatalogCorrupt
+carrying the failing object and residual.
 
 Fluxes a source document omits are reconstructed by divergence inversion
 from the split relations.  Transcription defects in the source are never
@@ -28,12 +29,12 @@ from .conservation import (
     DivergenceIdentity,
     FluxVector,
     NotAMultiplier,
+    check_family,
     current_divergence,
     divergence_identity,
     reduce_to_spatial_flux,
     split_by_arbitrary_function,
     substitute_on_solutions,
-    verify_family,
     verify_multiplier,
 )
 from .jetexpr import (
@@ -390,17 +391,10 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         else:
             Phi = tuple(P(s, bindings) for s in c["Phi"])
             family = split_by_arbitrary_function(cpde, T_expr, Phi, check=False)
-
-        def family_holds():
-            residuals = verify_family(cpde, family)
-            if residuals:
-                raise CatalogCorrupt(
-                    name, c["id"],
-                    "split relations fail for f^(i), i in " + str(sorted(residuals)),
-                    residuals,
-                )
-
-        verified(cpde, ("family", family), family_holds)
+        try:
+            check_family(cpde, family)
+        except CurrentVerificationError as exc:
+            raise CatalogCorrupt(name, c["id"], str(exc), exc.residuals) from None
         exact = current_divergence(cpde, T_expr, Phi) - cQ * cpde.G
         pairing_exact = exact.is_zero()
         if not pairing_exact:
@@ -456,11 +450,8 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             cur = _find(currents, ch["current"], name)
         except KeyError:
             continue
-        cpde = case_pdes[cur.case]
-        try:
-            flux = reduce_to_spatial_flux(cur.family, cpde)
-        except CurrentVerificationError as exc:
-            raise CatalogCorrupt(name, ch["id"], str(exc), exc.residuals) from None
+        # the current's split relations, checked above, give Div Gamma|_E = 0
+        flux = reduce_to_spatial_flux(cur.family, case_pdes[cur.case])
         if ch.get("printed_gamma"):
             printed = tuple(P(s, cases[cur.case]) for s in ch["printed_gamma"])
             if printed != flux.Gamma:

@@ -14,8 +14,8 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
 from . import catalog as cat
@@ -27,13 +27,14 @@ from .conservation import (
     verify_current,
     verify_multiplier,
 )
-from .evolution import CflViolation, EvolutionError, KhatEvolver, NonIntegrableSymbol, evolve
-from .grids import MIN_RESOLUTION, GridError, GridField, TimeFunction, evaluate_on_grid
 from .jetexpr import JetExpr, T
 from .parsing import ParseError
 from .potential import UnsupportedDimension, build_potential_system
 from .printing import jet_name, to_source, vector_source
-from .quadrature import LOOP_METHODS, ChargeReport, CurveSpec, check_constraint, loop_integral
+
+if TYPE_CHECKING:
+    from .grids import GridField
+    from .quadrature import ChargeReport, CurveSpec
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -189,6 +190,32 @@ def cmd_potential(args) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
+# The numerical names simulate uses.  numpy, grids, evolution and quadrature
+# load only when simulate runs, so the exact subcommands never import numpy.
+# __getattr__ (PEP 562) reads each name from its module when it is asked
+# for, and the simulate path asks through this module (`_num`) at call time:
+# a binding set on this module or on the defining module, such as a test's
+# stand-in or a tracer's wrapper, is the one that runs.
+_NUMERICAL = {
+    "evolution": ("CflViolation", "EvolutionError", "KhatEvolver", "NonIntegrableSymbol",
+                  "evolve"),
+    "grids": ("MIN_RESOLUTION", "GridError", "GridField", "TimeFunction", "evaluate_on_grid"),
+    "quadrature": ("LOOP_METHODS", "ChargeReport", "CurveSpec", "check_constraint",
+                   "loop_integral"),
+}
+_OWNER = {name: module for module, names in _NUMERICAL.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{_OWNER[name]}"), name)
+
+
+_num = sys.modules[__name__]
+
 
 def _read(value, kind, path: str = ""):
     """value read as a MANIFEST kind and named by its key path.
@@ -272,7 +299,7 @@ def _curve(spec: dict, path: str) -> CurveSpec:
     if rect is None or len(rect) != 4:
         raise UsageError(f"{path} needs curve: {{rect: [x0, x1, y0, y1]}}, "
                          f"got {spec.get('curve')!r}")
-    return CurveSpec.rectangle(*rect)
+    return _num.CurveSpec.rectangle(*rect)
 
 
 def _initial_data(u0: dict, entry):
@@ -280,6 +307,8 @@ def _initial_data(u0: dict, entry):
     function that samples it on a grid of the given shape and periods,
     which raises UsageError for a grid that GridField refuses or for data
     that is not finite on it."""
+    import numpy as np
+
     dim = entry.dim
     modes = u0.get("modes", [])
     for i, mode in enumerate(modes):
@@ -294,8 +323,8 @@ def _initial_data(u0: dict, entry):
 
     def on_grid(shape: tuple, periods: tuple) -> GridField:
         try:
-            fld = GridField(np.zeros(shape), periods)
-        except GridError as exc:
+            fld = _num.GridField(np.zeros(shape), periods)
+        except _num.GridError as exc:
             raise UsageError(f"grid {list(shape)}: {exc}") from None
         data = fld.data + u0.get("constant", 0.0)
         for mode in modes:
@@ -306,10 +335,10 @@ def _initial_data(u0: dict, entry):
                     factor = factor * np.sin(theta * fld.coords(axis) + mode["phase"][axis])
             data = data + mode["a"] * factor
         if expr is not None:
-            data = data + evaluate_on_grid(expr, fld)
+            data = data + _num.evaluate_on_grid(expr, fld)
         if not np.isfinite(data).all():
             raise UsageError(f"u0 is not finite on the grid {list(shape)}")
-        return GridField(data, periods)
+        return _num.GridField(data, periods)
 
     return on_grid
 
@@ -329,8 +358,8 @@ def curve_series(traj, jobs: list, params: dict, funs: dict | None = None,
     for fld, ut in zip(traj.fields, traj.ut):
         faces: dict = {}
         for vals, (gamma, curve) in zip(out, jobs):
-            vals.append(loop_integral(gamma, fld, ut, curve, funs, params, method=method,
-                                      faces=faces))
+            vals.append(_num.loop_integral(gamma, fld, ut, curve, funs, params, method=method,
+                                           faces=faces))
     return out
 
 
@@ -393,8 +422,8 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"samples must be >= 2 (t = 0 and t_end), got {samples}")
     if any(curve for *_, curve in checks) and samples < 3:
         raise UsageError("a balance check differences in time and needs samples >= 3")
-    if method not in LOOP_METHODS:
-        raise UsageError(f"unknown interp {method!r} (known: {', '.join(LOOP_METHODS)})")
+    if method not in _num.LOOP_METHODS:
+        raise UsageError(f"unknown interp {method!r} (known: {', '.join(_num.LOOP_METHODS)})")
 
     name = m["pde"]
     entry = cat.get_entry(name)
@@ -409,8 +438,8 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"charges and balance checks integrate around a planar curve; "
                          f"{name} has dimension {entry.dim}")
     try:
-        funs = {"f": TimeFunction.builtin(m.get("f", "one"))}
-    except GridError as exc:
+        funs = {"f": _num.TimeFunction.builtin(m.get("f", "one"))}
+    except _num.GridError as exc:
         raise UsageError(str(exc)) from None
     densities = [entry.parse(spec["density"]) for spec, _ in constraints]
     gammas = [entry.charge(spec.get("id")).flux.Gamma for spec, *_ in charges]
@@ -423,14 +452,15 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"grid must have {entry.dim} resolutions and periods")
     u0_on = _initial_data(m.get("u0", {}), entry)
     u0 = u0_on(shape, periods)
-    if min(shape) // 2 < MIN_RESOLUTION and any(tol is None for _, tol, _ in charges + checks):
+    doubled = any(tol is None for _, tol, _ in charges + checks)
+    if min(shape) // 2 < _num.MIN_RESOLUTION and doubled:
         raise UsageError(f"tolerances from resolution doubling need at least "
-                         f"{2 * MIN_RESOLUTION} points per axis; give tolerances "
+                         f"{2 * _num.MIN_RESOLUTION} points per axis; give tolerances "
                          f"or refine the grid")
     u_gamma = (JetExpr.jet("u"), JetExpr.zero())
 
     def run(u: GridField):
-        return evolve(KhatEvolver(entry.pde, u, params), u, t_end, n_samples=samples,
+        return _num.evolve(_num.KhatEvolver(entry.pde, u, params), u, t_end, n_samples=samples,
                       cfl=cfl, dt=dt)
 
     @functools.cache
@@ -456,20 +486,20 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     # initial-data constraint checks never need evolution
     reports: list[ChargeReport] = []
     for (spec, tol), density in zip(constraints, densities):
-        value, verdict, threshold = check_constraint(density, u0, funs, params, tolerance=tol)
-        reports.append(ChargeReport("constraint", spec["density"], [0.0], [value],
-                                    threshold, verdict, {"seed": seed}))
+        value, verdict, threshold = _num.check_constraint(density, u0, funs, params, tolerance=tol)
+        reports.append(_num.ChargeReport("constraint", spec["density"], [0.0], [value],
+                                         threshold, verdict, {"seed": seed}))
 
     traj = None
     if t_end > 0:
         try:
             traj = run(u0)
-        except NonIntegrableSymbol as exc:
-            reports.append(ChargeReport("constraint-violation", str(exc), [0.0],
-                                        [float("nan")], 0.0, "violated", {"seed": seed}))
-        except CflViolation:
+        except _num.NonIntegrableSymbol as exc:
+            reports.append(_num.ChargeReport("constraint-violation", str(exc), [0.0],
+                                             [float("nan")], 0.0, "violated", {"seed": seed}))
+        except _num.CflViolation:
             raise
-        except (EvolutionError, GridError) as exc:
+        except (_num.EvolutionError, _num.GridError) as exc:
             raise UsageError(f"{name}: {exc}") from exc
 
     if traj is not None:
@@ -479,14 +509,15 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
             vals = circulation(gamma, traj, curve)
             tol = _tolerance(tol, lambda: [(vals, circulation(gamma, halved(), curve))])
             verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
-            reports.append(ChargeReport("charge", f"{spec['id']} rect={spec['curve']['rect']}",
-                                        list(traj.times), vals, tol, verdict, dict(meta)))
+            reports.append(_num.ChargeReport(
+                "charge", f"{spec['id']} rect={spec['curve']['rect']}", list(traj.times),
+                vals, tol, verdict, dict(meta)))
         for spec, tol, curve in checks:
             if curve is None:
                 vals = [f.integral() for f in traj.fields]
                 verdict = "conserved" if max(abs(v - vals[0]) for v in vals) <= tol else "failed"
-                reports.append(ChargeReport("mass", "cell integral of u", list(traj.times),
-                                            vals, tol, verdict, {"seed": seed}))
+                reports.append(_num.ChargeReport("mass", "cell integral of u", list(traj.times),
+                                                 vals, tol, verdict, {"seed": seed}))
                 continue
             circ_u, circ_F = circulations(traj, curve)
             times, resid = balance_residuals(traj.times, circ_u, circ_F)
@@ -496,7 +527,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
                 (resid, balance_residuals(halved().times, *circulations(halved(), curve))[1]),
                 (resid[1::2], balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])[1])])
             verdict = "satisfied" if max(abs(r) for r in resid) <= tol else "failed"
-            reports.append(ChargeReport(
+            reports.append(_num.ChargeReport(
                 "balance", f"d/dt circulation of u vs flux circulation, "
                 f"rect={spec['curve']['rect']}", times, resid, tol, verdict, {"seed": seed}))
 
@@ -508,7 +539,7 @@ def cmd_simulate(args) -> int:
     manifest = cat.load_yaml(Path(args.manifest).read_text(encoding="utf-8"))
     try:
         reports, code = simulate(manifest)
-    except CflViolation as exc:
+    except _num.CflViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     out_dir = Path(args.out or manifest.get("out") or "reports")

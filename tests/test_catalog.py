@@ -262,18 +262,19 @@ class TestVerifiedMemo:
         identity check that runs; a reconstruction by its result."""
         calls = {"multiplier": [], "family": [], "reconstruct": [], "identity": []}
 
-        def spy(name, kind, pick):
-            real = getattr(cat, name)
+        def spy(name, kind, pick, owner=cat):
+            real = getattr(owner, name)
 
             def counted(*args):
                 out = real(*args)
                 calls[kind].append(pick(args, out))
                 return out
 
-            monkeypatch.setattr(cat, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
         spy("verify_multiplier", "multiplier", lambda args, out: args[1])
-        spy("verify_family", "family", lambda args, out: args[1])
+        # the load checks split relations through conservation.check_family
+        spy("verify_family", "family", lambda args, out: args[1], conservation)
         spy("_reconstruct_fluxes", "reconstruct", lambda args, out: out)
         spy("divergence_identity", "identity", lambda args, out: args[1:])
         return calls
