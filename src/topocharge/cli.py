@@ -343,12 +343,6 @@ def _initial_data(u0: dict, entry):
     return on_grid
 
 
-def series(gamma, traj, curve: CurveSpec, params: dict, funs: dict | None = None,
-           method: str = "cubic") -> list[float]:
-    """The circulation of gamma around the curve at every sample of traj."""
-    return curve_series(traj, [(gamma, curve)], params, funs, method)[0]
-
-
 def curve_series(traj, jobs: list, params: dict, funs: dict | None = None,
                  method: str = "cubic") -> list[list[float]]:
     """The series of each (gamma, curve) in jobs, taken sample by sample:

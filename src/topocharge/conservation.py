@@ -255,7 +255,7 @@ def trivializing_potentials(cur: CurrentFamily) -> list[tuple]:
 
 
 def reduce_to_spatial_flux(
-    cur: CurrentFamily, pde: PdeSpec, certify: bool = True, order_bound: int | None = None
+    cur: CurrentFamily, pde: PdeSpec, order_bound: int | None = None
 ) -> FluxVector:
     """Gamma = sum_j (-D_t)^j Phi_j, which is divergence-free on solutions.
 
@@ -270,8 +270,7 @@ def reduce_to_spatial_flux(
     for j in range(cur.N + 2):
         term = _alternating_dt(cur.Flux_coeffs[j], j)
         gamma = tuple(a + b for a, b in zip(gamma, term))
-    cert = nontriviality_certificate(gamma, pde, order_bound) if certify else None
-    return FluxVector(gamma, cur.dim, cert)
+    return FluxVector(gamma, cur.dim, nontriviality_certificate(gamma, pde, order_bound))
 
 
 def divergence_identity(pde: PdeSpec, cur: CurrentFamily, i: int) -> DivergenceIdentity:

@@ -335,7 +335,9 @@ def evolve(
     """March to t_end with RK4, sampling the trajectory at even intervals.
 
     The state is the masked half-spectrum of u.  `meta` counts the steps
-    and right-hand sides taken and the range of the steps' dt.
+    and right-hand sides taken and the range of the steps' dt.  A state
+    with max|u_hat|/N above `blowup` or not finite, read every 50 steps and
+    at every sample after t = 0, raises CflViolation.
     """
     state = to_spectrum(u0.data) * evolver.mask
     stage = np.empty_like(state)
@@ -349,6 +351,11 @@ def evolve(
         traj.times.append(tv)
         traj.fields.append(f)
         traj.ut.append(evolver.ut_grid(f, forcing))
+
+    def guard():
+        peak = float(np.max(np.abs(state))) / u0.data.size
+        if not math.isfinite(peak) or peak > blowup:
+            raise CflViolation(f"solution blew up at t={t} (peak {peak:.3e})")
 
     record(0.0)
     for target in sample_times[1:]:
@@ -365,9 +372,8 @@ def evolve(
             if steps > max_steps:
                 raise CflViolation(f"exceeded {max_steps} steps before t_end")
             if steps % 50 == 0:
-                peak = float(np.max(np.abs(state))) / u0.data.size
-                if not math.isfinite(peak) or peak > blowup:
-                    raise CflViolation(f"solution blew up at t={t} (peak {peak:.3e})")
+                guard()
+        guard()
         record(t)
     traj.meta.update(steps=steps, rhs_calls=evolver.rhs_calls - calls,
                      dt_min=dt_min if steps else None, dt_max=dt_max if steps else None)

@@ -631,7 +631,7 @@ class TestSimulateUsage:
         spec.loader.exec_module(workloads)
         docs = [yaml.safe_load(p.read_text()) for p in sorted(SHIPPED_KP.parent.glob("*.yaml"))]
         docs.append(workloads.kp_manifest(ROOT, 1))
-        assert len(docs) == 3 and "phase" in docs[-1]["u0"]["modes"][0]
+        assert len(docs) == 4 and "phase" in docs[-1]["u0"]["modes"][0]
         for doc in docs:
             assert set(cli._read(doc, cli.MANIFEST)) == set(doc)
 
@@ -671,12 +671,21 @@ class TestShippedManifests:
             "mass: conserved", "balance: satisfied"]
         assert steps == {(64, 64): 1664, (32, 32): 192}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kp_charge_with_a_diverging_step_exits_1(self, tmp_path, capsys):
+        # RK4 at dt = 0.01 takes 32 steps and its fields are NaN from
+        # t = 0.047; the guard reads the state at every sample as well as
+        # every 50 steps, so no verdict is taken on a diverged run
+        manifest = yaml.safe_load(SHIPPED_KP.read_text()) | {"dt": 0.01}
+        path = write_manifest(tmp_path, manifest)
+        code, out, err = run(capsys, "simulate", "--manifest", str(path),
+                             "--out", str(tmp_path / "rep"))
+        assert code == 1 and "blew up" in err
+        assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
     def test_kp_violating(self, tmp_path, capsys):
         path = SHIPPED_KP.with_name("kp_violating.yaml")
         code, out, _ = run(capsys, "simulate", "--manifest", str(path), "--out", str(tmp_path))
         assert code == 3
         assert "constraint-violation: violated" in out
         assert (tmp_path / "report_01_constraint-violation.txt").exists()
-        reports, lib_code = cli.simulate(yaml.safe_load(path.read_text()))
-        assert lib_code == 3
-        assert [r.kind for r in reports] == ["constraint", "constraint-violation"]

@@ -231,7 +231,7 @@ class TestReductionMechanics:
 
     def test_trivial_family_reduction(self, kdv):
         c = kdv.current("current-1")
-        flux = reduce_to_spatial_flux(c.family, kdv.pde, certify=False)
+        flux = reduce_to_spatial_flux(c.family, kdv.pde)
         assert flux.Gamma == (expr(kdv, "u_t + 1/2*u_x^2 + u_xxx"),)
 
     def test_kp_gamma3_matches_repaired_print(self, kp):
@@ -560,9 +560,9 @@ class TestRestrictionMemos:
         verify = conservation.verify_family
         monkeypatch.setattr(conservation, "verify_family",
                             lambda *args: checks.append(args) or verify(*args))
-        first = reduce_to_spatial_flux(cur.family, pde, certify=False)
+        first = reduce_to_spatial_flux(cur.family, pde)
         assert len(checks) == 1
-        assert reduce_to_spatial_flux(cur.family, pde, certify=False) == first
+        assert reduce_to_spatial_flux(cur.family, pde) == first
         assert split_by_arbitrary_function(pde, cur.T, cur.Phi) == cur.family
         assert len(checks) == 1
 
@@ -572,7 +572,7 @@ class TestRestrictionMemos:
             (phi0[0] + expr(kp, "u"), *phi0[1:]), *cur.family.Flux_coeffs[1:]))
         for _ in range(2):
             with pytest.raises(CurrentVerificationError):
-                reduce_to_spatial_flux(bad, pde, certify=False)
+                reduce_to_spatial_flux(bad, pde)
         assert len(checks) == 3
 
 
@@ -589,8 +589,7 @@ class TestDivergenceOfGamma:
         assert entry.currents
         for cur in entry.currents:
             family = cur.family
-            gamma = reduce_to_spatial_flux(family, entry.pde_for_case(cur.case),
-                                           certify=False).Gamma
+            gamma = reduce_to_spatial_flux(family, entry.pde_for_case(cur.case)).Gamma
             total = JetExpr.zero()
             for j, r in enumerate(conservation.split_relations(family)):
                 for _ in range(j):
