@@ -35,6 +35,7 @@ from .conservation import (
     reduce_to_spatial_flux,
     split_by_arbitrary_function,
     substitute_on_solutions,
+    time_part,
     verify_multiplier,
 )
 from .jetexpr import (
@@ -44,7 +45,6 @@ from .jetexpr import (
     eval_at,
     param_key,
     substitute_params,
-    total_derivative,
 )
 from .parsing import SymbolTable, default_symbols, parse_expr
 from .pde import DivForm, PdeSpec, verified
@@ -306,17 +306,13 @@ def _reconstruct_fluxes(pde: PdeSpec, fun: tuple, T_coeffs: tuple, cQ: JetExpr) 
     n_q = max((k[2][0] for k in cQ.fun_keys() if k[0] == fun_name), default=0)
     N = max(len(T_coeffs) - 1, n_q - 1)
     T_list = list(T_coeffs) + [JetExpr.zero()] * (N + 1 - len(T_coeffs))
-    fluxes = []
-    for i in range(N + 2):
-        Qi = cQ.coefficient_of_fun_order(fun_name, i)
-        target = Qi * pde.G
-        if i <= N:
-            target = target - total_derivative(T_list[i], T)
-        if i >= 1:
-            target = target - T_list[i - 1]
-        witness = invert_divergence_auto(target, pde.dim)
-        fluxes.append(witness.components)
-    return tuple(T_list), tuple(fluxes)
+    fluxes = tuple(
+        invert_divergence_auto(
+            cQ.coefficient_of_fun_order(fun_name, i) * pde.G - time_part(T_list, i), pde.dim
+        ).components
+        for i in range(N + 2)
+    )
+    return tuple(T_list), fluxes
 
 
 def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
@@ -573,10 +569,14 @@ def _exact_params(doc: dict, params: dict) -> dict:
     return overlay
 
 
-def numeric_params(name: str, params: dict) -> dict[str, float]:
-    """The float of each binding in params for the entry name, refused as
-    instantiate refuses it; a root sqrt(p/q) is the positive root."""
-    overlay = _exact_params(_read_yaml(_resolve(name)), params)
+def exact_params(name: str, params: dict) -> dict[str, JetExpr]:
+    """The exact value of each binding in params for the entry name, refused
+    as instantiate refuses it (see _exact_params)."""
+    return _exact_params(_read_yaml(_resolve(name)), params)
+
+
+def numeric_params(overlay: dict) -> dict[str, float]:
+    """The float of each exact binding; a root sqrt(p/q) is the positive root."""
     return {p: eval_at(e, params={k: math.sqrt(k[1][0] / k[1][1]) for k in e.param_keys()})
             for p, e in overlay.items()}
 

@@ -3,8 +3,8 @@
 Exit codes: 0 success/verified, 1 verification residual or failed
 numerical verdict, 2 usage/catalog error or a missing or unparsable input
 file, 3 numerical constraint violation.  Reports are plain structured
-text with full-precision numbers; identical manifest and seed give
-byte-identical reports.
+text with full-precision numbers.  A manifest's seed is a label written
+to each report's meta; it changes nothing in the run.
 """
 
 from __future__ import annotations
@@ -190,31 +190,10 @@ def cmd_potential(args) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
-# The numerical names simulate uses.  numpy, grids, evolution and quadrature
-# load only when simulate runs, so the exact subcommands never import numpy.
-# __getattr__ (PEP 562) reads each name from its module when it is asked
-# for, and the simulate path asks through this module (`_num`) at call time:
-# a binding set on this module or on the defining module, such as a test's
-# stand-in or a tracer's wrapper, is the one that runs.
-_NUMERICAL = {
-    "evolution": ("CflViolation", "EvolutionError", "KhatEvolver", "NonIntegrableSymbol",
-                  "evolve"),
-    "grids": ("MIN_RESOLUTION", "GridError", "GridField", "TimeFunction", "evaluate_on_grid"),
-    "quadrature": ("LOOP_METHODS", "ChargeReport", "CurveSpec", "check_constraint",
-                   "loop_integral"),
-}
-_OWNER = {name: module for module, names in _NUMERICAL.items() for name in names}
-
-
-def __getattr__(name):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{_OWNER[name]}"), name)
-
-
-_num = sys.modules[__name__]
+# numpy and the numerical modules (grids, evolution, quadrature) are imported
+# inside the functions that use them, so the exact subcommands never import
+# numpy; each call reads its name off the defining module, so a binding set
+# there, such as a test's stand-in or a tracer's wrapper, is the one that runs.
 
 
 def _read(value, kind, path: str = ""):
@@ -295,11 +274,13 @@ VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
 
 def _curve(spec: dict, path: str) -> CurveSpec:
     """The rectangle a charge or balance check integrates around."""
+    from . import quadrature
+
     rect = spec.get("curve", {}).get("rect")
     if rect is None or len(rect) != 4:
         raise UsageError(f"{path} needs curve: {{rect: [x0, x1, y0, y1]}}, "
                          f"got {spec.get('curve')!r}")
-    return _num.CurveSpec.rectangle(*rect)
+    return quadrature.CurveSpec.rectangle(*rect)
 
 
 def _initial_data(u0: dict, entry):
@@ -308,6 +289,8 @@ def _initial_data(u0: dict, entry):
     which raises UsageError for a grid that GridField refuses or for data
     that is not finite on it."""
     import numpy as np
+
+    from . import grids
 
     dim = entry.dim
     modes = u0.get("modes", [])
@@ -323,8 +306,8 @@ def _initial_data(u0: dict, entry):
 
     def on_grid(shape: tuple, periods: tuple) -> GridField:
         try:
-            fld = _num.GridField(np.zeros(shape), periods)
-        except _num.GridError as exc:
+            fld = grids.GridField(np.zeros(shape), periods)
+        except grids.GridError as exc:
             raise UsageError(f"grid {list(shape)}: {exc}") from None
         data = fld.data + u0.get("constant", 0.0)
         for mode in modes:
@@ -335,10 +318,10 @@ def _initial_data(u0: dict, entry):
                     factor = factor * np.sin(theta * fld.coords(axis) + mode["phase"][axis])
             data = data + mode["a"] * factor
         if expr is not None:
-            data = data + _num.evaluate_on_grid(expr, fld)
+            data = data + grids.evaluate_on_grid(expr, fld)
         if not np.isfinite(data).all():
             raise UsageError(f"u0 is not finite on the grid {list(shape)}")
-        return _num.GridField(data, periods)
+        return grids.GridField(data, periods)
 
     return on_grid
 
@@ -348,12 +331,14 @@ def curve_series(traj, jobs: list, params: dict, funs: dict | None = None,
     """The series of each (gamma, curve) in jobs, taken sample by sample:
     each nonzero Gamma component is evaluated once per sample for all the
     jobs (see loop_integral), and one sample's values are held at a time."""
+    from . import quadrature
+
     out = [[] for _ in jobs]
     for fld, ut in zip(traj.fields, traj.ut):
         faces: dict = {}
         for vals, (gamma, curve) in zip(out, jobs):
-            vals.append(_num.loop_integral(gamma, fld, ut, curve, funs, params, method=method,
-                                           faces=faces))
+            vals.append(quadrature.loop_integral(gamma, fld, ut, curve, funs, params,
+                                                 method=method, faces=faces))
     return out
 
 
@@ -386,11 +371,14 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     and balance checks; t_end and a given tolerance must be >= 0.  The
     checks that need the entry or the run settings follow, and every
     constraint density, charge Gamma, curve and check is resolved before
-    anything is evolved: bad input raises UsageError,
+    anything is evolved, and a charge whose current's case does not hold at
+    the manifest's params is refused: bad input raises UsageError,
     KeyError, ParseError or ConstraintViolation (params that instantiate
     refuses) and evolves nothing.  A run the time stepper cannot finish
     raises CflViolation.
     """
+    from . import evolution, grids, quadrature
+
     m = _read(manifest, MANIFEST)
     t_end, samples, seed = m.get("t_end", 0.0), m.get("samples", 9), m.get("seed", 0)
     cfl, dt, method = m.get("cfl", 0.5), m.get("dt"), m.get("interp", "cubic")
@@ -416,12 +404,14 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"samples must be >= 2 (t = 0 and t_end), got {samples}")
     if any(curve for *_, curve in checks) and samples < 3:
         raise UsageError("a balance check differences in time and needs samples >= 3")
-    if method not in _num.LOOP_METHODS:
-        raise UsageError(f"unknown interp {method!r} (known: {', '.join(_num.LOOP_METHODS)})")
+    if method not in quadrature.LOOP_METHODS:
+        raise UsageError(f"unknown interp {method!r} "
+                         f"(known: {', '.join(quadrature.LOOP_METHODS)})")
 
     name = m["pde"]
     entry = cat.get_entry(name)
-    params = cat.numeric_params(name, m.get("params", {}))
+    overlay = cat.exact_params(name, m.get("params", {}))
+    params = cat.numeric_params(overlay)
     missing = sorted(set(entry.symbols.params) - set(params))
     if missing:
         raise UsageError(f"manifest binds no value for parameter(s) "
@@ -432,11 +422,18 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
         raise UsageError(f"charges and balance checks integrate around a planar curve; "
                          f"{name} has dimension {entry.dim}")
     try:
-        funs = {"f": _num.TimeFunction.builtin(m.get("f", "one"))}
-    except _num.GridError as exc:
+        funs = {"f": grids.TimeFunction.builtin(m.get("f", "one"))}
+    except grids.GridError as exc:
         raise UsageError(str(exc)) from None
     densities = [entry.parse(spec["density"]) for spec, _ in constraints]
-    gammas = [entry.charge(spec.get("id")).flux.Gamma for spec, *_ in charges]
+    gammas = []
+    for spec, *_ in charges:
+        charge = entry.charge(spec.get("id"))
+        case = entry.current(charge.current_id).case
+        if not cat._case_consistent(entry.cases[case], overlay):
+            raise UsageError(f"charge {spec['id']} belongs to case {case}, which does not "
+                             f"hold at the manifest's params")
+        gammas.append(charge.flux.Gamma)
     for (spec, *_), gamma in zip(charges, gammas):
         order = max((key[1][T] for c in gamma for key in c.jet_keys()), default=0)
         if order >= 2:
@@ -447,15 +444,15 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     u0_on = _initial_data(m.get("u0", {}), entry)
     u0 = u0_on(shape, periods)
     doubled = any(tol is None for _, tol, _ in charges + checks)
-    if min(shape) // 2 < _num.MIN_RESOLUTION and doubled:
+    if min(shape) // 2 < grids.MIN_RESOLUTION and doubled:
         raise UsageError(f"tolerances from resolution doubling need at least "
-                         f"{2 * _num.MIN_RESOLUTION} points per axis; give tolerances "
+                         f"{2 * grids.MIN_RESOLUTION} points per axis; give tolerances "
                          f"or refine the grid")
     u_gamma = (JetExpr.jet("u"), JetExpr.zero())
 
     def run(u: GridField):
-        return _num.evolve(_num.KhatEvolver(entry.pde, u, params), u, t_end, n_samples=samples,
-                      cfl=cfl, dt=dt)
+        return evolution.evolve(evolution.KhatEvolver(entry.pde, u, params), u, t_end,
+                                n_samples=samples, cfl=cfl, dt=dt)
 
     @functools.cache
     def halved():
@@ -480,20 +477,22 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     # initial-data constraint checks never need evolution
     reports: list[ChargeReport] = []
     for (spec, tol), density in zip(constraints, densities):
-        value, verdict, threshold = _num.check_constraint(density, u0, funs, params, tolerance=tol)
-        reports.append(_num.ChargeReport("constraint", spec["density"], [0.0], [value],
-                                         threshold, verdict, {"seed": seed}))
+        value, verdict, threshold = quadrature.check_constraint(density, u0, funs, params,
+                                                                 tolerance=tol)
+        reports.append(quadrature.ChargeReport("constraint", spec["density"], [0.0], [value],
+                                               threshold, verdict, {"seed": seed}))
 
     traj = None
     if t_end > 0:
         try:
             traj = run(u0)
-        except _num.NonIntegrableSymbol as exc:
-            reports.append(_num.ChargeReport("constraint-violation", str(exc), [0.0],
-                                             [float("nan")], 0.0, "violated", {"seed": seed}))
-        except _num.CflViolation:
+        except evolution.NonIntegrableSymbol as exc:
+            reports.append(quadrature.ChargeReport("constraint-violation", str(exc), [0.0],
+                                                   [float("nan")], 0.0, "violated",
+                                                   {"seed": seed}))
+        except evolution.CflViolation:
             raise
-        except (_num.EvolutionError, _num.GridError) as exc:
+        except (evolution.EvolutionError, grids.GridError) as exc:
             raise UsageError(f"{name}: {exc}") from exc
 
     if traj is not None:
@@ -503,15 +502,16 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
             vals = circulation(gamma, traj, curve)
             tol = _tolerance(tol, lambda: [(vals, circulation(gamma, halved(), curve))])
             verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
-            reports.append(_num.ChargeReport(
+            reports.append(quadrature.ChargeReport(
                 "charge", f"{spec['id']} rect={spec['curve']['rect']}", list(traj.times),
                 vals, tol, verdict, dict(meta)))
         for spec, tol, curve in checks:
             if curve is None:
                 vals = [f.integral() for f in traj.fields]
                 verdict = "conserved" if max(abs(v - vals[0]) for v in vals) <= tol else "failed"
-                reports.append(_num.ChargeReport("mass", "cell integral of u", list(traj.times),
-                                                 vals, tol, verdict, {"seed": seed}))
+                reports.append(quadrature.ChargeReport("mass", "cell integral of u",
+                                                       list(traj.times), vals, tol, verdict,
+                                                       {"seed": seed}))
                 continue
             circ_u, circ_F = circulations(traj, curve)
             times, resid = balance_residuals(traj.times, circ_u, circ_F)
@@ -521,7 +521,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
                 (resid, balance_residuals(halved().times, *circulations(halved(), curve))[1]),
                 (resid[1::2], balance_residuals(traj.times[::2], circ_u[::2], circ_F[::2])[1])])
             verdict = "satisfied" if max(abs(r) for r in resid) <= tol else "failed"
-            reports.append(_num.ChargeReport(
+            reports.append(quadrature.ChargeReport(
                 "balance", f"d/dt circulation of u vs flux circulation, "
                 f"rect={spec['curve']['rect']}", times, resid, tol, verdict, {"seed": seed}))
 
@@ -530,10 +530,12 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
 
 
 def cmd_simulate(args) -> int:
+    from .evolution import CflViolation
+
     manifest = cat.load_yaml(Path(args.manifest).read_text(encoding="utf-8"))
     try:
         reports, code = simulate(manifest)
-    except _num.CflViolation as exc:
+    except CflViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     out_dir = Path(args.out or manifest.get("out") or "reports")

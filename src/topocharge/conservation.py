@@ -1,13 +1,18 @@
 """Conservation-law verification and reduction to spatial-flux form.
 
 Implements the splitting of a conserved current in an arbitrary function
-f(t), the trivializing potentials Psi_i, the spatial-flux vector
-
-    Gamma = sum_j (-D_t)^j Phi_j,
-
+f(t), the trivializing potentials Psi_i, the spatial-flux vector Gamma,
 and the extraction of exact off-solution divergence-type identities
 T_i = Div Psi_i + R(G) with R assembled constructively from the
 substitution ledger.
+
+The potentials come from the telescoping relation
+
+    D_t Psi_i + Psi_{i-1} + Phi_i = 0,    Psi_N = -Phi_{N+1},
+
+run downward, so Psi_{i-1} = -Phi_i - D_t Psi_i, and the flux is
+
+    Gamma = Phi_0 + D_t Psi_0 = sum_j (-D_t)^j Phi_j.
 
 Div Gamma|_E = 0 needs no check of its own.  With the split relations
 r_j = D_t T_j + T_{j-1} + Div Phi_j, the T terms of sum_j (-D_t)^j r_j
@@ -136,19 +141,18 @@ def verify_current(pde: PdeSpec, T_expr: JetExpr, Phi: tuple) -> JetExpr:
     return substitute_on_solutions(current_divergence(pde, T_expr, Phi), pde)
 
 
+def time_part(T_coeffs: tuple, i: int) -> JetExpr:
+    """D_t T_i + T_{i-1}, the coefficient of f^(i) in D_t sum_i T_i f^(i),
+    with T_{-1} = T_{N+1} = 0 for the N + 1 coefficients T_0 .. T_N."""
+    e = total_derivative(T_coeffs[i], T) if i < len(T_coeffs) else JetExpr.zero()
+    return e + T_coeffs[i - 1] if i >= 1 else e
+
+
 def split_relations(cur: CurrentFamily) -> list[JetExpr]:
-    """r_i = D_t T_i + T_{i-1} + Div Phi_i for i = 0..N+1, unrestricted,
-    with T_{-1} = T_{N+1} = 0: the coefficient of f^(i) in D_t T + Div Phi."""
-    out = []
-    N = cur.N
-    for i in range(N + 2):
-        e = divergence(list(cur.Flux_coeffs[i]), cur.dim)
-        if i <= N:
-            e = e + total_derivative(cur.T_coeffs[i], T)
-        if i >= 1:
-            e = e + cur.T_coeffs[i - 1]
-        out.append(e)
-    return out
+    """r_i = D_t T_i + T_{i-1} + Div Phi_i for i = 0..N+1, unrestricted:
+    the coefficient of f^(i) in D_t T + Div Phi."""
+    return [time_part(cur.T_coeffs, i) + divergence(list(phi), cur.dim)
+            for i, phi in enumerate(cur.Flux_coeffs)]
 
 
 def verify_family(pde: PdeSpec, cur: CurrentFamily) -> dict[int, JetExpr]:
@@ -234,30 +238,21 @@ def split_by_arbitrary_function(
 # -- reduction mechanics ---------------------------------------------------------
 
 
-def _alternating_dt(vec: tuple, j: int) -> tuple:
-    """(-D_t)^j applied componentwise."""
-    out = vec
-    for _ in range(j):
-        out = tuple(-total_derivative(c, T) for c in out)
-    return out
-
-
 def trivializing_potentials(cur: CurrentFamily) -> list[tuple]:
-    """Psi_i = -sum_{j=0}^{N-i} (-D_t)^j Phi_{i+j+1},  i = 0..N."""
-    out = []
-    for i in range(cur.N + 1):
-        psi = (JetExpr.zero(),) * cur.dim
-        for j in range(cur.N - i + 1):
-            term = _alternating_dt(cur.Flux_coeffs[i + j + 1], j)
-            psi = tuple(a - b for a, b in zip(psi, term))
+    """Psi_0 .. Psi_N from Psi_N = -Phi_{N+1} and Psi_{i-1} = -Phi_i - D_t Psi_i,
+    that is Psi_i = -sum_{j=0}^{N-i} (-D_t)^j Phi_{i+j+1}."""
+    psi = tuple(-c for c in cur.Flux_coeffs[cur.N + 1])
+    out = [psi]
+    for i in range(cur.N, 0, -1):
+        psi = tuple(-p - total_derivative(q, T) for p, q in zip(cur.Flux_coeffs[i], psi))
         out.append(psi)
-    return out
+    return out[::-1]
 
 
 def reduce_to_spatial_flux(
     cur: CurrentFamily, pde: PdeSpec, order_bound: int | None = None
 ) -> FluxVector:
-    """Gamma = sum_j (-D_t)^j Phi_j, which is divergence-free on solutions.
+    """Gamma = Phi_0 + D_t Psi_0, which is divergence-free on solutions.
 
     Div Gamma = sum_j (-D_t)^j r_j exactly, the r_j being the split
     relations (see the module docstring), so the family's split relations
@@ -266,10 +261,8 @@ def reduce_to_spatial_flux(
     family that fails them raises CurrentVerificationError.
     """
     check_family(pde, cur)
-    gamma = (JetExpr.zero(),) * cur.dim
-    for j in range(cur.N + 2):
-        term = _alternating_dt(cur.Flux_coeffs[j], j)
-        gamma = tuple(a + b for a, b in zip(gamma, term))
+    psi0 = trivializing_potentials(cur)[0]
+    gamma = tuple(p + total_derivative(q, T) for p, q in zip(cur.Flux_coeffs[0], psi0))
     return FluxVector(gamma, cur.dim, nontriviality_certificate(gamma, pde, order_bound))
 
 
@@ -284,11 +277,9 @@ def divergence_identity(pde: PdeSpec, cur: CurrentFamily, i: int) -> DivergenceI
         raise CurrentVerificationError(
             f"T_{i} - Div Psi_{i} does not vanish on solutions", {i: residual}
         )
-    identity = DivergenceIdentity(cur.T_coeffs[i], psi, r_expr)
-    check = cur.T_coeffs[i] - divergence(list(psi), cur.dim) - expand_r_operator(r_expr, pde)
-    if not check.is_zero():
+    if not (bare - expand_r_operator(r_expr, pde)).is_zero():
         raise AssertionError("divergence identity failed the exact off-solution check")
-    return identity
+    return DivergenceIdentity(cur.T_coeffs[i], psi, r_expr)
 
 
 # -- non-triviality ------------------------------------------------------------

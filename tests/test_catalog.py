@@ -373,9 +373,9 @@ class TestYamlLoaders:
 class TestBindingValues:
     @pytest.mark.parametrize("value", [1.0e-05, 1e+20, 0.01, 2.5])
     def test_yaml_float_is_its_exact_decimal(self, value):
-        assert cat.numeric_params("vorticity", {"mu": value}) == {"mu": value}
-        doc = _read_yaml(cat._resolve("vorticity"))
-        (mu,) = cat._exact_params(doc, {"mu": value}).values()
+        overlay = cat.exact_params("vorticity", {"mu": value})
+        assert cat.numeric_params(overlay) == {"mu": value}
+        (mu,) = overlay.values()
         assert mu == parse_expr(str(Fraction(repr(value))), 2)
 
     @pytest.mark.parametrize("text, value", [("1e-5", Fraction(1, 100000)),
@@ -385,13 +385,13 @@ class TestBindingValues:
     def test_exponent_text_binds_exactly(self, text, value):
         # YAML 1.1 reads a float without a decimal point (mu: 1e-5) as text
         assert yaml.safe_load(f"mu: {text}") == {"mu": text}
-        assert cat.numeric_params("vorticity", {"mu": text}) == {"mu": float(value)}
-        doc = _read_yaml(cat._resolve("vorticity"))
-        (mu,) = cat._exact_params(doc, {"mu": text}).values()
+        overlay = cat.exact_params("vorticity", {"mu": text})
+        assert cat.numeric_params(overlay) == {"mu": float(value)}
+        (mu,) = overlay.values()
         assert mu == parse_expr(str(value), 2)
 
     @pytest.mark.parametrize("text", ["sqrt(2)*sqrt(3)", "sqrt(2)/2", "sqrt(2"])
     def test_outside_the_grammar_names_the_accepted_forms(self, text):
         with pytest.raises(ConstraintViolation) as exc:
-            cat.numeric_params("vorticity", {"mu": text})
+            cat.exact_params("vorticity", {"mu": text})
         assert "'mu'" in str(exc.value) and cat.BINDING_FORMS in str(exc.value)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from topocharge import catalog as cat
-from topocharge import cli, quadrature
+from topocharge import cli, evolution, quadrature
 from topocharge.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -251,8 +251,8 @@ class TestSimulate:
 
     def test_binding_in_earlier_params(self, monkeypatch):
         seen = []
-        check = cli.check_constraint
-        monkeypatch.setattr(cli, "check_constraint",
+        check = quadrature.check_constraint
+        monkeypatch.setattr(quadrature, "check_constraint",
                             lambda *args, **kwargs: seen.append(args[3]) or check(*args, **kwargs))
         manifest = {
             "pde": "umkp",
@@ -272,8 +272,8 @@ class TestSimulate:
     def test_manifest_float_in_exponent_form(self, text, value, tmp_path, capsys,
                                              monkeypatch):
         seen = []
-        check = cli.check_constraint
-        monkeypatch.setattr(cli, "check_constraint",
+        check = quadrature.check_constraint
+        monkeypatch.setattr(quadrature, "check_constraint",
                             lambda *args, **kwargs: seen.append(args[3]) or check(*args, **kwargs))
         path = tmp_path / "vorticity.yaml"
         path.write_text(f"pde: vorticity\nparams: {{mu: {text}}}\n"
@@ -322,6 +322,13 @@ def write_manifest(tmp_path, manifest, name="m.yaml"):
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_KP = ROOT / "manifests" / "kp_charge.yaml"
 RECT = [0.7, 3.9, 1.1, 5.2]
+# vorticity's charge-2 belongs to the inviscid case mu = 0
+VORTICITY_CHARGE_2 = {
+    "pde": "vorticity", "params": {"mu": "1/10"},
+    "grid": {"resolutions": [32, 32], "periods": [TWO_PI, TWO_PI]},
+    "u0": {"modes": [{"a": 0.05, "k": [1, 1]}]}, "t_end": 0.2, "samples": 5,
+    "charges": [{"id": "charge-2", "curve": {"rect": RECT}}],
+}
 
 
 class TestSimulateUsage:
@@ -484,7 +491,7 @@ class TestSimulateUsage:
         def refuse(*args, **kwargs):
             raise AssertionError("evolve called for a manifest that should be refused")
 
-        monkeypatch.setattr(cli, "evolve", refuse)
+        monkeypatch.setattr(evolution, "evolve", refuse)
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda m: m["charges"][0].update(id="charge-9"), "charge-9"),
@@ -523,6 +530,8 @@ class TestSimulateUsage:
         (lambda m: m["checks"][0].update(curve={"rect": RECT}),
          "unknown manifest key(s) checks[0].curve"),
         (lambda m: m.update(seed=True), "seed must be a number, got True"),
+        (lambda m: (m.clear(), m.update(VORTICITY_CHARGE_2)),
+         "charge charge-2 belongs to case inviscid"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
@@ -531,7 +540,7 @@ class TestSimulateUsage:
             "param_breaks_square", "param_coordinate", "param_jet", "param_function",
             "param_unbound", "charge_needs_u_tt", "pde_not_text", "density_not_text",
             "expr_not_text", "check_type_not_text", "mass_check_with_curve",
-            "seed_boolean"])
+            "seed_boolean", "charge_off_its_case"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
@@ -539,6 +548,11 @@ class TestSimulateUsage:
         code, out, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and needle in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_charge_in_its_case_runs(self, tmp_path, capsys):
+        manifest = VORTICITY_CHARGE_2 | {"params": {"mu": "0"}}
+        code, out, err = self.simulate(capsys, tmp_path, manifest)
+        assert (code, err) == (0, "") and out.startswith("charge: conserved")
 
     @pytest.mark.parametrize("where, value, needle", [
         ("samples", 2, "samples >= 3"),
@@ -661,8 +675,8 @@ class TestShippedManifests:
             steps[u0.shape] = traj.meta["steps"]
             return traj
 
-        cli_evolve = cli.evolve
-        monkeypatch.setattr(cli, "evolve", counted)
+        cli_evolve = evolution.evolve
+        monkeypatch.setattr(evolution, "evolve", counted)
         code, out, _ = run(capsys, "simulate", "--manifest", str(SHIPPED_KP),
                            "--out", str(tmp_path))
         assert code == 0

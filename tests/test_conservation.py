@@ -598,6 +598,54 @@ class TestDivergenceOfGamma:
             assert (divergence(list(gamma), family.dim) - total).is_zero(), cur.id
 
 
+def alternating_sum(vectors) -> tuple:
+    """sum_j (-D_t)^j v_j componentwise: the closed form the reduction's
+    recursion must reproduce."""
+    total = None
+    for j, vec in enumerate(vectors):
+        for _ in range(j):
+            vec = tuple(-total_derivative(c, T) for c in vec)
+        total = vec if total is None else tuple(a + b for a, b in zip(total, vec))
+    return total
+
+
+def reference_potentials(family) -> list:
+    """Psi_i = -sum_{j=0}^{N-i} (-D_t)^j Phi_{i+j+1}."""
+    return [tuple(-c for c in alternating_sum(family.Flux_coeffs[i + 1:]))
+            for i in range(family.N + 1)]
+
+
+class TestReductionReference:
+    """The recursion Psi_{i-1} = -Phi_i - D_t Psi_i from Psi_N = -Phi_{N+1},
+    and Gamma = Phi_0 + D_t Psi_0, equal the closed-form alternating sums."""
+
+    @pytest.mark.parametrize("name", [
+        "kdv_lagrangian", "kp", "umkp", "shear", "nv", "vorticity",
+        *(f"umkp-{case}" for case in UMKP_BINDINGS)])
+    def test_every_family(self, name):
+        entry = TestColumnImages.searched_entry(name)
+        assert entry.currents
+        for cur in entry.currents:
+            family = cur.family
+            assert trivializing_potentials(family) == reference_potentials(family), cur.id
+            gamma = reduce_to_spatial_flux(family, entry.pde_for_case(cur.case)).Gamma
+            assert gamma == alternating_sum(family.Flux_coeffs), cur.id
+
+    def test_family_deeper_than_the_catalog(self, kp):
+        # N = 3; the potentials need no relation between the coefficients
+        family = conservation.CurrentFamily(
+            2, ("f", (T,), ()),
+            tuple(expr(kp, s) for s in ("u", "x*u_x", "y^2*u_y", "t*u^2")),
+            tuple((expr(kp, a), expr(kp, b)) for a, b in (
+                ("u_x", "u_y"), ("x*u_t", "u*u_y"), ("t^2*u_x^2", "y*u_ty"),
+                ("u_xx", "t*x*u"), ("t^3*u_y", "x^2*u_t"))))
+        assert family.N == 3
+        psi = trivializing_potentials(family)
+        assert psi == reference_potentials(family)
+        assert psi[3] == tuple(-c for c in family.Flux_coeffs[4])
+        assert all(not c.is_zero() for p in psi for c in p)
+
+
 class TestColumnImages:
     """Each curl-witness column image is D_a|_E of the restricted column
     monomial; it must equal the restriction of the curl, column by column."""
