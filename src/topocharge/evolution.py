@@ -31,8 +31,10 @@ rhs_hat(v) = L v + sum_i W_i rfftn(terms_i(v)): one linear symbol L, and
 one complex weight W_i per nonlinear part (its mask or divergence symbol
 times its block's outer factor, and P^{-1} for an inverted block).  The
 constraint guard evaluates the inverted blocks on the zero set of P
-alone, by the same elementwise expression; the whole-spectrum scale it
-compares against is built only when that plane exceeds mean_tol.
+alone, by the same elementwise expression; it keeps that set as flat
+indices into the half-spectrum and takes each right-hand side's arrays
+there.  The whole-spectrum scale it compares against is built only when
+that plane exceeds mean_tol.
 
 Time stepping is classical RK4.  Its step is set by the frozen-coefficient
 symbol of the plan: max|L| over the 2/3-dealiased modes plus, for each part
@@ -43,6 +45,13 @@ The first of a step's four right-hand sides holds those jets, so the
 estimate takes no transform, and a jet the plan never reads (u itself in
 potential KdV) cannot shrink the step.  The three later stage inputs are
 formed in one reused buffer.
+
+Each evolver compiles one stage program: the distinct jets that the parts
+and the rates read are resolved to their derivative symbols once, every
+stage computes them all into the evolver's one SpectralEvaluator, and
+the products of the parts and the rates read them by slot.  None of this
+reorders any arithmetic, so results are bit-identical to evaluating each
+jet on demand.
 """
 
 from __future__ import annotations
@@ -217,16 +226,25 @@ class KhatEvolver:
                   for blocks, inv in ((self.inverted, self._inv_P), (self.through, 1.0)) for b in blocks]
         self._L = sum(s * b.L for b, s in scaled)
         self._parts = [(s * w, terms) for b, s in scaled for w, terms in b.nonlinear]
-        at = self._plane = np.nonzero(self._pinned) if self.inverted and self._pinned.any() else None
-        self._plane_blocks = [_Block(None if b.outer is None else b.outer[at], b.L[at],
-                                     [(w[at], terms) for w, terms in b.nonlinear], b.phi)
-                              for b in self.inverted]
+        # the zero set of P as flat indices into the half-spectrum, and the
+        # inverted blocks taken there
+        at = self._plane = (np.flatnonzero(self._pinned) if self.inverted and self._pinned.any()
+                            else None)
+        self._plane_blocks = [] if at is None else [
+            _Block(None if b.outer is None else b.outer.take(at), b.L.take(at),
+                   [(w.take(at), terms) for w, terms in b.nonlinear], b.phi)
+            for b in self.inverted]
         self.rhs_calls = 0
         # |symbol| is even in k, so its maxima over the half-spectrum are those of the full one
         self._sym_max = float(np.max(np.abs(self._L * self.mask)))
         # per part i and jets u_K sharing d: (max_k |W_i sum_K (ik)^K|, d), the step's rate terms
-        self._rates = [(float(np.max(np.abs(w * sum(ik_symbol(grid, mi[1:]) for mi in mis)))), d)
-                       for w, terms in self._parts for mis, d in _jacobian(terms)]
+        rates = [(float(np.max(np.abs(w * sum(ik_symbol(grid, mi[1:]) for mi in mis)))), d)
+                 for w, terms in self._parts for mis, d in _jacobian(terms)]
+        # the stage program: every reset of self.ev computes the jets that the
+        # parts and the rates read, and both are evaluated by slot
+        numbered = self.ev.program(*(terms for _w, terms in self._parts), *(d for _s, d in rates))
+        self._products = numbered[:len(self._parts)]
+        self._rates = [(s, d) for (s, _d), d in zip(rates, numbered[len(self._parts):])]
 
     def _symbol(self, linear: list) -> np.ndarray:
         out = np.zeros(self.mask.shape, dtype=complex)
@@ -251,7 +269,7 @@ class KhatEvolver:
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
         self.rhs_calls += 1
         self.ev.reset(u_hat)
-        hats = [to_spectrum(self.ev.terms(terms)) for _w, terms in self._parts]
+        hats = [to_spectrum(self.ev.products(terms)) for terms in self._products]
         if self._plane is not None:
             self._guard(u_hat, hats)
         ut_hat = self._L * u_hat
@@ -268,7 +286,8 @@ class KhatEvolver:
         transforms lead `hats`, exceeds mean_tol * max(max|rest|, 1) on the
         zero set of P; below mean_tol there, max|rest| is never built."""
         at = self._plane
-        peak = float(np.max(np.abs(_weighted(self._plane_blocks, u_hat[at], (h[at] for h in hats)))))
+        peak = float(np.abs(_weighted(self._plane_blocks, u_hat.take(at),
+                                      (h.take(at) for h in hats))).max())
         if peak <= self.mean_tol:
             return
         rest = _weighted(self.inverted, u_hat, hats)
@@ -290,7 +309,7 @@ class KhatEvolver:
         been changed since), its jets come from that call, without a transform."""
         if not self.ev.holds(u_hat):
             self.ev.reset(u_hat)
-        rate = self._sym_max + sum(s * float(np.abs(self.ev.terms(d)).max())
+        rate = self._sym_max + sum(s * float(np.abs(self.ev.products(d)).max())
                                    for s, d in self._rates)
         return cfl * RK4_IMAG_LIMIT / (rate + 1e-12)
 

@@ -175,7 +175,9 @@ class SpectralEvaluator:
     once.  `reset(u_hat)` starts over from the half-spectrum of u alone.
     Each multi-index is checked and resolved to its time order and
     derivative symbol once per evaluator; after that a jet is one lookup,
-    one multiply and one transform.
+    one multiply and one transform.  `program` fixes a set of u-jets that
+    every reset computes at once, and terms numbered by `program` are then
+    evaluated by slot, with no lookup per jet.
     """
 
     def __init__(self, grid: GridField, fields: dict[int, np.ndarray] | None = None):
@@ -184,11 +186,27 @@ class SpectralEvaluator:
         self._hats: dict[int, np.ndarray] = {}
         self._jets: dict[tuple, np.ndarray] = {}
         self._plan: dict[tuple, tuple] = {}  # mi -> (time order, symbol or None)
+        self._program: tuple = ()  # the symbols (or None) of the u-jets, in slot order
+        self._slots: list = []
+
+    def program(self, *term_lists) -> list:
+        """Each list of (factor, ((u-jet multi-index, power), ...)) terms with
+        its jets replaced by their slots: the distinct jets of all the lists,
+        checked and resolved here, which every later reset(u_hat) computes."""
+        slots: dict[tuple, int] = {}
+        out = [[(factor, tuple((slots.setdefault(mi, len(slots)), p) for mi, p in jets))
+                for factor, jets in terms] for terms in term_lists]
+        self._program = tuple((self._plan.get(mi) or self._resolve(mi))[1] for mi in slots)
+        return out
 
     def reset(self, u_hat: np.ndarray):
+        """Start over from the half-spectrum u_hat, computing the program's jets."""
         self.fields = {}
         self._hats = {0: u_hat}
         self._jets = {}
+        shape = self.grid.shape
+        self._slots = [to_grid(u_hat if symbol is None else u_hat * symbol, shape)
+                       for symbol in self._program]
 
     def holds(self, u_hat: np.ndarray) -> bool:
         """True iff the last reset was given this very array."""
@@ -224,11 +242,18 @@ class SpectralEvaluator:
 
     def terms(self, terms) -> np.ndarray:
         """Sum of factor * prod jet(mi)^p over (factor, ((mi, p), ...)) terms."""
+        return self._sum(terms, self.jet)
+
+    def products(self, terms) -> np.ndarray:
+        """terms() of terms numbered by `program`, read from the jets of the last reset."""
+        return self._sum(terms, self._slots.__getitem__)
+
+    def _sum(self, terms, jet) -> np.ndarray:
         total = None
         for factor, jets in terms:
             value = factor
-            for mi, p in jets:
-                value = value * (self.jet(mi) if p == 1 else self.jet(mi) ** p)
+            for key, p in jets:
+                value = value * (jet(key) if p == 1 else jet(key) ** p)
             total = value if total is None else total + value
         if getattr(total, "shape", None) != self.grid.shape:  # no term has a u-jet
             total = np.full(self.grid.shape, 0.0 if total is None else total)

@@ -10,6 +10,13 @@ sums with the composite trapezoid rule.  "exact" integrates the
 trigonometric interpolant of the grid values (its FFT) in closed form.
 The circulation convention follows the outward-flux form: the loop
 integral of (Gamma^x, Gamma^y) is closed-integral of Gamma^x dy - Gamma^y dx.
+
+A cubic face's nodes, Catmull-Rom weights, gather indices and trapezoid
+weights depend only on the grid's shape and periods and the face's spans,
+so they form a stencil that is built once and cached on those; each grid
+sample then takes one gather and the same contractions in the same order,
+with results bit-identical to building the stencil at every call.
+`cubic_values` builds and applies the same stencil at arbitrary points.
 """
 
 from __future__ import annotations
@@ -60,28 +67,37 @@ def _catmull_rom_weights(t: np.ndarray) -> tuple:
     )
 
 
-def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
-    """Separable periodic cubic interpolation of `data` at many points.
-
-    Each axis contributes four node indices and Catmull-Rom weights per
-    point; one gather takes the 4^dim neighbours of every point, and the
-    weights are contracted axis by axis, the last axis first.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = data.ndim
-    npts = len(pts)
+def _stencil(shape: tuple, periods, points: np.ndarray) -> tuple:
+    """(index, weights) of separable periodic cubic interpolation at points:
+    per axis four node indices and their Catmull-Rom weights per point,
+    shaped so that one gather index takes the 4^dim neighbours of every
+    point and each axis's weights broadcast against the gathered block."""
+    dim, npts = len(shape), len(points)
     index, weights = [], []
     for axis in range(dim):
-        n = data.shape[axis]
-        s = pts[:, axis] / (periods[axis] / n)
+        n = shape[axis]
+        s = points[:, axis] / (periods[axis] / n)
         i0 = np.floor(s)
-        shape = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
-        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(shape))
-        weights.append(np.stack(_catmull_rom_weights(s - i0), axis=-1))
-    vals = data[tuple(index)]
-    for axis in reversed(range(dim)):
-        vals = (vals * weights[axis].reshape((npts,) + (1,) * axis + (4,))).sum(axis=-1)
+        at = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
+        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(at))
+        weights.append(np.stack(_catmull_rom_weights(s - i0), axis=-1)
+                       .reshape((npts,) + (1,) * axis + (4,)))
+    return tuple(index), tuple(weights)
+
+
+def _interpolate(data: np.ndarray, index: tuple, weights: tuple) -> np.ndarray:
+    """The values of a _stencil on `data`: one gather, then the weights
+    contracted axis by axis, the last axis first."""
+    vals = data[index]
+    for w in reversed(weights):
+        vals = (vals * w).sum(axis=-1)
     return vals
+
+
+def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
+    """Separable periodic cubic interpolation of `data` at many points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _interpolate(data, *_stencil(data.shape, periods, pts))
 
 
 LOOP_METHODS = ("cubic", "exact")  # the `method` values of loop_integral and surface_integral
@@ -109,12 +125,15 @@ def _exact_integral(hat: np.ndarray, periods, spans) -> float:
     return float(np.real(np.einsum(",".join([letters, *letters]) + "->", hat, *factors)))
 
 
-def _cubic_integral(data: np.ndarray, periods, spans) -> float:
-    """Composite trapezoid rule over an axis-aligned cell on the cubic
-    interpolant of `data`, with DENSITY nodes per grid spacing along each
-    (lo, hi) span; a point span is one node of weight 1."""
+@functools.lru_cache(maxsize=256)
+def _face_stencil(shape: tuple, periods: tuple, spans: tuple) -> tuple:
+    """(index, weights, w) of the composite trapezoid rule over an
+    axis-aligned cell of a grid of `shape` and `periods`: the _stencil of
+    its nodes, DENSITY per grid spacing along each (lo, hi) span and one of
+    weight 1 at a point span, and w, the nodes' trapezoid weights.  The
+    arrays are read-only, since every face with these spans shares them."""
     nodes, weights = [], []
-    for n, period, span in zip(data.shape, periods, spans):
+    for n, period, span in zip(shape, periods, spans):
         if np.isscalar(span):
             nodes.append(np.array([span]))
             weights.append(np.ones(1))
@@ -126,8 +145,19 @@ def _cubic_integral(data: np.ndarray, periods, spans) -> float:
         nodes.append(np.linspace(lo, hi, count))
         weights.append(w)
     points = np.stack([c.ravel() for c in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    index, cubic = _stencil(shape, periods, points)
     w = functools.reduce(np.multiply.outer, weights).ravel()
-    return float(w @ cubic_values(data, periods, points))
+    for a in (*index, *cubic, w):
+        a.flags.writeable = False
+    return index, cubic, w
+
+
+def _cubic_integral(data: np.ndarray, periods, spans) -> float:
+    """Composite trapezoid rule over an axis-aligned cell on the cubic
+    interpolant of `data`; per axis a span is a point or an (lo, hi) pair."""
+    key = tuple(s if np.isscalar(s) else tuple(s) for s in spans)
+    index, cubic, w = _face_stencil(data.shape, tuple(periods), key)
+    return float(w @ _interpolate(data, index, cubic))
 
 
 def _face_integral(values: np.ndarray, periods, method: str):

@@ -1,5 +1,6 @@
 """Evolution, quadrature, constraint checks, and source/sink extraction."""
 
+import functools
 import math
 
 import numpy as np
@@ -81,12 +82,13 @@ class TestLoopIntegral:
 
     def test_cubic_interpolates_one_component_per_segment(self, monkeypatch):
         calls = []
+        interpolate = quadrature._interpolate
 
-        def spy(data, periods, points):
-            calls.append(len(points))
-            return cubic_values(data, periods, points)
+        def spy(data, index, weights):
+            calls.append(len(weights[0]))
+            return interpolate(data, index, weights)
 
-        monkeypatch.setattr(quadrature, "cubic_values", spy)
+        monkeypatch.setattr(quadrature, "_interpolate", spy)
         g = grid_2d(32)
         gamma = (parse_expr("u_y", 2), parse_expr("-u_x", 2))
         loop_integral(gamma, g, None, CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2), method="cubic")
@@ -186,6 +188,105 @@ class TestCubicValues:
             idx = np.stack([rng.integers(-n, 2 * n, size=50) for n in shape], axis=1)
             got = cubic_values(data, periods, idx / 4.0)
             assert np.array_equal(got, data[tuple((idx % shape).T)])
+
+
+def trapezoid_reference(shape, periods, spans):
+    """(index, Catmull-Rom weights, trapezoid weights, points) of one face,
+    built the way each face integral built them before faces shared a
+    cached stencil: the composite trapezoid nodes, then cubic_values's
+    per-point gather index and per-axis weights."""
+    nodes, weights = [], []
+    for n, period, span in zip(shape, periods, spans):
+        if np.isscalar(span):
+            nodes.append(np.array([span]))
+            weights.append(np.ones(1))
+            continue
+        lo, hi = span
+        count = max(2, int(math.ceil(abs(hi - lo) / (period / n) * quadrature.DENSITY)) + 1)
+        w = np.full(count, (hi - lo) / (count - 1))
+        w[0] = w[-1] = 0.5 * w[0]
+        nodes.append(np.linspace(lo, hi, count))
+        weights.append(w)
+    points = np.stack([c.ravel() for c in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    w = functools.reduce(np.multiply.outer, weights).ravel()
+    dim, npts = len(shape), len(points)
+    index, cubic = [], []
+    for axis in range(dim):
+        n = shape[axis]
+        s = points[:, axis] / (periods[axis] / n)
+        i0 = np.floor(s)
+        at = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
+        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(at))
+        cubic.append(np.stack(quadrature._catmull_rom_weights(s - i0), axis=-1))
+    return index, cubic, w, points
+
+
+def reference_face_integral(data, periods, spans):
+    index, cubic, w, points = trapezoid_reference(data.shape, periods, spans)
+    vals = data[tuple(index)]
+    for axis in reversed(range(data.ndim)):
+        vals = (vals * cubic[axis].reshape((len(points),) + (1,) * axis + (4,))).sum(axis=-1)
+    return float(w @ vals)
+
+
+def seeded_faces(seed, periods):
+    """Forward, reversed and point-span faces of a seeded axis-aligned cell:
+    one axis at a point, each other axis spanning (lo, hi) or (hi, lo)."""
+    rng = np.random.default_rng(seed)
+    dim = len(periods)
+    faces = []
+    for axis in range(dim):
+        lo = [rng.uniform(-0.3, 0.5) * p for p in periods]
+        hi = [a + rng.uniform(0.1, 0.9) * p for a, p in zip(lo, periods)]
+        point = rng.uniform(0.0, periods[axis])
+        for reverse in (False, True):
+            spans = [(b, a) if reverse else (a, b) for a, b in zip(lo, hi)]
+            spans[axis] = point
+            faces.append(spans)
+    return faces
+
+
+class TestFaceStencil:
+    """The cached face stencil of the cubic quadrature against the formula it caches."""
+
+    CASES = {"loop": ((32, 24), (TWO_PI, 3.0)), "box": ((16, 20, 18), (TWO_PI, 3.0, 5.0))}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_trapezoid_formula(self, case, seed):
+        shape, periods = self.CASES[case]
+        data = np.random.default_rng(seed).standard_normal(shape)
+        for spans in seeded_faces(seed, periods):
+            index, cubic, w, points = trapezoid_reference(shape, periods, spans)
+            got_index, got_cubic, got_w = quadrature._face_stencil(shape, periods, tuple(spans))
+            assert (got_w == w).all()
+            assert all((a == b).all() for a, b in zip(got_index, index))
+            assert all((a.reshape(len(points), 4) == b).all() for a, b in zip(got_cubic, cubic))
+            assert quadrature._cubic_integral(data, periods, spans) == reference_face_integral(
+                data, periods, spans)
+
+    def test_is_shared_and_read_only(self):
+        shape, periods = self.CASES["loop"]
+        spans = (1.0, (0.5, 2.5))
+        stencil = quadrature._face_stencil(shape, periods, spans)
+        assert quadrature._face_stencil(shape, periods, spans) is stencil
+        with pytest.raises(ValueError):
+            stencil[2][0] = 1.0
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_other_grid_gets_its_own_stencil(self, case):
+        shape, periods = self.CASES[case]
+        spans = seeded_faces(4, periods)[0]
+        other_shape = tuple(n + 2 for n in shape)
+        other_periods = tuple(1.5 * p for p in periods)
+        grids_ = [(shape, periods), (other_shape, periods), (shape, other_periods)]
+        stencils = [quadrature._face_stencil(sh, pe, tuple(spans)) for sh, pe in grids_]
+        assert len({id(st) for st in stencils}) == 3
+        rng = np.random.default_rng(4)
+        for sh, pe in grids_:
+            data = rng.standard_normal(sh)
+            assert quadrature._cubic_integral(data, pe, spans) == reference_face_integral(
+                data, pe, spans)
 
 
 class TestSurfaceIntegral:
@@ -652,6 +753,25 @@ class TestDivergenceFlux:
         assert ev.through[0].phi is not None
         with pytest.raises(NonIntegrableSymbol):
             ev.rhs_hat(np.fft.rfftn(bad.data) * ev.mask, 0.0)
+
+    @pytest.mark.parametrize("u0, raises", [
+        (lambda X, Y: 0.05 * np.sin(X) * np.sin(Y) + 0.02 * np.sin(2 * X + Y), True),
+        (lambda X, Y: 0.02 * np.sin(X) * np.sin(Y), False)], ids=["violating", "satisfying"])
+    def test_guard_on_a_union_of_planes(self, u0, raises):
+        # NV's P = D_x D_y vanishes on the planes k_x = 0 and k_y = 0, and its
+        # whole nonlinear part is inverted there; KP's inverted block is linear
+        n = 32
+        x = np.arange(n) * TWO_PI / n
+        g = GridField(u0(*np.meshgrid(x, x, indexing="ij")), (TWO_PI, TWO_PI))
+        ev = KhatEvolver(get_entry("nv").pde, g, {"alpha": 1.0, "beta": 1.0})
+        assert ev.inverted[0].nonlinear and not ev.through
+        assert ev._pinned[0].all() and ev._pinned[:, 0].all()
+        u_hat = np.fft.rfftn(g.data) * ev.mask
+        if raises:
+            with pytest.raises(NonIntegrableSymbol, match="zero set of P"):
+                ev.rhs_hat(u_hat, 0.0)
+        else:
+            assert np.all(np.isfinite(ev.rhs_hat(u_hat, 0.0)))
 
     def test_in_place_rk4_step_is_bit_identical(self):
         g = grid_2d(32, modes=((1, 1), (2, 1)))
