@@ -280,7 +280,15 @@ def _curve(spec: dict, path: str) -> CurveSpec:
     if rect is None or len(rect) != 4:
         raise UsageError(f"{path} needs curve: {{rect: [x0, x1, y0, y1]}}, "
                          f"got {spec.get('curve')!r}")
+    if not all(map(math.isfinite, rect)) or rect[0] == rect[1] or rect[2] == rect[3]:
+        raise UsageError(f"{path}.curve.rect must be finite with x0 != x1 and y0 != y1, "
+                         f"got {rect!r}")
     return quadrature.CurveSpec.rectangle(*rect)
+
+
+def _time_order(e: JetExpr) -> int:
+    """The highest time order of the u-jets in e, 0 when it has none."""
+    return max((key[1][T] for key in e.jet_keys()), default=0)
 
 
 def _initial_data(u0: dict, entry):
@@ -368,7 +376,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     The manifest is read by _read against MANIFEST before the catalog entry
     is loaded, and the run uses the converted values.  A null tolerance is
     1e-9 for constraints and mass checks and resolution doubling for charges
-    and balance checks; t_end and a given tolerance must be >= 0.  The
+    and balance checks; t_end and a given tolerance must be finite, >= 0.  The
     checks that need the entry or the run settings follow, and every
     constraint density, charge Gamma, curve and check is resolved before
     anything is evolved, and a charge whose current's case does not hold at
@@ -389,12 +397,13 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     checks = [(spec, spec["tolerance"],
                _curve(spec, f"checks[{i}]") if spec["type"] == "balance" else None)
               for i, spec in enumerate(m.get("checks", []))]
-    if not t_end >= 0:
-        raise UsageError(f"t_end must be >= 0, got {t_end!r}")
-    for group, specs in (("constraints", constraints), ("charges", charges), ("checks", checks)):
-        for i, (_, tol, *_) in enumerate(specs):
-            if tol is not None and not tol >= 0:
-                raise UsageError(f"{group}[{i}].tolerance must be >= 0, got {tol!r}")
+    for key, value in [("t_end", t_end)] + [
+            (f"{group}[{i}].tolerance", tol)
+            for group, specs in (("constraints", constraints), ("charges", charges),
+                                 ("checks", checks))
+            for i, (_, tol, *_) in enumerate(specs) if tol is not None]:
+        if not 0 <= value < math.inf:
+            raise UsageError(f"{key} must be {'finite' if value > 0 else '>= 0'}, got {value!r}")
     if (charges or checks) and not t_end > 0:
         raise UsageError("charges and checks need t_end > 0")
     for key, value in (("cfl", cfl), ("dt", dt)):
@@ -402,8 +411,11 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
             raise UsageError(f"{key} must be > 0, got {value!r}")
     if samples < 2:
         raise UsageError(f"samples must be >= 2 (t = 0 and t_end), got {samples}")
-    if any(curve for *_, curve in checks) and samples < 3:
-        raise UsageError("a balance check differences in time and needs samples >= 3")
+    for i, (_, tol, curve) in enumerate(checks):
+        if curve and samples < (5 if tol is None else 3):
+            raise UsageError(f"checks[{i}]: a balance check differences in time and needs "
+                             f"samples >= 3, and >= 5 for a tolerance by doubling (strides 1 "
+                             f"and 2), got {samples}")
     if method not in quadrature.LOOP_METHODS:
         raise UsageError(f"unknown interp {method!r} "
                          f"(known: {', '.join(quadrature.LOOP_METHODS)})")
@@ -426,6 +438,10 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
     except grids.GridError as exc:
         raise UsageError(str(exc)) from None
     densities = [entry.parse(spec["density"]) for spec, _ in constraints]
+    for i, order in enumerate(map(_time_order, densities)):
+        if order:
+            raise UsageError(f"constraints[{i}].density needs d_t^{order} u; "
+                             f"a constraint reads the initial u alone")
     gammas = []
     for spec, *_ in charges:
         charge = entry.charge(spec.get("id"))
@@ -435,7 +451,7 @@ def simulate(manifest) -> tuple[list[ChargeReport], int]:
                              f"hold at the manifest's params")
         gammas.append(charge.flux.Gamma)
     for (spec, *_), gamma in zip(charges, gammas):
-        order = max((key[1][T] for c in gamma for key in c.jet_keys()), default=0)
+        order = max(map(_time_order, gamma))
         if order >= 2:
             raise UsageError(f"charge {spec['id']} needs d_t^{order} u; a run samples u and u_t")
 

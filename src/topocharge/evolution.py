@@ -46,12 +46,12 @@ estimate takes no transform, and a jet the plan never reads (u itself in
 potential KdV) cannot shrink the step.  The three later stage inputs are
 formed in one reused buffer.
 
-Each evolver compiles one stage program: the distinct jets that the parts
-and the rates read are resolved to their derivative symbols once, every
-stage computes them all into the evolver's one SpectralEvaluator, and
-the products of the parts and the rates read them by slot.  None of this
-reorders any arithmetic, so results are bit-identical to evaluating each
-jet on demand.
+Each evolver compiles one stage program, the same kind of
+grids.SpectralEvaluator program that every grid evaluation runs: the
+distinct jets that the parts and the rates read are resolved to their
+derivative symbols once, every stage fills them all from its
+half-spectrum, and the products of the parts and the rates read them by
+slot.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class Trajectory:
     fields: list  # GridField snapshots
     ut: list  # du/dt arrays matching fields
     meta: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.times)
 
 
 def _split_linear(terms: list):

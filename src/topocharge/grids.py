@@ -5,6 +5,8 @@ derivatives are taken spectrally; time derivatives of u must be supplied
 as separate field arrays (they are independent data, produced by the
 evolution right-hand side).  Every field is real, so spectral arrays are
 rfftn half-spectra: the last axis keeps its n//2 + 1 non-negative modes.
+Every grid evaluation runs one compiled SpectralEvaluator program, and
+the evolver's stage program is that same program filled from its state.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class GridField:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def spacing(self, axis: int) -> float:
-        return self.periods[axis] / self.shape[axis]
-
     def coords(self, axis: int) -> np.ndarray:
         """Coordinate array broadcastable against data; axis 0 is x."""
         n = self.shape[axis]
@@ -127,9 +126,8 @@ def dealias_mask(shape: tuple) -> np.ndarray:
 class TimeFunction:
     """Binding for a single-variable arbitrary function of time."""
 
-    def __init__(self, derivs, name: str = "f"):
+    def __init__(self, derivs):
         self._derivs = derivs
-        self.name = name
 
     def deriv(self, k: int, t: float) -> float:
         return float(self._derivs(k, t))
@@ -137,13 +135,13 @@ class TimeFunction:
     @staticmethod
     def builtin(name: str) -> "TimeFunction":
         if name == "one":
-            return TimeFunction(lambda k, t: 1.0 if k == 0 else 0.0, name)
+            return TimeFunction(lambda k, t: 1.0 if k == 0 else 0.0)
         if name == "t":
-            return TimeFunction(lambda k, t: (t, 1.0)[k] if k <= 1 else 0.0, name)
+            return TimeFunction(lambda k, t: (t, 1.0)[k] if k <= 1 else 0.0)
         if name == "sin":
             def d(k, t):
                 return math.sin(t + k * math.pi / 2.0)
-            return TimeFunction(d, name)
+            return TimeFunction(d)
         raise UnboundArbFun(f"no built-in time function {name!r} (use one, t, sin)")
 
 
@@ -168,92 +166,75 @@ def _ik_symbol(shape: tuple, periods: tuple, spatial: tuple) -> np.ndarray:
 
 
 class SpectralEvaluator:
-    """Pointwise u-jets on a grid, computed from spectral arrays.
+    """Pointwise u-jets on a grid, computed by one compiled program.
 
-    `fields` maps a time-derivative order to grid values; a jet without
-    spatial derivatives returns them as given, other jets transform them
-    once.  `reset(u_hat)` starts over from the half-spectrum of u alone.
-    Each multi-index is checked and resolved to its time order and
-    derivative symbol once per evaluator; after that a jet is one lookup,
-    one multiply and one transform.  `program` fixes a set of u-jets that
-    every reset computes at once, and terms numbered by `program` are then
-    evaluated by slot, with no lookup per jet.
+    `program` numbers the distinct u-jets of some term lists by slot and
+    resolves each, once, to its time order and derivative symbol.  `fill`
+    then computes every slot, from grid values or half-spectra keyed by
+    time order: a jet without spatial derivatives passes its order's grid
+    values through, and every other order is transformed once.
+    `reset(u_hat)` fills from the half-spectrum of u alone, and `products`
+    sums numbered terms by slot.
     """
 
-    def __init__(self, grid: GridField, fields: dict[int, np.ndarray] | None = None):
+    def __init__(self, grid: GridField):
         self.grid = grid
-        self.fields = fields or {}
-        self._hats: dict[int, np.ndarray] = {}
-        self._jets: dict[tuple, np.ndarray] = {}
-        self._plan: dict[tuple, tuple] = {}  # mi -> (time order, symbol or None)
-        self._program: tuple = ()  # the symbols (or None) of the u-jets, in slot order
+        self._program: tuple = ()  # (multi-index, time order, symbol or None) per slot
         self._slots: list = []
+        self._held = None
 
     def program(self, *term_lists) -> list:
         """Each list of (factor, ((u-jet multi-index, power), ...)) terms with
         its jets replaced by their slots: the distinct jets of all the lists,
-        checked and resolved here, which every later reset(u_hat) computes."""
+        checked and resolved here, which every later fill computes."""
         slots: dict[tuple, int] = {}
         out = [[(factor, tuple((slots.setdefault(mi, len(slots)), p) for mi, p in jets))
                 for factor, jets in terms] for terms in term_lists]
-        self._program = tuple((self._plan.get(mi) or self._resolve(mi))[1] for mi in slots)
+        self._program = tuple((mi, *self._resolve(mi)) for mi in slots)
         return out
-
-    def reset(self, u_hat: np.ndarray):
-        """Start over from the half-spectrum u_hat, computing the program's jets."""
-        self.fields = {}
-        self._hats = {0: u_hat}
-        self._jets = {}
-        shape = self.grid.shape
-        self._slots = [to_grid(u_hat if symbol is None else u_hat * symbol, shape)
-                       for symbol in self._program]
-
-    def holds(self, u_hat: np.ndarray) -> bool:
-        """True iff the last reset was given this very array."""
-        return self._hats.get(0) is u_hat
 
     def _resolve(self, mi: tuple) -> tuple:
         order = mi_order(mi[1:])
         if order > MAX_STENCIL_ORDER:
             raise DerivativeOrderTooHigh(
                 f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
-        plan = self._plan[mi] = (mi[T], ik_symbol(self.grid, mi[1:]) if order else None)
-        return plan
+        return mi[T], ik_symbol(self.grid, mi[1:]) if order else None
 
-    def jet(self, mi: tuple) -> np.ndarray:
-        got = self._jets.get(mi)
-        if got is not None:
-            return got
-        t_order, symbol = self._plan.get(mi) or self._resolve(mi)
-        if symbol is None and t_order in self.fields:
-            out = np.asarray(self.fields[t_order], dtype=float)
-        else:
-            hat = self._hats.get(t_order)
+    def fill(self, fields: dict, hats: dict | None = None):
+        """Compute the program's jets from the grid values `fields` and the
+        half-spectra `hats`, both keyed by time order."""
+        hats = dict(hats or {})
+        held, shape, slots = hats.get(0), self.grid.shape, []
+        for _mi, order, symbol in self._program:
+            if symbol is None and order in fields:
+                slots.append(np.asarray(fields[order], dtype=float))
+                continue
+            hat = hats.get(order)
             if hat is None:
-                if t_order not in self.fields:
+                if order not in fields:
                     raise MissingTimeDerivative(
-                        f"expression needs d_t^{t_order} u but only orders "
-                        f"{sorted(self.fields)} are bound"
-                    )
-                hat = self._hats[t_order] = to_spectrum(self.fields[t_order])
-            out = to_grid(hat if symbol is None else hat * symbol, self.grid.shape)
-        self._jets[mi] = out
-        return out
+                        f"expression needs d_t^{order} u but only orders "
+                        f"{sorted(fields)} are bound")
+                hat = hats[order] = to_spectrum(fields[order])
+            slots.append(to_grid(hat if symbol is None else hat * symbol, shape))
+        self._slots, self._held = slots, held
 
-    def terms(self, terms) -> np.ndarray:
-        """Sum of factor * prod jet(mi)^p over (factor, ((mi, p), ...)) terms."""
-        return self._sum(terms, self.jet)
+    def reset(self, u_hat: np.ndarray):
+        """fill() from the half-spectrum u_hat of u alone."""
+        self.fill({}, {0: u_hat})
+
+    def holds(self, u_hat: np.ndarray) -> bool:
+        """True iff the last fill was given this very array as u's spectrum."""
+        return self._held is u_hat
 
     def products(self, terms) -> np.ndarray:
-        """terms() of terms numbered by `program`, read from the jets of the last reset."""
-        return self._sum(terms, self._slots.__getitem__)
-
-    def _sum(self, terms, jet) -> np.ndarray:
-        total = None
+        """Sum of factor * prod jet^p over terms numbered by `program`, read
+        from the jets of the last fill."""
+        total, slots = None, self._slots
         for factor, jets in terms:
             value = factor
-            for key, p in jets:
-                value = value * (jet(key) if p == 1 else jet(key) ** p)
+            for slot, p in jets:
+                value = value * (slots[slot] if p == 1 else slots[slot] ** p)
             total = value if total is None else total + value
         if getattr(total, "shape", None) != self.grid.shape:  # no term has a u-jet
             total = np.full(self.grid.shape, 0.0 if total is None else total)
@@ -267,7 +248,7 @@ def compile_terms(
     fun_bindings: dict | None = None,
 ) -> list:
     """The (factor, ((jet multi-index, power), ...)) terms of e that
-    SpectralEvaluator.terms reads, with parameters bound from `params`.
+    SpectralEvaluator.program numbers, with parameters bound from `params`.
 
     On a grid, t, x, y, z and single-variable arbitrary functions of time
     (bound through `fun_bindings`, name -> TimeFunction) are evaluated at
@@ -334,5 +315,7 @@ def evaluate_on_grid(
         fields[1] = np.asarray(u_t)
     for k, v in (extra_fields or {}).items():
         fields[int(k)] = np.asarray(v)
-    terms = compile_terms(e, params, grid, fun_bindings)
-    return SpectralEvaluator(grid, fields).terms(terms)
+    ev = SpectralEvaluator(grid)
+    (terms,) = ev.program(compile_terms(e, params, grid, fun_bindings))
+    ev.fill(fields)
+    return ev.products(terms)

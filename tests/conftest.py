@@ -11,12 +11,26 @@ MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 @pytest.fixture(scope="session")
 def simulated():
     """stem -> (reports, exit code) of `simulate` on manifests/<stem>.yaml,
-    each manifest run at most once per session."""
+    each manifest run at most once per session.  While a manifest runs,
+    `simulated.steps[stem]` records evolve's meta["steps"] per grid shape."""
     from topocharge import catalog as cat
-    from topocharge import cli
+    from topocharge import cli, evolution
 
     @functools.cache
     def run(stem: str):
-        return cli.simulate(cat.load_yaml((MANIFESTS / f"{stem}.yaml").read_text(encoding="utf-8")))
+        steps = run.steps[stem] = {}
+        evolve = evolution.evolve
 
+        def counted(evolver, u0, *args, **kwargs):
+            traj = evolve(evolver, u0, *args, **kwargs)
+            steps[u0.shape] = traj.meta["steps"]
+            return traj
+
+        evolution.evolve = counted
+        try:
+            return cli.simulate(cat.load_yaml((MANIFESTS / f"{stem}.yaml").read_text(encoding="utf-8")))
+        finally:
+            evolution.evolve = evolve
+
+    run.steps = {}
     return run

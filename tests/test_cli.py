@@ -532,6 +532,29 @@ class TestSimulateUsage:
         (lambda m: m.update(seed=True), "seed must be a number, got True"),
         (lambda m: (m.clear(), m.update(VORTICITY_CHARGE_2)),
          "charge charge-2 belongs to case inviscid"),
+        (lambda m: m.update(t_end=math.inf), "t_end must be finite, got inf"),
+        (lambda m: m["constraints"][0].update(tolerance=math.inf),
+         "constraints[0].tolerance must be finite, got inf"),
+        (lambda m: m["charges"][0].update(tolerance=math.inf),
+         "charges[0].tolerance must be finite, got inf"),
+        (lambda m: m["checks"][0].update(tolerance=math.inf),
+         "checks[0].tolerance must be finite, got inf"),
+        (lambda m: m.update(constraints=[{"density": "u_t"}]),
+         "constraints[0].density needs d_t^1 u"),
+        (lambda m: m.update(constraints=[{"density": "u", "tolerance": 1.0}, {"density": "u_tt"}]),
+         "constraints[1].density needs d_t^2 u"),
+        (lambda m: m["charges"][0].update(curve={"rect": [math.nan, 3.9, 1.1, 5.2]}),
+         "charges[0].curve.rect must be finite"),
+        (lambda m: m["charges"][0].update(curve={"rect": [0.7, 3.9, -math.inf, 5.2]}),
+         "charges[0].curve.rect must be finite"),
+        (lambda m: m["charges"][0].update(curve={"rect": [1, 1, 1, 2]}),
+         "charges[0].curve.rect must be finite with x0 != x1 and y0 != y1, got [1.0, 1.0"),
+        (lambda m: m["checks"].append({"type": "balance", "curve": {"rect": [0.7, 3.9, 2, 2]}}),
+         "checks[1].curve.rect must be finite with x0 != x1 and y0 != y1"),
+        (lambda m: (m.update(samples=4), m["checks"].append({"type": "balance", "curve": {
+            "rect": RECT}})), "and >= 5 for a tolerance by doubling (strides 1 and 2), got 4"),
+        (lambda m: (m.update(samples=3), m["checks"].append({"type": "balance", "curve": {
+            "rect": RECT}})), "checks[1]: a balance check differences in time"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
@@ -540,7 +563,11 @@ class TestSimulateUsage:
             "param_breaks_square", "param_coordinate", "param_jet", "param_function",
             "param_unbound", "charge_needs_u_tt", "pde_not_text", "density_not_text",
             "expr_not_text", "check_type_not_text", "mass_check_with_curve",
-            "seed_boolean", "charge_off_its_case"])
+            "seed_boolean", "charge_off_its_case", "infinite_t_end",
+            "infinite_constraint_tolerance", "infinite_charge_tolerance",
+            "infinite_mass_tolerance", "constraint_needs_u_t", "constraint_needs_u_tt",
+            "nan_rect", "infinite_rect", "zero_width_rect", "zero_height_balance_rect",
+            "doubled_balance_four_samples", "doubled_balance_three_samples"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
@@ -548,6 +575,14 @@ class TestSimulateUsage:
         code, out, err = self.simulate(capsys, tmp_path, manifest)
         assert code == 2 and needle in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
+
+    def test_balance_with_a_tolerance_runs_at_three_samples(self, no_evolution, kp_manifest,
+                                                            tmp_path, capsys):
+        manifest = yaml.safe_load(kp_manifest.read_text())
+        manifest["samples"] = 3
+        manifest["checks"].append({"type": "balance", "tolerance": 1e-3, "curve": {"rect": RECT}})
+        with pytest.raises(AssertionError, match="evolve called"):
+            self.simulate(capsys, tmp_path, manifest)
 
     def test_charge_in_its_case_runs(self, tmp_path, capsys):
         manifest = VORTICITY_CHARGE_2 | {"params": {"mu": "0"}}
@@ -667,23 +702,13 @@ class TestSimulateUsage:
 class TestShippedManifests:
     """The manifests under manifests/ keep their verdicts and exit codes."""
 
-    def test_kp_charge(self, tmp_path, capsys, monkeypatch):
-        steps = {}
-
-        def counted(evolver, u0, *args, **kwargs):
-            traj = cli_evolve(evolver, u0, *args, **kwargs)
-            steps[u0.shape] = traj.meta["steps"]
-            return traj
-
-        cli_evolve = evolution.evolve
-        monkeypatch.setattr(evolution, "evolve", counted)
-        code, out, _ = run(capsys, "simulate", "--manifest", str(SHIPPED_KP),
-                           "--out", str(tmp_path))
+    def test_kp_charge(self, simulated):
+        reports, code = simulated("kp_charge")
         assert code == 0
-        assert [line.split(" (report:")[0] for line in out.splitlines()] == [
+        assert [f"{rep.kind}: {rep.verdict}" for rep in reports] == [
             "constraint: satisfied", "charge: conserved", "charge: conserved",
             "mass: conserved", "balance: satisfied"]
-        assert steps == {(64, 64): 1664, (32, 32): 192}
+        assert simulated.steps["kp_charge"] == {(64, 64): 1664, (32, 32): 192}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_kp_charge_with_a_diverging_step_exits_1(self, tmp_path, capsys):

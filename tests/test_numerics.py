@@ -566,14 +566,21 @@ def full_symbol(shape, periods, spatial):
 
 
 class FullSpectrumEvaluator(SpectralEvaluator):
-    """Reference jets from the full complex spectrum: real(ifftn(symbol * fftn))."""
+    """Reference jets from the full complex spectrum: real(ifftn(symbol * fftn)).
+    `fills` counts the fills this class has computed."""
 
-    def jet(self, mi):
-        data = np.asarray(self.fields[mi[0]], dtype=float)
-        if not any(mi[1:]):
-            return data
-        symbol = full_symbol(data.shape, self.grid.periods, mi[1:])
-        return np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
+    fills = 0
+
+    def fill(self, fields, hats=None):
+        assert hats is None, "the reference computes jets from grid values alone"
+        FullSpectrumEvaluator.fills += 1
+        self._slots = []
+        for mi, _order, _symbol in self._program:
+            data = np.asarray(fields[mi[0]], dtype=float)
+            if any(mi[1:]):
+                symbol = full_symbol(data.shape, self.grid.periods, mi[1:])
+                data = np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
+            self._slots.append(data)
 
 
 def full_spectrum_ut(pde, field, params):
@@ -651,9 +658,12 @@ class TestHalfSpectrumParity:
                   for ch in entry.charges for g in ch.flux.Gamma]
         got = [evaluate_on_grid(g, field, None, None, params, dts) for g in gammas]
         monkeypatch.setattr(grids, "SpectralEvaluator", FullSpectrumEvaluator)
+        fills = FullSpectrumEvaluator.fills
         for g, value in zip(gammas, got):
             want = evaluate_on_grid(g, field, None, None, params, dts)
             assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
+        # each reference value was computed by the reference's own fill
+        assert FullSpectrumEvaluator.fills - fills == len(gammas)
 
 
 DIVERGENCE_PARAMS = {"kp": {"sigma": 1.0}, "nv": {"alpha": 0.7, "beta": 1.3}}
@@ -873,17 +883,24 @@ class TestStepEstimate:
         assert ev.dt_estimate(u_hat, 0.5) == pytest.approx(want, rel=1e-12)
 
 
+def on_state(ev, terms, u_hat):
+    """Compiled terms evaluated on u_hat through a fresh program on ev's grid."""
+    fresh = SpectralEvaluator(ev.grid)
+    (numbered,) = fresh.program(terms)
+    fresh.reset(u_hat)
+    return fresh.products(numbered)
+
+
 def rhs_by_blocks(ev, u_hat):
     """rhs_hat assembled from the evolver's blocks, each block on its own
     and the inverted ones then through the pinned P^{-1}."""
-    ev.ev.reset(u_hat)
 
     def apply(blocks):
         out = 0.0
         for b in blocks:
             F = b.L * u_hat
             for weight, terms in b.nonlinear:
-                F = F + np.fft.rfftn(ev.ev.terms(terms)) * weight
+                F = F + np.fft.rfftn(on_state(ev, terms, u_hat)) * weight
             out = out + (F if b.outer is None else b.outer * F)
         return out
 
@@ -929,9 +946,8 @@ class TestCompiledRhs:
         g = GridField(0.05 * np.sin(X + Y) + 1e-3 * np.cos(Y), (TWO_PI, TWO_PI))
         ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0}, mean_tol=mean_tol)
         u_hat = np.fft.rfftn(g.data) * ev.mask
-        ev.ev.reset(u_hat)
         rest = evolution._weighted(
-            ev.inverted, u_hat, [np.fft.rfftn(ev.ev.terms(t)) for _w, t in ev._parts])
+            ev.inverted, u_hat, [np.fft.rfftn(on_state(ev, t, u_hat)) for _w, t in ev._parts])
         return ev, u_hat, float(np.max(np.abs(rest[ev._pinned]))), float(np.max(np.abs(rest)))
 
     def test_guard_between_plane_and_scale(self, monkeypatch):
