@@ -353,7 +353,8 @@ def evolve(
     The state is the masked half-spectrum of u.  `meta` counts the steps
     and right-hand sides taken and the range of the steps' dt.  A state
     with max|u_hat|/N above `blowup` or not finite, read every 50 steps and
-    at every sample after t = 0, raises CflViolation.
+    at every sample after t = 0, raises CflViolation, and so does a first
+    step that projects more than max_steps steps to t_end.
     """
     state = to_spectrum(u0.data) * evolver.mask
     stage = np.empty_like(state)
@@ -380,6 +381,9 @@ def evolve(
             step = dt if dt is not None else evolver.dt_estimate(state, cfl)
             if not math.isfinite(step) or step <= 0:
                 raise CflViolation(f"step estimate degenerate at t={t}")
+            if not steps and t_end / step > max_steps:
+                raise CflViolation(f"t_end={t_end} at dt={step:.3g} projects {t_end / step:.3g} "
+                                   f"steps, above max_steps={max_steps}")
             step = min(step, target - t)
             dt_min, dt_max = min(dt_min, step), max(dt_max, step)
             state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing, stage)

@@ -14,7 +14,7 @@ def simulated():
     each manifest run at most once per session.  While a manifest runs,
     `simulated.steps[stem]` records evolve's meta["steps"] per grid shape."""
     from topocharge import catalog as cat
-    from topocharge import cli, evolution
+    from topocharge import evolution, manifest
 
     @functools.cache
     def run(stem: str):
@@ -28,7 +28,8 @@ def simulated():
 
         evolution.evolve = counted
         try:
-            return cli.simulate(cat.load_yaml((MANIFESTS / f"{stem}.yaml").read_text(encoding="utf-8")))
+            doc = cat.load_yaml((MANIFESTS / f"{stem}.yaml").read_text(encoding="utf-8"))
+            return manifest.run(manifest.plan(doc))
         finally:
             evolution.evolve = evolve
 

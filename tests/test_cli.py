@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from topocharge import catalog as cat
-from topocharge import cli, evolution, quadrature
+from topocharge import evolution, manifest, quadrature
 from topocharge.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -254,14 +254,14 @@ class TestSimulate:
         check = quadrature.check_constraint
         monkeypatch.setattr(quadrature, "check_constraint",
                             lambda *args, **kwargs: seen.append(args[3]) or check(*args, **kwargs))
-        manifest = {
+        doc = {
             "pde": "umkp",
             "params": {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"},
             "grid": {"resolutions": [16, 16], "periods": [TWO_PI, TWO_PI]},
             "u0": {"modes": [{"a": 0.05, "k": [1, 1]}]},
             "constraints": [{"density": "u"}],
         }
-        reports, code = cli.simulate(manifest)
+        reports, code = manifest.run(manifest.plan(doc))
         assert code == 0 and [rep.verdict for rep in reports] == ["satisfied"]
         assert abs(seen[0]["beta"] - 2.0 * math.sqrt(2.0 / 3.0)) <= 1e-15
         assert seen[0]["alpha"] == math.sqrt(2.0 / 3.0) and seen[0]["sigma"] == 1.0
@@ -555,6 +555,10 @@ class TestSimulateUsage:
             "rect": RECT}})), "and >= 5 for a tolerance by doubling (strides 1 and 2), got 4"),
         (lambda m: (m.update(samples=3), m["checks"].append({"type": "balance", "curve": {
             "rect": RECT}})), "checks[1]: a balance check differences in time"),
+        (lambda m: m["grid"].update(resolutions=[-1, 32]),
+         "grid.resolutions must be positive, got [-1, 32]"),
+        (lambda m: m.update(samples=10 ** 9), "1000000000 samples of the grid [32, 32] take "
+         "16384000000000 bytes, above 1 GiB"),
     ], ids=["unknown_charge", "charge_without_curve", "short_rect", "check_not_mapping",
             "charge_not_mapping", "constraint_not_mapping", "curve_not_mapping",
             "mode_not_mapping", "unparsable_density", "unknown_f", "u0_not_mapping",
@@ -567,7 +571,8 @@ class TestSimulateUsage:
             "infinite_constraint_tolerance", "infinite_charge_tolerance",
             "infinite_mass_tolerance", "constraint_needs_u_t", "constraint_needs_u_tt",
             "nan_rect", "infinite_rect", "zero_width_rect", "zero_height_balance_rect",
-            "doubled_balance_four_samples", "doubled_balance_three_samples"])
+            "doubled_balance_four_samples", "doubled_balance_three_samples",
+            "negative_resolution", "sample_storage"])
     def test_bad_spec_refused_before_evolution(self, edit, needle, no_evolution,
                                                kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
@@ -594,7 +599,10 @@ class TestSimulateUsage:
         ("dt", -0.01, "dt must be > 0"),
         ("cfl", 0, "cfl must be > 0"),
         ("cfl", -0.5, "cfl must be > 0"),
-    ], ids=["balance_two_samples", "negative_dt", "zero_cfl", "negative_cfl"])
+        ("cfl", math.inf, "cfl must be finite, got inf"),
+        ("dt", math.inf, "dt must be finite, got inf"),
+    ], ids=["balance_two_samples", "negative_dt", "zero_cfl", "negative_cfl", "infinite_cfl",
+            "infinite_dt"])
     def test_degenerate_run_setting(self, where, value, needle, no_evolution,
                                     kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
@@ -650,9 +658,9 @@ class TestSimulateUsage:
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     def test_integral_number_is_an_integer(self):
-        samples = cli._read({"samples": 17.0}, cli.MANIFEST)["samples"]
+        samples = manifest._read({"samples": 17.0}, manifest.MANIFEST)["samples"]
         assert samples == 17 and type(samples) is int
-        k = cli._read([2.0, -1], [int], "u0.modes[0].k")
+        k = manifest._read([2.0, -1], [int], "u0.modes[0].k")
         assert k == [2, -1] and all(type(v) is int for v in k)
 
     @pytest.mark.parametrize("edit, path", [
@@ -682,7 +690,7 @@ class TestSimulateUsage:
         docs.append(workloads.kp_manifest(ROOT, 1))
         assert len(docs) == 4 and "phase" in docs[-1]["u0"]["modes"][0]
         for doc in docs:
-            assert set(cli._read(doc, cli.MANIFEST)) == set(doc)
+            assert set(manifest._read(doc, manifest.MANIFEST)) == set(doc)
 
     @pytest.mark.parametrize("manifest", [
         {"pde": "shear", "params": {"alpha": "1", "beta": "1"},

@@ -212,11 +212,12 @@ class TestDriftControls:
 
 def record_reports() -> None:
     from topocharge import catalog as cat
-    from topocharge import cli
+    from topocharge import manifest
 
     codes = {}
     for path in sorted(MANIFESTS.glob("*.yaml")):
-        reports, codes[path.stem] = cli.simulate(cat.load_yaml(path.read_text(encoding="utf-8")))
+        doc = cat.load_yaml(path.read_text(encoding="utf-8"))
+        reports, codes[path.stem] = manifest.run(manifest.plan(doc))
         folder = REPORTS / path.stem
         folder.mkdir(parents=True, exist_ok=True)
         for old in folder.glob("report_*.txt"):

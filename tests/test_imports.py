@@ -1,7 +1,7 @@
 """The exact subcommands never import numpy: the package loads the
 numerical modules (grids, evolution, quadrature) on first use and every
-name it serves is the object of its defining module; the CLI imports them
-when simulate runs."""
+name it serves is the object of its defining module; the manifest module
+imports them when a manifest is planned or run."""
 
 import inspect
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import topocharge
-from topocharge import cli, evolution
+from topocharge import evolution, manifest
 
 SRC = Path(topocharge.__file__).resolve().parents[1]
 
@@ -61,10 +61,11 @@ def test_star_import():
 
 
 def test_numerical_names_are_read_when_asked_for(monkeypatch):
-    # the CLI binds no numerical name itself: simulate reads each off its
-    # defining module at call time, so a binding set there is the one it runs
+    # the manifest module binds no numerical name itself: plan and run read
+    # each off its defining module at call time, so a binding set there is
+    # the one they run
     assert not {"evolve", "KhatEvolver", "GridField", "loop_integral", "check_constraint",
-                "evolution", "grids", "quadrature"} & set(vars(cli))
+                "evolution", "grids", "quadrature", "np", "numpy"} & set(vars(manifest))
 
     class Called(Exception):
         pass
@@ -74,7 +75,7 @@ def test_numerical_names_are_read_when_asked_for(monkeypatch):
 
     monkeypatch.setattr(evolution, "evolve", stand_in)
     assert topocharge.evolve is stand_in
-    manifest = {"pde": "kdv_lagrangian", "grid": {"resolutions": [16], "periods": [6.25]},
-                "t_end": 0.01, "samples": 2}
+    doc = {"pde": "kdv_lagrangian", "grid": {"resolutions": [16], "periods": [6.25]},
+           "t_end": 0.01, "samples": 2}
     with pytest.raises(Called):
-        cli.simulate(manifest)
+        manifest.run(manifest.plan(doc))

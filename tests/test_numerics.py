@@ -452,12 +452,27 @@ class TestEvolution:
         assert max(abs(v) for v in vals_fine) <= tol
 
     def test_step_budget_guard(self):
+        # a first step that projects more than max_steps steps to t_end is
+        # not taken: the t = 0 sample and k1 are the only right-hand sides
         from topocharge.evolution import CflViolation
 
         kdv = get_entry("kdv_lagrangian")
         g = GridField(np.zeros(32), (TWO_PI,))
-        with pytest.raises(CflViolation):
-            evolve(KhatEvolver(kdv.pde, g, {}), g, 1.0, n_samples=2, max_steps=3)
+        evolver = KhatEvolver(kdv.pde, g, {})
+        with pytest.raises(CflViolation, match=r"t_end=1.0 at dt=.* projects .* steps, above "
+                                               r"max_steps=3$"):
+            evolve(evolver, g, 1.0, n_samples=2, max_steps=3)
+        assert evolver.rhs_calls == 2
+
+    def test_step_budget_counts_the_steps_taken(self):
+        # dt = 0.3 projects 3.3 steps to t_end = 1, but the samples every
+        # 0.1 cut each step short, so the count runs past max_steps
+        from topocharge.evolution import CflViolation
+
+        kdv = get_entry("kdv_lagrangian")
+        g = GridField(np.zeros(32), (TWO_PI,))
+        with pytest.raises(CflViolation, match="exceeded 5 steps before t_end"):
+            evolve(KhatEvolver(kdv.pde, g, {}), g, 1.0, n_samples=11, dt=0.3, max_steps=5)
 
     def test_blowup_guard_threshold(self):
         # the guard reads max|u_hat|/N every 50 steps; 50 fixed steps put its
