@@ -48,7 +48,6 @@ from .jetexpr import (
 )
 from .parsing import SymbolTable, default_symbols, parse_expr
 from .pde import DivForm, PdeSpec, verified
-from .potential import PotentialSystem, build_potential_system
 from .printing import to_source
 from .variational import AnsatzExhausted, invert_divergence_auto
 
@@ -116,13 +115,6 @@ class CatalogCharge:
 
 
 @dataclass(frozen=True)
-class CatalogPotentialSystem:
-    id: str
-    charge_id: str
-    system: PotentialSystem
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     title: str
@@ -135,7 +127,6 @@ class CatalogEntry:
     currents: list
     identities: list
     charges: list
-    potential_systems: list
     binding: dict
 
     def parse(self, text: str) -> JetExpr:
@@ -461,15 +452,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             CatalogCharge(ch["id"], ch["current"], flux, ch.get("repair", ""))
         )
 
-    systems = []
-    for psdoc in doc.get("potential_systems") or []:
-        try:
-            charge = _find(charges, psdoc["charge"], name)
-        except KeyError:
-            continue
-        system = build_potential_system(charge.flux)
-        systems.append(CatalogPotentialSystem(psdoc["id"], psdoc["charge"], system))
-
     return CatalogEntry(
         name,
         doc.get("title", name),
@@ -482,7 +464,6 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         currents,
         identities,
         charges,
-        systems,
         dict(overlay or {}),
     )
 

@@ -29,11 +29,12 @@ direct product.
 The right-hand side is compiled once, when the evolver is built, into
 rhs_hat(v) = L v + sum_i W_i rfftn(terms_i(v)): one linear symbol L, and
 one complex weight W_i per nonlinear part (its mask or divergence symbol
-times its block's outer factor, and P^{-1} for an inverted block).  The
-constraint guard evaluates the inverted blocks on the zero set of P
-alone, by the same elementwise expression; it keeps that set as flat
-indices into the half-spectrum and takes each right-hand side's arrays
-there.  The whole-spectrum scale it compares against is built only when
+times its term group's outer factor, and P^{-1} for an inverted group).
+The same pass compiles rest(v) = R v + sum_i V_i rfftn(terms_i(v)), the
+inverted groups' sum before P^{-1}; its parts are the plan's first ones,
+so it reads their transforms.  The constraint guard evaluates rest on the
+zero set of P alone, kept as flat indices into the half-spectrum, and
+over the whole spectrum, for the scale it compares against, only when
 that plane exceeds mean_tol.
 
 Time stepping is classical RK4.  Its step is set by the frozen-coefficient
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,16 +127,13 @@ def _unit(axis: int) -> tuple:
     return tuple(int(a == axis) for a in range(3))
 
 
-def _weighted(blocks: list, u_hat: np.ndarray, hats) -> np.ndarray | float:
-    """sum over blocks of outer (L u_hat + sum of weight * hat), where `hats`
-    yields the transforms of the blocks' nonlinear parts in turn."""
-    hats = iter(hats)
-    out = 0.0
-    for b in blocks:
-        F = b.L * u_hat
-        for weight, _terms in b.nonlinear:
-            F = F + next(hats) * weight
-        out = out + (F if b.outer is None else b.outer * F)
+def _summed(pair: tuple, u_hat: np.ndarray, hats) -> np.ndarray:
+    """L u_hat + sum_i W_i hats_i for a compiled pair (L, [W_i]); `hats`
+    yields the transforms of the parts in turn and may run longer."""
+    L, weights = pair
+    out = L * u_hat
+    for weight, hat in zip(weights, hats):
+        out = out + weight * hat
     return out
 
 
@@ -169,15 +166,6 @@ def _divergence_flux(e: JetExpr, dim: int) -> tuple | None:
     return phi if cost < len(N.jet_keys()) + 1 else None
 
 
-class _Block(NamedTuple):
-    """outer (None for the identity) times (L u_hat + sum of weight * rfftn(terms))."""
-
-    outer: np.ndarray | None
-    L: np.ndarray
-    nonlinear: list  # [(weight, compiled terms)]
-    phi: tuple | None  # the divergence-form flux behind `nonlinear`, if used
-
-
 class KhatEvolver:
     """Evolver for P(D) u_t = N(u); P and N are read off the PDE's G.
 
@@ -204,33 +192,34 @@ class KhatEvolver:
                 raise EvolutionError("divergence-form factor must be a numeric unit")
             k = div.k_axis - 1
             P_u = JetExpr.jet("u", (0,) + _unit(k))
-            through = [(None, div.F[k])]
-            inverted = [(ik_symbol(grid, _unit(j)), div.F[j])
-                        for j in range(self.dim) if j != k]
+            groups = [(ik_symbol(grid, _unit(j)), div.F[j]) for j in range(self.dim) if j != k]
+            groups.append((None, div.F[k]))
         else:
             P_u, N = _split_time_part(pde)
-            through, inverted = [], [(None, N)]
-        self.through = [self._block(outer, e, params) for outer, e in through]
-        self.inverted = [self._block(outer, e, params) for outer, e in inverted]
+            groups = [(1.0, N)]
 
         P = self._symbol(_split_linear(compile_terms(P_u, params))[0])
         self._pinned = np.abs(P) < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._inv_P = np.where(self._pinned, 0.0, 1.0 / P)
+            inv_P = np.where(self._pinned, 0.0, 1.0 / P)
         self._P_text = to_source(P_u)
-        # the plan of the module docstring; the inverted blocks' parts come first
-        scaled = [(b, (1.0 if b.outer is None else b.outer) * inv)
-                  for blocks, inv in ((self.inverted, self._inv_P), (self.through, 1.0)) for b in blocks]
-        self._L = sum(s * b.L for b, s in scaled)
-        self._parts = [(s * w, terms) for b, s in scaled for w, terms in b.nonlinear]
-        # the zero set of P as flat indices into the half-spectrum, and the
-        # inverted blocks taken there
-        at = self._plane = (np.flatnonzero(self._pinned) if self.inverted and self._pinned.any()
-                            else None)
-        self._plane_blocks = [] if at is None else [
-            _Block(None if b.outer is None else b.outer.take(at), b.L.take(at),
-                   [(w.take(at), terms) for w, terms in b.nonlinear], b.phi)
-            for b in self.inverted]
+        # the plan and rest of the module docstring, the inverted groups (an
+        # outer factor, None for F^k) first, in one pass over the term groups
+        self._L, self._parts, rest_L, rest_w = 0, [], 0, []
+        for outer, e in groups:
+            L, parts = self._block(e, params)
+            s = 1.0 if outer is None else outer * inv_P
+            self._L = self._L + s * L
+            self._parts += [(s * w, terms) for w, terms in parts]
+            if outer is not None:
+                rest_L = rest_L + outer * L
+                rest_w += [outer * w for w, _terms in parts]
+        self._rest = (rest_L, rest_w)
+        # the zero set of P as flat indices into the half-spectrum, and rest
+        # taken there; rest_L stays 0 without an inverted group
+        at = np.flatnonzero(self._pinned)
+        self._plane = ((at, (rest_L.take(at), [w.take(at) for w in rest_w]))
+                       if at.size and isinstance(rest_L, np.ndarray) else None)
         self.rhs_calls = 0
         # |symbol| is even in k, so its maxima over the half-spectrum are those of the full one
         self._sym_max = float(np.max(np.abs(self._L * self.mask)))
@@ -249,9 +238,10 @@ class KhatEvolver:
             out = out + c * ik_symbol(self.grid, mi[1:])
         return out
 
-    def _block(self, outer, e: JetExpr, params: dict) -> _Block:
-        """One term group: its nonlinear part is the masked transform of the
-        direct product, or the masked D_a of a divergence-form flux Phi."""
+    def _block(self, e: JetExpr, params: dict) -> tuple:
+        """(L, [(weight, compiled terms)]) of one term group: its nonlinear part
+        is the masked transform of the direct product, or the masked D_a of
+        a divergence-form flux Phi."""
         linear, nonlinear = _split_linear(compile_terms(e, params))
         # a quadratic product is alias-free on the 2/3 modes unless 3 | n
         phi = (_divergence_flux(e, self.dim) if nonlinear and all(n % 3 for n in self.grid.shape)
@@ -261,7 +251,7 @@ class KhatEvolver:
         else:
             parts = [(ik_symbol(self.grid, _unit(a)) * self.mask, compile_terms(p, params))
                      for a, p in enumerate(phi) if not p.is_zero()]
-        return _Block(outer, self._symbol(linear), parts, phi)
+        return self._symbol(linear), parts
 
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
         self.rhs_calls += 1
@@ -279,16 +269,14 @@ class KhatEvolver:
         return ut_hat
 
     def _guard(self, u_hat: np.ndarray, hats: list):
-        """NonIntegrableSymbol when the inverted blocks' sum `rest`, whose
-        transforms lead `hats`, exceeds mean_tol * max(max|rest|, 1) on the
-        zero set of P; below mean_tol there, max|rest| is never built."""
-        at = self._plane
-        peak = float(np.abs(_weighted(self._plane_blocks, u_hat.take(at),
-                                      (h.take(at) for h in hats))).max())
+        """NonIntegrableSymbol when rest, whose transforms lead `hats`, exceeds
+        mean_tol * max(max|rest|, 1) on the zero set of P; below mean_tol
+        there, max|rest| is never built."""
+        at, plane = self._plane
+        peak = float(np.abs(_summed(plane, u_hat.take(at), (h.take(at) for h in hats))).max())
         if peak <= self.mean_tol:
             return
-        rest = _weighted(self.inverted, u_hat, hats)
-        scale = float(np.max(np.abs(rest)))
+        scale = float(np.max(np.abs(_summed(self._rest, u_hat, hats))))
         if scale > 0 and peak > self.mean_tol * max(scale, 1.0):
             raise NonIntegrableSymbol(
                 f"inverting P(D) (P(D)u = {self._P_text}) met a nonzero component "

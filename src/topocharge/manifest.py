@@ -32,11 +32,17 @@ class UsageError(ValueError):
     """Bad command-line or manifest input; exits with EXIT_USAGE."""
 
 
+@dataclass(frozen=True)
+class _Required:
+    kind: object  # of a table key that must be given, and not as null
+
+
 def _read(value, kind, path: str = ""):
     """value read as a MANIFEST kind and named by its key path.
 
     A table refuses keys it does not name and drops null values, so a null
-    key takes its default; an int refuses a number with a fractional part.
+    key takes its default, and a null or missing _Required key is refused;
+    an int refuses a number with a fractional part.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -70,7 +76,10 @@ def _read(value, kind, path: str = ""):
     unknown = [f"{where}{key}" for key in value if key not in kind]
     if unknown:
         raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
-    return {key: _read(item, kind[key], f"{where}{key}")
+    for key, sub in kind.items():
+        if isinstance(sub, _Required) and value.get(key) is None:
+            raise UsageError(f"{where}{key} is required")
+    return {key: _read(item, getattr(kind[key], "kind", kind[key]), f"{where}{key}")
             for key, item in value.items() if item is not None}
 
 
@@ -103,7 +112,8 @@ def _check(value, path: str) -> dict:
 
 # The manifest format.  A key's kind is str (text), Path (a path), dict (a
 # mapping its reader checks), float or int, a nested table, a one-item list
-# of a kind, or a function that reads the value, such as a _bound.
+# of a kind, or a function that reads the value, such as a _bound; a kind
+# wrapped in _Required must be given.
 _POSITIVE = _bound(_bound(float, lambda v: v > 0, "> 0"), math.isfinite, "finite")
 _FINITE = _bound(_bound(float, lambda v: v >= 0, ">= 0"), math.isfinite, "finite")
 _CURVE = {"rect": _bound(_bound([float], lambda r: len(r) == 4, "[x0, x1, y0, y1]"),
@@ -111,19 +121,21 @@ _CURVE = {"rect": _bound(_bound([float], lambda r: len(r) == 4, "[x0, x1, y0, y1
                          "finite with x0 != x1 and y0 != y1")}
 _CURVED = (lambda spec: "rect" in spec.get("curve", {}),
            "a table with curve: {rect: [x0, x1, y0, y1]}")
-_U0 = {"expr": str, "constant": float, "modes": [{"a": float, "k": [int], "phase": [float]}]}
+_REAL = _bound(float, math.isfinite, "finite")
+_U0 = {"expr": str, "constant": float,
+       "modes": [{"a": _Required(_REAL), "k": _Required([int]), "phase": [_REAL]}]}
 # check types: their keys and default tolerance (None is resolution doubling)
 CHECKS = {"mass": ({"type": str, "tolerance": _FINITE}, 1e-9), "balance": (
     _bound({"type": str, "tolerance": _FINITE, "curve": _CURVE}, *_CURVED), None)}
 MANIFEST = {
-    "pde": str, "params": dict, "t_end": _FINITE, "cfl": _POSITIVE, "dt": _POSITIVE,
+    "pde": _Required(str), "params": dict, "t_end": _FINITE, "cfl": _POSITIVE, "dt": _POSITIVE,
     "samples": _bound(int, lambda n: n >= 2, ">= 2 (t = 0 and t_end)"),
     "f": str, "interp": str, "seed": int, "out": Path,
     "grid": {"resolutions": _bound([int], lambda ns: all(n > 0 for n in ns), "positive"),
              "periods": [float]},
     "u0": _u0,
-    "constraints": [{"density": str, "tolerance": _FINITE}],
-    "charges": [_bound({"id": str, "tolerance": _FINITE, "curve": _CURVE}, *_CURVED)],
+    "constraints": [{"density": _Required(str), "tolerance": _FINITE}],
+    "charges": [_bound({"id": _Required(str), "tolerance": _FINITE, "curve": _CURVE}, *_CURVED)],
     "checks": [_check],
 }
 
@@ -213,7 +225,7 @@ def plan(doc) -> Plan:
         constraints.append((spec["density"], density, spec.get("tolerance", 1e-9)))
     charges = []
     for spec in m.get("charges", []):
-        charge = entry.charge(spec.get("id"))
+        charge = entry.charge(spec["id"])
         case = entry.current(charge.current_id).case
         if not cat._case_consistent(entry.cases[case], overlay):
             raise UsageError(f"charge {spec['id']} belongs to case {case}, which does not "
@@ -232,8 +244,6 @@ def plan(doc) -> Plan:
     initial = m.get("u0", {})
     modes = initial.get("modes", [])
     for i, mode in enumerate(modes):
-        if "a" not in mode or "k" not in mode:
-            raise UsageError(f"u0.modes[{i}] needs a and k, got {mode!r}")
         for key in ("k", "phase"):
             if len(mode.setdefault(key, [0.0] * entry.dim)) != entry.dim:
                 raise UsageError(f"u0.modes[{i}].{key} needs an entry per grid axis, "

@@ -425,15 +425,17 @@ class TestSimulateUsage:
         assert code == 2 and "periods must be positive and finite" in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
-    @pytest.mark.parametrize("edit", [
-        lambda u0: u0["modes"][0].update(a=math.nan),
-        lambda u0: u0.update(constant=math.inf),
+    # a mode amplitude is refused by the table before u0 is sampled
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda u0: u0["modes"][0].update(a=math.nan), "u0.modes[0].a must be finite, got nan"),
+        (lambda u0: u0.update(constant=math.inf), "u0 is not finite on the grid"),
     ], ids=["mode_amplitude_nan", "constant_inf"])
-    def test_non_finite_initial_data(self, edit, kp_manifest, no_evolution, tmp_path, capsys):
+    def test_non_finite_initial_data(self, edit, needle, kp_manifest, no_evolution, tmp_path,
+                                     capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
         edit(manifest["u0"])
         code, out, err = self.simulate(capsys, tmp_path, manifest)
-        assert code == 2 and "u0 is not finite on the grid" in err
+        assert code == 2 and needle in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     @pytest.mark.parametrize("doubled", ["charge", "balance"])
@@ -515,7 +517,7 @@ class TestSimulateUsage:
         (lambda m: m["u0"]["modes"][0].update(phase=[0.0, 0.0, 3.0]),
          "phase needs an entry per grid axis"),
         (lambda m: m.update(out=5), "out must be a path"),
-        (lambda m: m["u0"]["modes"][0].pop("a"), "needs a and k"),
+        (lambda m: m["u0"]["modes"][0].pop("a"), "u0.modes[0].a is required"),
         (lambda m: m["params"].update(alpha="2"), "unknown parameter 'alpha'"),
         (lambda m: m.update(params={"sigma": "2"}), "sigma^2 = 1"),
         (lambda m: m.update(params={"sigma": "x"}), "parameter 'sigma' must be a constant"),
@@ -658,7 +660,7 @@ class TestSimulateUsage:
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
     def test_integral_number_is_an_integer(self):
-        samples = manifest._read({"samples": 17.0}, manifest.MANIFEST)["samples"]
+        samples = manifest._read(17.0, manifest.MANIFEST["samples"], "samples")
         assert samples == 17 and type(samples) is int
         k = manifest._read([2.0, -1], [int], "u0.modes[0].k")
         assert k == [2, -1] and all(type(v) is int for v in k)

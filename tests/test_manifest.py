@@ -1,7 +1,8 @@
 """manifest.plan reads a manifest and runs every refusal without evolving:
 on the shipped manifests, and on each of their key paths mutated by a fixed
-set of bad values, it returns a Plan or raises an error that the CLI
-reports as bad input (exit 2) on one line."""
+set of bad values (or, for a mapping key, deleted), it returns a Plan or
+raises an error that the CLI reports as bad input (exit 2) on one line,
+with no warning written on the way."""
 
 import copy
 import dataclasses
@@ -69,25 +70,35 @@ def mutations(value) -> dict:
     return out
 
 
+DELETED = object()  # the mutation that deletes a mapping key
+
+
 CASES = [(stem, path) for stem, doc in SHIPPED.items() for path in key_paths(doc)]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("stem, path", CASES,
                          ids=[f"{stem}:{'.'.join(map(str, path))}" for stem, path in CASES])
 def test_mutant_is_planned_or_refused_on_one_line(stem, path, no_evolution):
     *parents, last = path
-    original = SHIPPED[stem]
+    parent = SHIPPED[stem]
     for node in parents:
-        original = original[node]
-    for name, value in mutations(original[last]).items():
+        parent = parent[node]
+    cases = mutations(parent[last]) | ({"deleted": DELETED} if isinstance(parent, dict) else {})
+    for name, value in cases.items():
         doc = copy.deepcopy(SHIPPED[stem])
         node = doc
         for key in parents:
             node = node[key]
-        node[last] = value
+        if value is DELETED:
+            del node[last]
+        else:
+            node[last] = value
         try:
             manifest.plan(doc)
         except (*cli.USAGE_ERRORS, cat.CatalogCorrupt) as exc:
             assert str(exc) and "\n" not in str(exc), f"{name}: {exc!r}"
+            # a missing key is refused as such, not as a KeyError of the code that reads it
+            assert value is not DELETED or not isinstance(exc, KeyError), f"{name}: {exc!r}"
         except Exception as exc:  # noqa: BLE001  (any other error is a finding)
             pytest.fail(f"{name} ({value!r}): {type(exc).__name__}: {exc}")

@@ -13,14 +13,17 @@ from topocharge import quadrature
 from topocharge.evolution import (
     KhatEvolver,
     NonIntegrableSymbol,
+    _divergence_flux,
     _rk4_step,
+    _split_linear,
     _split_time_part,
     _unit,
     evolve,
 )
-from topocharge.grids import GridField, SpectralEvaluator, dealias_mask, evaluate_on_grid
+from topocharge.grids import (GridField, SpectralEvaluator, dealias_mask, evaluate_on_grid,
+                              ik_symbol)
 from topocharge.grids import compile_terms as _compile_terms
-from topocharge.jetexpr import substitute_arbfun
+from topocharge.jetexpr import JetExpr, substitute_arbfun
 from topocharge.parsing import parse_expr
 from topocharge.quadrature import (
     BoxSpec,
@@ -692,15 +695,23 @@ def masked_noise(shape, seed, periods=(TWO_PI, 3.0)):
 
 
 def evolver_pair(name, field, monkeypatch, **kwargs):
-    """(the evolver as built, the same evolver forced onto direct products)"""
+    """(the evolver as built, the same evolver forced onto direct products,
+    the fluxes that _divergence_flux returned while the first was built)"""
     entry = get_entry(name)
     params = DIVERGENCE_PARAMS.get(name) or {
         p: 0.6 + 0.2 * i for i, p in enumerate(sorted(entry.symbols.params))}
-    built = KhatEvolver(entry.pde, field, params, **kwargs)
+    fluxes = []
+
+    def recorded(e, dim):
+        fluxes.append(_divergence_flux(e, dim))
+        return fluxes[-1]
+
     with monkeypatch.context() as m:
+        m.setattr(evolution, "_divergence_flux", recorded)
+        built = KhatEvolver(entry.pde, field, params, **kwargs)
         m.setattr(evolution, "_divergence_flux", lambda e, dim: None)
         direct = KhatEvolver(entry.pde, field, params, **kwargs)
-    return built, direct
+    return built, direct, fluxes
 
 
 def fft_calls(call, monkeypatch, names=("rfftn", "irfftn")):
@@ -732,22 +743,22 @@ class TestDivergenceFlux:
     def test_matches_direct_product(self, name, n, monkeypatch):
         field = masked_noise((n, n), seed=n)
         # noise violates NV's line-mean constraint, so its guard is off
-        ev, direct = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
-        assert [b.phi is not None for b in ev.through + ev.inverted] == (
-            [True, False] if name == "kp" else [True])
+        ev, direct, fluxes = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        # KP's inverted group is linear, so only F^x has a nonlinear part
+        assert [phi is not None for phi in fluxes] == [True]
         u_hat = np.fft.rfftn(field.data) * ev.mask
         got, want = ev.rhs_hat(u_hat, 0.0), direct.rhs_hat(u_hat, 0.0)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_kp_flux(self):
-        ev = KhatEvolver(get_entry("kp").pde, masked_noise((32, 32), 1), {"sigma": 1.0})
-        assert ev.through[0].phi == (parse_expr("-u^2/2", 2), parse_expr("0", 2))
+    def test_kp_flux(self, monkeypatch):
+        _, _, fluxes = evolver_pair("kp", masked_noise((32, 32), 1), monkeypatch)
+        assert fluxes == [(parse_expr("-u^2/2", 2), parse_expr("0", 2))]
 
     @pytest.mark.parametrize("name, fewer, direct", [
         ("kp", 2, 3), ("nv", 5, 8), ("vorticity", 7, 7)])
     def test_transforms_per_rhs(self, name, fewer, direct, monkeypatch):
         field = masked_noise((32, 32), seed=5)
-        ev, by_product = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        ev, by_product, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
         u_hat = np.fft.rfftn(field.data) * ev.mask
         assert transforms_per_rhs(ev, u_hat, monkeypatch) == fewer
         assert transforms_per_rhs(by_product, u_hat, monkeypatch) == direct
@@ -758,24 +769,27 @@ class TestDivergenceFlux:
         ("vorticity", (32, 32))], ids=["umkp", "shear", "kdv_lagrangian", "vorticity"])
     def test_other_entries_keep_the_direct_product(self, name, shape, monkeypatch):
         field = masked_noise(shape, seed=2, periods=(TWO_PI,) * len(shape))
-        ev, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
-        blocks = ev.through + ev.inverted
-        assert all(b.phi is None for b in blocks)
-        assert all(w is ev.mask for b in blocks for w, _terms in b.nonlinear)
+        ev, direct, fluxes = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        assert all(phi is None for phi in fluxes)
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        assert np.array_equal(ev.rhs_hat(u_hat, 0.0), direct.rhs_hat(u_hat, 0.0))
 
     def test_axis_divisible_by_3_keeps_the_direct_product(self, monkeypatch):
         # on 48 points the 2/3 rule keeps |k| <= 16 and k = 16 + 16 aliases
-        # onto -16, where the two forms differ
-        ev, _ = evolver_pair("kp", masked_noise((48, 32), 3), monkeypatch)
-        assert all(b.phi is None for b in ev.through + ev.inverted)
+        # onto -16, where the two forms differ; the flux is not even sought
+        field = masked_noise((48, 32), 3)
+        ev, direct, fluxes = evolver_pair("kp", field, monkeypatch, mean_tol=np.inf)
+        assert fluxes == []
+        u_hat = np.fft.rfftn(field.data) * ev.mask
+        assert np.array_equal(ev.rhs_hat(u_hat, 0.0), direct.rhs_hat(u_hat, 0.0))
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_guard_raises_on_nonzero_x_mean(self, n):
+    def test_guard_raises_on_nonzero_x_mean(self, n, monkeypatch):
         x = np.arange(n) * TWO_PI / n
         X, Y = np.meshgrid(x, x, indexing="ij")
         bad = GridField(0.05 * np.sin(X + Y) + 0.02 * np.cos(Y), (TWO_PI, TWO_PI))
-        ev = KhatEvolver(get_entry("kp").pde, bad, {"sigma": 1.0})
-        assert ev.through[0].phi is not None
+        ev, _, fluxes = evolver_pair("kp", bad, monkeypatch)
+        assert fluxes[0] is not None
         with pytest.raises(NonIntegrableSymbol):
             ev.rhs_hat(np.fft.rfftn(bad.data) * ev.mask, 0.0)
 
@@ -784,12 +798,13 @@ class TestDivergenceFlux:
         (lambda X, Y: 0.02 * np.sin(X) * np.sin(Y), False)], ids=["violating", "satisfying"])
     def test_guard_on_a_union_of_planes(self, u0, raises):
         # NV's P = D_x D_y vanishes on the planes k_x = 0 and k_y = 0, and its
-        # whole nonlinear part is inverted there; KP's inverted block is linear
+        # whole nonlinear part is inverted there; KP's inverted group is linear
         n = 32
         x = np.arange(n) * TWO_PI / n
         g = GridField(u0(*np.meshgrid(x, x, indexing="ij")), (TWO_PI, TWO_PI))
-        ev = KhatEvolver(get_entry("nv").pde, g, {"alpha": 1.0, "beta": 1.0})
-        assert ev.inverted[0].nonlinear and not ev.through
+        pde = get_entry("nv").pde
+        ev = KhatEvolver(pde, g, {"alpha": 1.0, "beta": 1.0})
+        assert pde.div_form is None and _split_time_part(pde)[1].jet_degree() == 2
         assert ev._pinned[0].all() and ev._pinned[:, 0].all()
         u_hat = np.fft.rfftn(g.data) * ev.mask
         if raises:
@@ -864,7 +879,7 @@ class TestStepEstimate:
         ("umkp", (32, 20)), ("shear", (16, 20, 16))])
     def test_no_transform_on_the_state_it_holds(self, name, shape, monkeypatch):
         field = masked_noise(shape, seed=4, periods=(TWO_PI,) * len(shape))
-        ev, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
+        ev, _, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
         u_hat = np.fft.rfftn(field.data) * ev.mask
         ev.rhs_hat(u_hat, 0.0)
         held, fresh = [], []
@@ -906,21 +921,55 @@ def on_state(ev, terms, u_hat):
     return fresh.products(numbered)
 
 
-def rhs_by_blocks(ev, u_hat):
-    """rhs_hat assembled from the evolver's blocks, each block on its own
-    and the inverted ones then through the pinned P^{-1}."""
+def blocks(ev, u_hat, params):
+    """(F^k's block or 0.0, the inverted blocks' sum or None, P's symbol) on
+    u_hat, each block assembled from ev's PDE on its own: its linear symbol
+    times u_hat, plus the masked transform of its direct product or the
+    masked D_a of its divergence-form flux.  Nothing of ev's plan is read."""
+    grid, mask = ev.grid, ev.mask
 
-    def apply(blocks):
-        out = 0.0
-        for b in blocks:
-            F = b.L * u_hat
-            for weight, terms in b.nonlinear:
-                F = F + np.fft.rfftn(on_state(ev, terms, u_hat)) * weight
-            out = out + (F if b.outer is None else b.outer * F)
+    def symbol(linear):
+        out = np.zeros(mask.shape, dtype=complex)
+        for c, mi in linear:
+            out = out + c * ik_symbol(grid, mi[1:])
         return out
 
-    ut_hat = apply(ev.through)
-    return ut_hat + apply(ev.inverted) * ev._inv_P if ev.inverted else ut_hat
+    def block(e):
+        linear, nonlinear = _split_linear(_compile_terms(e, params))
+        phi = (_divergence_flux(e, ev.dim) if nonlinear and all(n % 3 for n in grid.shape)
+               else None)
+        if phi is None:
+            parts = [(mask, nonlinear)] if nonlinear else []
+        else:
+            parts = [(ik_symbol(grid, _unit(a)) * mask, _compile_terms(p, params))
+                     for a, p in enumerate(phi) if not p.is_zero()]
+        F = symbol(linear) * u_hat
+        for weight, terms in parts:
+            F = F + np.fft.rfftn(on_state(ev, terms, u_hat)) * weight
+        return F
+
+    div = ev.pde.div_form
+    if div is not None:
+        k = div.k_axis - 1
+        P_u = JetExpr.jet("u", (0,) + _unit(k))
+        through = block(div.F[k])
+        inverted = [ik_symbol(grid, _unit(j)) * block(div.F[j])
+                    for j in range(ev.dim) if j != k]
+    else:
+        P_u, N = _split_time_part(ev.pde)
+        through, inverted = 0.0, [block(N)]
+    rest = sum(inverted, 0.0) if inverted else None
+    return through, rest, symbol(_split_linear(_compile_terms(P_u, params))[0])
+
+
+def rhs_by_blocks(ev, u_hat, params):
+    """rhs_hat assembled block by block, the inverted ones then through the
+    pinned P^{-1}."""
+    through, rest, P = blocks(ev, u_hat, params)
+    if rest is None:
+        return through
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return through + rest * np.where(np.abs(P) < 1e-12, 0.0, 1.0 / P)
 
 
 def white_field(shape, seed=11):
@@ -937,7 +986,7 @@ class TestCompiledRhs:
         field = white_field((n,))
         ev = KhatEvolver(get_entry("kdv_lagrangian").pde, field, {})
         u_hat = np.fft.rfftn(field.data) * ev.mask
-        assert np.array_equal(ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat))
+        assert np.array_equal(ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat, {}))
 
     @pytest.mark.parametrize("name, shape", [
         ("kp", (32, 32)), ("kp", (32, 24)), ("umkp", (24, 33)), ("nv", (32, 32)),
@@ -949,7 +998,7 @@ class TestCompiledRhs:
             p: 0.6 + 0.2 * i for i, p in enumerate(sorted(entry.symbols.params))}
         ev = KhatEvolver(entry.pde, field, params, mean_tol=np.inf)
         u_hat = np.fft.rfftn(field.data) * ev.mask
-        got, want = ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat)
+        got, want = ev.rhs_hat(u_hat, 0.0), rhs_by_blocks(ev, u_hat, params)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def guarded(self, mean_tol):
@@ -961,9 +1010,9 @@ class TestCompiledRhs:
         g = GridField(0.05 * np.sin(X + Y) + 1e-3 * np.cos(Y), (TWO_PI, TWO_PI))
         ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0}, mean_tol=mean_tol)
         u_hat = np.fft.rfftn(g.data) * ev.mask
-        rest = evolution._weighted(
-            ev.inverted, u_hat, [np.fft.rfftn(on_state(ev, t, u_hat)) for _w, t in ev._parts])
-        return ev, u_hat, float(np.max(np.abs(rest[ev._pinned]))), float(np.max(np.abs(rest)))
+        _, rest, P = blocks(ev, u_hat, {"sigma": 1.0})
+        peak = float(np.max(np.abs(rest[np.abs(P) < 1e-12])))
+        return ev, u_hat, peak, float(np.max(np.abs(rest)))
 
     def test_guard_between_plane_and_scale(self, monkeypatch):
         _, _, peak, scale = self.guarded(np.inf)
@@ -972,14 +1021,14 @@ class TestCompiledRhs:
 
         def counted(*args):
             calls.append(args[1].shape)
-            return weighted(*args)
+            return summed(*args)
 
         # the plane exceeds mean_tol, so max|rest| is built, but not by enough
         between, u_hat, _, _ = self.guarded(peak / math.sqrt(scale))
         # below mean_tol the plane alone decides
         below, _, _, _ = self.guarded(2.0 * peak)
-        weighted = evolution._weighted
-        monkeypatch.setattr(evolution, "_weighted", counted)
+        summed = evolution._summed
+        monkeypatch.setattr(evolution, "_summed", counted)
         between.rhs_hat(u_hat, 0.0)
         assert len(calls) == 2 and calls[1] == u_hat.shape
         calls.clear()
