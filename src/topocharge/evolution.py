@@ -44,8 +44,13 @@ d = d terms_i / d u_K, max_k|W_i sum_K (ik)^K| times max|d| (vorticity's
 u_y (u_xxx + u_xyy) is one advection, bounded by |k_x|, not |k_x| + |k_x|/2).
 The first of a step's four right-hand sides holds those jets, so the
 estimate takes no transform, and a jet the plan never reads (u itself in
-potential KdV) cannot shrink the step.  The three later stage inputs are
-formed in one reused buffer.
+potential KdV) cannot shrink the step.
+
+Each evolver owns the arrays its stages write: the stage program's grid
+buffers, one forward transform per part, and, in evolve, k1 to k4 and the
+stage input.  A step's result is formed in k1's array, which becomes the
+state while the old state's array becomes the next k1.  Every transform
+runs on the band of last-axis columns that the mask keeps.
 
 Each evolver compiles one stage program, the same kind of
 grids.SpectralEvaluator program that every grid evaluation runs: the
@@ -182,7 +187,9 @@ class KhatEvolver:
             raise EvolutionError("grid dimension does not match the PDE")
         self.grid = grid
         self.mask = dealias_mask(grid.shape)[..., : grid.shape[-1] // 2 + 1]
-        self.ev = SpectralEvaluator(grid)
+        # the last-axis columns the mask keeps are the band every transform runs on
+        self._band = int(np.flatnonzero(self.mask.reshape(-1, self.mask.shape[-1]).any(0))[-1]) + 1
+        self.ev = SpectralEvaluator(grid, self._band)
         self.mean_tol = mean_tol
 
         div = pde.div_form
@@ -230,6 +237,7 @@ class KhatEvolver:
         # parts and the rates read, and both are evaluated by slot
         numbered = self.ev.program(*(terms for _w, terms in self._parts), *(d for _s, d in rates))
         self._products = numbered[:len(self._parts)]
+        self._hats = [np.empty(self.mask.shape, dtype=complex) for _ in self._parts]
         self._rates = [(s, d) for (s, _d), d in zip(rates, numbered[len(self._parts):])]
 
     def _symbol(self, linear: list) -> np.ndarray:
@@ -253,13 +261,17 @@ class KhatEvolver:
                      for a, p in enumerate(phi) if not p.is_zero()]
         return self._symbol(linear), parts
 
-    def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None) -> np.ndarray:
+    def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """L u_hat + sum_i W_i hat_i, written into `out` (a new array when None);
+        the transforms hat_i of the parts are formed in the evolver's own buffers."""
         self.rhs_calls += 1
         self.ev.reset(u_hat)
-        hats = [to_spectrum(self.ev.products(terms)) for terms in self._products]
+        hats = [to_spectrum(self.ev.products(terms), self._band, hat)
+                for terms, hat in zip(self._products, self._hats)]
         if self._plane is not None:
             self._guard(u_hat, hats)
-        ut_hat = self._L * u_hat
+        ut_hat = np.multiply(self._L, u_hat, out=out)
         for (weight, _terms), hat in zip(self._parts, hats):
             hat *= weight
             ut_hat += hat
@@ -299,22 +311,23 @@ class KhatEvolver:
         return cfl * RK4_IMAG_LIMIT / (rate + 1e-12)
 
 
-def _rk4_step(rhs, state, k1, t, dt, forcing, stage=None):
+def _rk4_step(rhs, state, k1, t, dt, forcing, stage=None, ks=(None, None, None)):
     """state + (dt/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = rhs(state, t, forcing).
 
     The stage inputs state + h k are formed in turn in `stage` (an array
-    like state, allocated when None), and the stages are combined in place,
-    in that expression's association order, so the result is bit-identical
-    to it; k1 holds the result.
+    like state, allocated when None), k2, k3 and k4 are written into the
+    arrays `ks` (new ones where None), and the stages are combined in
+    place, in that expression's association order, so the result is
+    bit-identical to it; k1 holds the result.
     """
     stage = np.empty_like(state) if stage is None else stage
 
     def at(h, k):
         return np.add(np.multiply(k, h, out=stage), state, out=stage)
 
-    k2 = rhs(at(0.5 * dt, k1), t + 0.5 * dt, forcing)
-    k3 = rhs(at(0.5 * dt, k2), t + 0.5 * dt, forcing)
-    k4 = rhs(at(dt, k3), t + dt, forcing)
+    k2 = rhs(at(0.5 * dt, k1), t + 0.5 * dt, forcing, out=ks[0])
+    k3 = rhs(at(0.5 * dt, k2), t + 0.5 * dt, forcing, out=ks[1])
+    k4 = rhs(at(dt, k3), t + dt, forcing, out=ks[2])
     k2 *= 2.0
     k1 += k2
     k3 *= 2.0
@@ -345,7 +358,8 @@ def evolve(
     step that projects more than max_steps steps to t_end.
     """
     state = to_spectrum(u0.data) * evolver.mask
-    stage = np.empty_like(state)
+    # the step's workspace: k1 (the old state's array after each step), k2 to k4, the stage
+    k1, *ks, stage = (np.empty_like(state) for _ in range(5))
     calls, steps, dt_min, dt_max = evolver.rhs_calls, 0, math.inf, 0.0
     sample_times = [t_end * i / (n_samples - 1) for i in range(n_samples)] if n_samples > 1 else [0.0, t_end]
     t = 0.0
@@ -365,7 +379,7 @@ def evolve(
     record(0.0)
     for target in sample_times[1:]:
         while t < target - 1e-14:
-            k1 = evolver.rhs_hat(state, t, forcing)
+            evolver.rhs_hat(state, t, forcing, out=k1)
             step = dt if dt is not None else evolver.dt_estimate(state, cfl)
             if not math.isfinite(step) or step <= 0:
                 raise CflViolation(f"step estimate degenerate at t={t}")
@@ -374,7 +388,7 @@ def evolve(
                                    f"steps, above max_steps={max_steps}")
             step = min(step, target - t)
             dt_min, dt_max = min(dt_min, step), max(dt_max, step)
-            state = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing, stage)
+            state, k1 = _rk4_step(evolver.rhs_hat, state, k1, t, step, forcing, stage, ks), state
             t += step
             steps += 1
             if steps > max_steps:

@@ -7,6 +7,13 @@ evolution right-hand side).  Every field is real, so spectral arrays are
 rfftn half-spectra: the last axis keeps its n//2 + 1 non-negative modes.
 Every grid evaluation runs one compiled SpectralEvaluator program, and
 the evolver's stage program is that same program filled from its state.
+
+The transform pair is numpy's own rfftn/irfftn, pass by pass and in its
+order, so it is bit-identical to them.  It takes a band: the complex
+passes over the other axes run on the first `band` last-axis columns
+only, and the later columns count as zero.  A 2/3-masked spectrum keeps
+n//3 + 1 of the n//2 + 1 columns, so the evolver's band skips a third of
+those passes and loses nothing.
 """
 
 from __future__ import annotations
@@ -97,16 +104,32 @@ def _wavenumbers(shape: tuple, periods: tuple, axis: int) -> np.ndarray:
     return k.reshape(out)
 
 
-def to_spectrum(data: np.ndarray) -> np.ndarray:
-    """Half-spectrum of real grid values; a 1D grid skips rfftn's axis handling."""
-    return np.fft.rfft(data) if data.ndim == 1 else np.fft.rfftn(data)
+def to_spectrum(data: np.ndarray, band: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum of real grid values: rfft on the last axis, then fft
+    on the others from the second-to-last down to axis 0.  The fft passes
+    run on the first `band` columns (all by default), which are rfftn's,
+    and the later ones are set to zero.  Written into `out` when given."""
+    hat = np.fft.rfft(data, out=out)
+    kept = hat[..., :band]
+    for axis in range(data.ndim - 2, -1, -1):
+        np.fft.fft(kept, axis=axis, out=kept)
+    if band is not None:
+        hat[..., band:] = 0
+    return hat
 
 
-def to_grid(hat: np.ndarray, shape: tuple) -> np.ndarray:
-    """Real grid values of a half-spectrum on a grid of `shape`."""
-    if len(shape) == 1:
-        return np.fft.irfft(hat, shape[0])
-    return np.fft.irfftn(hat, s=shape, axes=tuple(range(len(shape))))
+def to_grid(hat: np.ndarray, shape: tuple, band: int | None = None,
+            out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Real grid values of a half-spectrum on a grid of `shape`: ifft on
+    axes 0 to d - 2, then irfft on the last axis.  Only the first `band`
+    columns of hat are read (all by default), as irfftn reads hat with the
+    later ones zeroed; the ifft passes write into `work`, an array of those
+    columns, when given, and the grid values into `out`."""
+    kept = hat[..., :band]
+    for axis in range(len(shape) - 1):
+        kept = np.fft.ifft(kept, axis=axis, out=work)
+    return np.fft.irfft(kept, shape[-1], out=out)
 
 
 def dealias_mask(shape: tuple) -> np.ndarray:
@@ -174,13 +197,19 @@ class SpectralEvaluator:
     time order: a jet without spatial derivatives passes its order's grid
     values through, and every other order is transformed once.
     `reset(u_hat)` fills from the half-spectrum of u alone, and `products`
-    sums numbered terms by slot.
+    sums numbered terms by slot.  Spectra are read, and transformed, on
+    the first `band` last-axis columns (all by default).  The program owns
+    a grid buffer for each slot that a fill transforms, which only a fill
+    writes, and the spectrum that each inverse transform runs in.
     """
 
-    def __init__(self, grid: GridField):
+    def __init__(self, grid: GridField, band: int | None = None):
         self.grid = grid
-        self._program: tuple = ()  # (multi-index, time order, symbol or None) per slot
+        self.band = grid.shape[-1] // 2 + 1 if band is None else band
+        self._program: tuple = ()  # (multi-index, time order, symbol on the band or None) per slot
         self._slots: list = []
+        self._buffers: list = []
+        self._work = None
         self._held = None
 
     def program(self, *term_lists) -> list:
@@ -191,6 +220,9 @@ class SpectralEvaluator:
         out = [[(factor, tuple((slots.setdefault(mi, len(slots)), p) for mi, p in jets))
                 for factor, jets in terms] for terms in term_lists]
         self._program = tuple((mi, *self._resolve(mi)) for mi in slots)
+        shape = self.grid.shape
+        self._buffers = [None] * len(slots)  # each made by the slot's first transform
+        self._work = np.empty(shape[:-1] + (self.band,), dtype=complex)
         return out
 
     def _resolve(self, mi: tuple) -> tuple:
@@ -198,14 +230,15 @@ class SpectralEvaluator:
         if order > MAX_STENCIL_ORDER:
             raise DerivativeOrderTooHigh(
                 f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
-        return mi[T], ik_symbol(self.grid, mi[1:]) if order else None
+        return mi[T], ik_symbol(self.grid, mi[1:])[..., :self.band] if order else None
 
     def fill(self, fields: dict, hats: dict | None = None):
         """Compute the program's jets from the grid values `fields` and the
         half-spectra `hats`, both keyed by time order."""
+        self._held = None  # the buffers change from here on
         hats = dict(hats or {})
-        held, shape, slots = hats.get(0), self.grid.shape, []
-        for _mi, order, symbol in self._program:
+        held, shape, band, work, slots = hats.get(0), self.grid.shape, self.band, self._work, []
+        for i, (_mi, order, symbol) in enumerate(self._program):
             if symbol is None and order in fields:
                 slots.append(np.asarray(fields[order], dtype=float))
                 continue
@@ -215,8 +248,11 @@ class SpectralEvaluator:
                     raise MissingTimeDerivative(
                         f"expression needs d_t^{order} u but only orders "
                         f"{sorted(fields)} are bound")
-                hat = hats[order] = to_spectrum(fields[order])
-            slots.append(to_grid(hat if symbol is None else hat * symbol, shape))
+                hat = hats[order] = to_spectrum(fields[order], band)
+            if symbol is not None:
+                hat = np.multiply(hat[..., :band], symbol, out=work)
+            self._buffers[i] = to_grid(hat, shape, band, self._buffers[i], work)
+            slots.append(self._buffers[i])
         self._slots, self._held = slots, held
 
     def reset(self, u_hat: np.ndarray):

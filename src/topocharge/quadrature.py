@@ -283,10 +283,13 @@ def extract_source_sink(trajectory, F_expr: JetExpr, params: dict | None = None)
 
     u_t is approximated by centered differences of consecutive trajectory
     samples, so the deviation measures how x-independent u_t - F is at
-    the sampling resolution.
+    the sampling resolution.  Fewer than 3 samples have no interior
+    sample, and raise ValueError.
     """
     times, ws, devs = [], [], []
     fields = trajectory.fields
+    if len(fields) < 3:
+        raise ValueError(f"source/sink extraction needs at least 3 samples, got {len(fields)}")
     for k in range(1, len(fields) - 1):
         dt_c = trajectory.times[k + 1] - trajectory.times[k - 1]
         ut = (fields[k + 1].data - fields[k - 1].data) / dt_c

@@ -124,6 +124,39 @@ def test_transforms_match_the_n_dimensional_ones(shape):
     assert np.array_equal(to_grid(hat, shape), np.fft.irfftn(hat, s=shape, axes=range(len(shape))))
 
 
+def mask_band(shape):
+    """One past the last last-axis column of the half-spectrum that the 2/3 mask keeps."""
+    mask = dealias_mask(shape)[..., : shape[-1] // 2 + 1]
+    return int(np.flatnonzero(mask.reshape(-1, mask.shape[-1]).any(0))[-1]) + 1
+
+
+@pytest.mark.parametrize("shape", [
+    (64,), (65,), (128,), (32, 32), (32, 24), (33, 35), (48, 48), (16, 18, 17), (16, 20, 16)],
+    ids=lambda shape: "x".join(map(str, shape)))
+def test_banded_pair_is_bit_identical(shape):
+    rng = np.random.default_rng(sum(shape))
+    axes = tuple(range(len(shape)))
+    hat = np.fft.rfftn(rng.standard_normal(shape)) * dealias_mask(shape)[..., : shape[-1] // 2 + 1]
+    data = np.fft.irfftn(hat, s=shape, axes=axes)
+    noise = rng.standard_normal(shape)
+    band = mask_band(shape)
+    assert band == shape[-1] // 3 + 1 < hat.shape[-1]
+    for b in (None, band):
+        kept = slice(None, b)
+        assert np.array_equal(to_grid(hat, shape, b), data)
+        for field in (data, noise):
+            got = to_spectrum(field, b)
+            assert np.array_equal(got[..., kept], np.fft.rfftn(field)[..., kept])
+        assert b is None or not np.any(got[..., b:])
+    # into the caller's arrays, and past the band hat is not read
+    out, work = np.empty(shape), np.empty(hat.shape[:-1] + (band,), dtype=complex)
+    past = hat.copy()
+    past[..., band:] = 1e3 + 1e3j
+    assert to_grid(past, shape, band, out, work) is out and np.array_equal(out, data)
+    into = np.full(hat.shape, np.nan, dtype=complex)
+    assert to_spectrum(noise, band, into) is into and np.array_equal(into, got)
+
+
 @pytest.mark.parametrize("text", ["2", "x", "2 + x"])
 def test_terms_without_u_jets_fill_the_grid(text):
     g = GridField(np.zeros((16, 20)), (TWO_PI, 3.0))

@@ -25,6 +25,7 @@ from topocharge.grids import (GridField, SpectralEvaluator, dealias_mask, evalua
 from topocharge.grids import compile_terms as _compile_terms
 from topocharge.jetexpr import JetExpr, substitute_arbfun
 from topocharge.parsing import parse_expr
+from topocharge.pde import DivForm, PdeSpec
 from topocharge.quadrature import (
     BoxSpec,
     ChargeReport,
@@ -514,6 +515,107 @@ class TestEvolution:
         assert np.all(np.isfinite(traj.fields[-1].data))
 
 
+class TestClosedFormOracles:
+    """Evolved samples against closed-form solutions, each under a stated
+    threshold, with an error that shrinks under a resolution pair and a
+    mutant evolver that the same threshold rejects."""
+
+    KDV_L, KDV_C = 60.0, 1.0
+
+    def kdv_soliton_error(self, pde, n):
+        """max over samples to t = 2 of |u_x + m - 3c sech^2(sqrt(c)/2 (x - x0 - (c - m) t))|.
+        The potential u starts as the mean-free inverse gradient of the soliton
+        v0; u_x = v - m travels at c - m, the Galilean shift by the mean m."""
+        L, c = self.KDV_L, self.KDV_C
+        x = np.arange(n) * L / n
+
+        def soliton(xi):
+            xi = (xi + L / 2) % L - L / 2  # periodic images, the nearest one
+            return 3.0 * c / np.cosh(math.sqrt(c) / 2.0 * xi) ** 2
+
+        v0 = soliton(x - L / 2)
+        m = v0.mean()
+        k = TWO_PI * np.fft.rfftfreq(n, d=L / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(k == 0, 0.0, 1.0 / (1j * k))
+        u0 = GridField(np.fft.irfft(np.fft.rfft(v0 - m) * inv, n), (L,))
+        traj = evolve(KhatEvolver(pde, u0, {}), u0, 2.0, n_samples=3, cfl=0.7)
+        return max(float(np.max(np.abs(np.fft.irfft(1j * k * np.fft.rfft(f.data), n) + m
+                                        - soliton(x - L / 2 - (c - m) * t))))
+                   for t, f in zip(traj.times, traj.fields))
+
+    def test_potential_kdv_soliton(self):
+        pde = get_entry("kdv_lagrangian").pde
+        coarse, fine = self.kdv_soliton_error(pde, 192), self.kdv_soliton_error(pde, 384)
+        # measured 3.3e-8 and 8.9e-13
+        assert coarse <= 1e-7 and fine <= 2e-12 and fine < coarse, (coarse, fine)
+
+    def test_potential_kdv_soliton_rejects_dispersion_off_by_1_percent(self):
+        P = functools.partial(parse_expr, dim=1)
+        mutant = PdeSpec("kdv_dispersion_1.01", 1, P("u_tx + u_x*u_xx + 101/100*u_xxxx"),
+                         ("u", (1, 1, 0, 0)), P("-u_x*u_xx - 101/100*u_xxxx"), P("1"),
+                         DivForm(1, (P("-1/2*u_x^2 - 101/100*u_xxx"),), P("1")))
+        assert self.kdv_soliton_error(mutant, 192) > 1e-7
+
+    @staticmethod
+    def vorticity_decay_error(n, mu_run, mu=0.1):
+        """max over samples to t = 1 of |u - psi0 e^{-2 mu t}|: psi0 has |k|^2 = 2
+        on every mode, so the Jacobian vanishes and only the viscosity acts."""
+        x = np.arange(n) * TWO_PI / n
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        psi0 = np.sin(X) * np.sin(Y) + 0.4 * np.cos(X) * np.cos(Y)
+        g = GridField(psi0, (TWO_PI, TWO_PI))
+        traj = evolve(KhatEvolver(get_entry("vorticity").pde, g, {"mu": mu_run}), g, 1.0,
+                      n_samples=5)
+        return max(float(np.max(np.abs(f.data - psi0 * math.exp(-2.0 * mu * t))))
+                   for t, f in zip(traj.times, traj.fields))
+
+    def test_vorticity_decay(self):
+        coarse, fine = self.vorticity_decay_error(16, 0.1), self.vorticity_decay_error(32, 0.1)
+        # measured 8.2e-11 and 2.6e-12
+        assert fine <= 1e-11 and fine < coarse, (coarse, fine)
+
+    def test_vorticity_decay_rejects_mu_off_by_1_percent(self):
+        assert self.vorticity_decay_error(32, 0.101) > 1e-11
+
+
+class TestStageWorkspace:
+    """The evolver's buffers change no output."""
+
+    def test_rhs_returns_distinct_arrays(self):
+        g = grid_2d(32, modes=((1, 1), (2, 1)))
+        ev = KhatEvolver(get_entry("kp").pde, g, {"sigma": 1.0})
+        u_hat = np.fft.rfftn(g.data) * ev.mask
+        first, second = ev.rhs_hat(u_hat, 0.0), ev.rhs_hat(u_hat, 0.0)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        into = np.full_like(u_hat, np.nan)
+        assert ev.rhs_hat(u_hat, 0.0, out=into) is into and np.array_equal(into, first)
+
+    @pytest.mark.parametrize("name, field, params", [
+        ("kp", grid_2d(32, modes=((1, 1), (2, 1))), {"sigma": 1.0}),
+        ("kdv_lagrangian", GridField(0.15 * np.sin(np.arange(128) * TWO_PI / 128)
+                                     + 0.1 * np.sin(2 * np.arange(128) * TWO_PI / 128),
+                                     (TWO_PI,)), {})], ids=["kp", "kdv_lagrangian"])
+    def test_evolve_matches_plain_rk4(self, name, field, params):
+        ev = KhatEvolver(get_entry(name).pde, field, params)
+        t_end, n_samples, cfl = 0.02 if name == "kp" else 1e-3, 3, 0.7
+        traj = evolve(ev, field, t_end, n_samples=n_samples, cfl=cfl)
+        state, t = np.fft.rfftn(field.data) * ev.mask, 0.0
+        want = [np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim)))]
+        for target in (t_end * i / (n_samples - 1) for i in range(1, n_samples)):
+            while t < target - 1e-14:
+                k1 = ev.rhs_hat(state, t)
+                dt = min(ev.dt_estimate(state, cfl), target - t)
+                k2 = ev.rhs_hat(state + 0.5 * dt * k1, t + 0.5 * dt)
+                k3 = ev.rhs_hat(state + 0.5 * dt * k2, t + 0.5 * dt)
+                k4 = ev.rhs_hat(state + dt * k3, t + dt)
+                state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += dt
+            want.append(np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim))))
+        assert traj.meta["steps"] > 10
+        assert all(np.array_equal(f.data, w) for f, w in zip(traj.fields, want))
+
 
 class TestReadOffEvolver:
     """KhatEvolver reads P(D) u_t = N(u) off G; compare with hand-written RHS."""
@@ -732,7 +834,22 @@ def fft_calls(call, monkeypatch, names=("rfftn", "irfftn")):
 
 
 def transforms_per_rhs(ev, u_hat, monkeypatch):
-    return len(fft_calls(lambda: ev.rhs_hat(u_hat, 0.0), monkeypatch))
+    """Calls of the grids transform pair, to_spectrum and to_grid, in one rhs_hat."""
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    pair = (grids.to_spectrum, grids.to_grid)
+    with monkeypatch.context() as m:
+        for module in (grids, evolution):
+            for transform in pair:
+                m.setattr(module, transform.__name__, counted(transform))
+        ev.rhs_hat(u_hat, 0.0)
+    return len(calls)
 
 
 class TestDivergenceFlux:
@@ -1065,6 +1182,13 @@ class TestSourceSink:
         err = max(abs(w - h(t)) for t, w in zip(times, ws))
         assert err <= 1e-4
         assert max(devs) <= 1e-4
+
+    def test_two_samples_are_refused(self):
+        kdv = get_entry("kdv_lagrangian")
+        g = GridField(0.1 * np.sin(np.arange(64) * TWO_PI / 64), (TWO_PI,))
+        traj = evolve(KhatEvolver(kdv.pde, g, {}), g, 0.001, n_samples=2)
+        with pytest.raises(ValueError, match="at least 3 samples, got 2"):
+            extract_source_sink(traj, parse_expr("-1/2*u_x^2 - u_xxx", 1))
 
 
 class TestConstraints:
