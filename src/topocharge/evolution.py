@@ -86,7 +86,11 @@ class CflViolation(EvolutionError):
 
 
 class NonIntegrableSymbol(EvolutionError):
-    """Inverse gradient applied to a field with a nonzero zero mode."""
+    """Inverse gradient applied to a field with a nonzero zero mode at time t."""
+
+    def __init__(self, message: str, t: float = 0.0):
+        super().__init__(message)
+        self.t = t
 
 
 @dataclass
@@ -270,7 +274,7 @@ class KhatEvolver:
         hats = [to_spectrum(self.ev.products(terms), self._band, hat)
                 for terms, hat in zip(self._products, self._hats)]
         if self._plane is not None:
-            self._guard(u_hat, hats)
+            self._guard(u_hat, hats, t)
         ut_hat = np.multiply(self._L, u_hat, out=out)
         for (weight, _terms), hat in zip(self._parts, hats):
             hat *= weight
@@ -280,10 +284,10 @@ class KhatEvolver:
             ut_hat[zero] += forcing(t) * self.grid.data.size
         return ut_hat
 
-    def _guard(self, u_hat: np.ndarray, hats: list):
-        """NonIntegrableSymbol when rest, whose transforms lead `hats`, exceeds
-        mean_tol * max(max|rest|, 1) on the zero set of P; below mean_tol
-        there, max|rest| is never built."""
+    def _guard(self, u_hat: np.ndarray, hats: list, t: float):
+        """NonIntegrableSymbol at time t, blaming the data at t = 0 and the flow
+        later, when rest (its transforms lead `hats`) tops mean_tol * max(max|rest|,
+        1) on the zero set of P; max|rest| is built only above mean_tol there."""
         at, plane = self._plane
         peak = float(np.abs(_summed(plane, u_hat.take(at), (h.take(at) for h in hats))).max())
         if peak <= self.mean_tol:
@@ -293,8 +297,8 @@ class KhatEvolver:
             raise NonIntegrableSymbol(
                 f"inverting P(D) (P(D)u = {self._P_text}) met a nonzero component "
                 f"on the zero set of P (max {peak:.3e}); "
-                "the initial data violate the integral constraint"
-            )
+                + ("the initial data violate the integral constraint" if t == 0 else
+                   f"the flow left the integral constraint at t = {t:.6g}"), t)
 
     def ut_grid(self, field: GridField, forcing=None) -> np.ndarray:
         u_hat = to_spectrum(field.data) * self.mask

@@ -3,6 +3,10 @@ every refusal, evolving nothing; `run(plan)` evolves and judges.  numpy and
 the numerical modules (grids, evolution, quadrature) are imported by the
 functions that use them, each call reading its name off the defining
 module, so a binding set there (a test's stand-in, a tracer's wrapper) runs.
+
+`run` judges each charge and check as a row of _ROWS on one ladder: the
+plan's grid, its half grid and every other sample of the first.  A new
+series is a row and a new refinement a rung, with no new branch in `run`.
 """
 
 from __future__ import annotations
@@ -281,97 +285,88 @@ def plan(doc) -> Plan:
                 tuple(constraints), tuple(charges), tuple(checks))
 
 
-def _doubling(pairs) -> float:
-    """10x the largest difference between a series and its coarser
-    counterpart over the (fine, coarse) pairs."""
-    return 10.0 * max([abs(a - b) for fine, coarse in pairs for a, b in zip(fine, coarse)]
-                      + [1e-13])
+# kind: (the rungs (half grid, sample stride) a tolerance by doubling reads,
+# the verdict a pass earns, whether drift from the first value is judged, meta)
+_ROWS = {"charge": (((True, 1),), "conserved", False, ("interp", "scheme", "dealias", "steps")),
+         "mass": ((), "conserved", True, ()),
+         "balance": (((True, 1), (False, 2)), "satisfied", False, ())}
+
+
+def _series(kind: str, jobs: tuple, run: tuple, stride: int = 1) -> dict:
+    """A kind's series by sample index on a rung's (trajectory, integrals) at
+    a stride: a charge, the cell integral of u, or the d/dt circulation of u
+    (centered over the stride) minus the F-flux circulation."""
+    traj, integrals = run
+    at = range(0, len(traj.times), stride)
+    if kind == "mass":
+        return {i: traj.fields[i].integral() for i in at}
+    if kind == "charge":
+        return {i: integrals[jobs[0]][i] for i in at}
+    (circ_u, circ_F), times = (integrals[job] for job in jobs), traj.times
+    return {i: (circ_u[i + stride] - circ_u[i - stride]) / (times[i + stride] - times[i - stride])
+            - circ_F[i] for i in at[1:-1]}
 
 
 def run(plan: Plan) -> tuple[list[ChargeReport], int]:
     """Evolve a plan and judge it; return its reports and exit code.
 
-    A G the evolver cannot step raises UsageError, but a nonlocal term the
-    data cannot satisfy is reported as a violated constraint; a run the time
-    stepper cannot finish raises CflViolation.  The half-resolution run is
-    evolved only when a tolerance comes from doubling.
-    """
+    Constraints are judged on u0, then the rows on rung(half), each evolved
+    lazily and at most once: a tolerance by doubling is 10x the largest
+    difference from the row's rungs.  A G the evolver cannot step raises
+    UsageError, a run the stepper cannot finish CflViolation; a nonlocal term
+    the data cannot satisfy is a violated constraint at the guard's time."""
     from . import evolution, grids, quadrature
 
     p = plan
-    u_gamma = (JetExpr.jet("u"), JetExpr.zero())
-    # every (Gamma, curve) that a verdict reads: each charge's, and u's and
-    # F's around each balance curve; a run integrates them all at once
-    jobs = [(gamma, loop) for _, gamma, loop, _ in p.charges] + [
-        (g, loop) for _, loop, _ in p.checks if loop for g in (u_gamma, p.entry.pde.div_form.F)]
-
-    def evolve(u: GridField) -> tuple:
-        """u's trajectory and the series of each job on it: each nonzero Gamma
-        component is evaluated once per sample for all the jobs."""
-        traj = evolution.evolve(evolution.KhatEvolver(p.entry.pde, u, p.params), u, **p.stepping)
-        series = {job: [] for job in jobs}
-        for fld, ut in zip(traj.fields, traj.ut):
-            faces: dict = {}
-            for (gamma, loop), vals in series.items():
-                vals.append(quadrature.loop_integral(gamma, fld, ut, loop, p.funs, p.params,
-                                                     method=p.interp, faces=faces))
-        return traj, series
+    # (kind, label, tolerance, the (Gamma, curve) integrals its series reads)
+    judged = [("charge", label, tol, ((gamma, loop),)) for label, gamma, loop, tol in p.charges] + [
+        ("mass", label, tol, ()) if loop is None else ("balance", label, tol, (
+            ((JetExpr.jet("u"), JetExpr.zero()), loop), (p.entry.pde.div_form.F, loop)))
+        for label, loop, tol in p.checks]
 
     @functools.cache
-    def halved():
-        return evolve(p.u0_on(tuple(n // 2 for n in p.u0.shape), p.u0.periods))
-
-    def balance(run: tuple, loop, stride: int = 1) -> tuple[list, list]:
-        """d/dt circulation of u around loop minus the F-flux circulation on
-        an evolve() result's samples at a stride; stride 2 differences over a
-        coarser spacing, so comparing the two measures the sampling error."""
-        traj, series = run
-        times = traj.times[::stride]
-        circ_u, circ_F = (series[g, loop][::stride] for g in (u_gamma, p.entry.pde.div_form.F))
-        return times[1:-1], [(circ_u[k + 1] - circ_u[k - 1]) / (times[k + 1] - times[k - 1])
-                             - circ_F[k] for k in range(1, len(times) - 1)]
+    def rung(half: bool) -> tuple:
+        """The trajectory on the plan's grid or its half grid, and the integrals."""
+        u = p.u0_on(tuple(n // 2 for n in p.u0.shape), p.u0.periods) if half else p.u0
+        traj = evolution.evolve(evolution.KhatEvolver(p.entry.pde, u, p.params), u, **p.stepping)
+        integrals = {job: [] for *_, jobs in judged for job in jobs}
+        for fld, ut in zip(traj.fields, traj.ut):
+            faces: dict = {}  # each Gamma component once a sample, for every job
+            for (gamma, loop), vals in integrals.items():
+                vals.append(quadrature.loop_integral(gamma, fld, ut, loop, p.funs, p.params,
+                                                     method=p.interp, faces=faces))
+        return traj, integrals
 
     reports: list[ChargeReport] = []
+
+    def report(kind, label, times, values, tol, verdict, **meta):
+        reports.append(quadrature.ChargeReport(kind, label, times, values, tol, verdict,
+                                               {"seed": p.seed, **meta}))
+
     for text, density, tol in p.constraints:
         value, verdict, threshold = quadrature.check_constraint(density, p.u0, p.funs, p.params,
                                                                  tolerance=tol)
-        reports.append(quadrature.ChargeReport("constraint", text, [0.0], [value], threshold,
-                                               verdict, {"seed": p.seed}))
+        report("constraint", text, [0.0], [value], threshold, verdict)
     try:
-        main = evolve(p.u0) if p.stepping["t_end"] > 0 else None
+        main = rung(False) if p.stepping["t_end"] > 0 else None
     except evolution.NonIntegrableSymbol as exc:
-        main = None
-        reports.append(quadrature.ChargeReport("constraint-violation", str(exc), [0.0],
-                                               [float("nan")], 0.0, "violated", {"seed": p.seed}))
+        judged = []
+        report("constraint-violation", str(exc), [exc.t], [float("nan")], 0.0, "violated")
     except evolution.CflViolation:
         raise
     except (evolution.EvolutionError, grids.GridError) as exc:
         raise UsageError(f"{p.entry.name}: {exc}") from exc
 
-    if main is not None:
-        traj, series = main
-        meta = {"seed": p.seed, "interp": p.interp} | {
-            key: traj.meta.get(key) for key in ("scheme", "dealias", "steps")}
-        for label, gamma, loop, tol in p.charges:
-            vals = series[gamma, loop]
-            tol = _doubling([(vals, halved()[1][gamma, loop])]) if tol is None else tol
-            verdict = "conserved" if max(abs(v) for v in vals) <= tol else "failed"
-            reports.append(quadrature.ChargeReport("charge", label, list(traj.times), vals, tol,
-                                                   verdict, dict(meta)))
-        for label, loop, tol in p.checks:
-            if loop is None:
-                times, vals = list(traj.times), [f.integral() for f in traj.fields]
-                verdict = "conserved" if max(abs(v - vals[0]) for v in vals) <= tol else "failed"
-            else:
-                times, vals = balance(main, loop)
-                # doubling differences: half resolution, and the centered time
-                # differences at stride 2 against those at stride 1
-                if tol is None:
-                    tol = _doubling([(vals, balance(halved(), loop)[1]),
-                                     (vals[1::2], balance(main, loop, 2)[1])])
-                verdict = "satisfied" if max(abs(r) for r in vals) <= tol else "failed"
-            reports.append(quadrature.ChargeReport("mass" if loop is None else "balance", label,
-                                                   times, vals, tol, verdict, {"seed": p.seed}))
-
-    return reports, max([VERDICT_EXIT.get(rep.verdict, EXIT_OK) for rep in reports],
-                        default=EXIT_OK)
+    for kind, label, tol, jobs in judged:
+        rungs, passed, drift, keys = _ROWS[kind]
+        vals = _series(kind, jobs, main)
+        if tol is None:
+            tol = 10.0 * max([abs(vals[i] - v) for half, stride in rungs
+                              for i, v in _series(kind, jobs, rung(half), stride).items()]
+                             + [1e-13])
+        base = next(iter(vals.values())) if drift else 0.0
+        verdict = passed if max(abs(v - base) for v in vals.values()) <= tol else "failed"
+        meta = {"interp": p.interp} | main[0].meta
+        report(kind, label, [main[0].times[i] for i in vals], list(vals.values()), tol, verdict,
+               **{key: meta[key] for key in keys})
+    return reports, max([EXIT_OK] + [VERDICT_EXIT.get(rep.verdict, EXIT_OK) for rep in reports])

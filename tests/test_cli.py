@@ -1,5 +1,7 @@
 """Command-line contract: subcommands, exit codes, report determinism."""
 
+import copy
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -10,6 +12,7 @@ import yaml
 from topocharge import catalog as cat
 from topocharge import evolution, manifest, quadrature
 from topocharge.cli import main
+from topocharge.jetexpr import JetExpr
 
 TWO_PI = 2.0 * math.pi
 
@@ -738,3 +741,60 @@ class TestShippedManifests:
         assert code == 3
         assert "constraint-violation: violated" in out
         assert (tmp_path / "report_01_constraint-violation.txt").exists()
+
+
+class TestVerdicts:
+    """manifest.run judges every charge and check on one ladder of runs, and
+    a verdict that should fail does."""
+
+    KP_CHARGE = cat.load_yaml(SHIPPED_KP.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("given, shapes", [(False, [(64, 64), (32, 32)]), (True, [(64, 64)])],
+                             ids=["doubling", "given"])
+    def test_each_grid_is_evolved_at_most_once(self, given, shapes, monkeypatch):
+        # two charges and a balance check read the half grid: it is evolved once,
+        # and not at all when every tolerance is given
+        shapes_run, evolve = [], evolution.evolve
+        monkeypatch.setattr(evolution, "evolve", lambda evolver, u0, **kwargs: (
+            shapes_run.append(u0.shape) or evolve(evolver, u0, **kwargs)))
+        doc = copy.deepcopy(self.KP_CHARGE)
+        for spec in doc["charges"] + doc["checks"] if given else ():
+            spec["tolerance"] = 1.0
+        reports, code = manifest.run(manifest.plan(doc))
+        assert code == 0 and len(reports) == 5 and shapes_run == shapes
+
+    def test_charge_negative_control_fails(self):
+        # Gamma + (u_x, 0) adds the flux of u_x, the cell integral of u_xx inside
+        # the curve, under the unchanged rule; measured 3.1e-3 and 5.6e-3 against
+        # doubling tolerances of 9.4e-5 and 1.4e-4
+        plan = manifest.plan(copy.deepcopy(self.KP_CHARGE))
+        u_x = JetExpr.jet("u", (0, 1, 0, 0))
+        plan = dataclasses.replace(plan, charges=tuple(
+            (label, (gx + u_x, gy), loop, tol) for label, (gx, gy), loop, tol in plan.charges))
+        reports, code = manifest.run(plan)
+        assert code == manifest.EXIT_RESIDUAL
+        assert [f"{rep.kind}: {rep.verdict}" for rep in reports] == [
+            "constraint: satisfied", "charge: failed", "charge: failed",
+            "mass: conserved", "balance: satisfied"]
+        assert all(max(map(abs, rep.values)) > 10 * rep.tolerance for rep in reports[1:3])
+
+    @pytest.mark.parametrize("beta, fired", [("1", True), ("0", False)],
+                             ids=["alpha_eq_beta", "alpha_ne_beta"])
+    def test_constraint_guard_says_when_it_fired(self, beta, fired):
+        # umKP on kp_charge.yaml's mean-zero data.  At alpha = beta the data pass
+        # the guard and F^x, not an x-derivative, drives the x-mean that sigma
+        # u_yy carries onto the zero set of D_x: the guard fires at the first
+        # step's midpoint stage, t = 7.56e-5.  At alpha != beta it fires at t = 0.
+        doc = copy.deepcopy(self.KP_CHARGE) | {
+            "pde": "umkp", "params": {"alpha": "1", "beta": beta, "sigma": "1"}, "t_end": 0.05,
+            "charges": [{"id": "charge-f", "curve": {"rect": [0.7, 3.9, 1.1, 5.2]}}]}
+        reports, code = manifest.run(manifest.plan(doc))
+        assert code == manifest.EXIT_CONSTRAINT
+        assert [rep.kind for rep in reports] == ["constraint", "constraint-violation"]
+        (t,), text = reports[1].times, reports[1].descriptor
+        if fired:
+            assert 7.5e-5 < t < 7.6e-5
+            assert text.endswith(f"; the flow left the integral constraint at t = {t:.6g}")
+        else:
+            assert t == 0.0
+            assert text.endswith("; the initial data violate the integral constraint")

@@ -578,6 +578,33 @@ class TestClosedFormOracles:
     def test_vorticity_decay_rejects_mu_off_by_1_percent(self):
         assert self.vorticity_decay_error(32, 0.101) > 1e-11
 
+    @staticmethod
+    def kp_line_soliton_error(n, sigma_run, sigma=1.0, L=60.0, c=1.0):
+        """max over samples to t = 1/2 of |u - U(x + y - L/2 - (c + sigma) t)|, with U
+        the KdV soliton 3c sech^2(sqrt(c)/2 xi): U(x + y - v t) solves
+        D_x(u_t + u u_x + u_xxx) + sigma u_yy = 0 when -v + c + sigma = 0."""
+        x = np.arange(n) * L / n
+        X, Y = np.meshgrid(x, x, indexing="ij")
+
+        def line_soliton(t):
+            xi = (X + Y - (c + sigma) * t) % L - L / 2  # the nearest periodic image
+            return 3.0 * c / np.cosh(math.sqrt(c) / 2.0 * xi) ** 2
+
+        g = GridField(line_soliton(0.0), (L, L))
+        traj = evolve(KhatEvolver(get_entry("kp").pde, g, {"sigma": sigma_run}), g, 0.5,
+                      n_samples=3, cfl=0.7)
+        return max(float(np.max(np.abs(f.data - line_soliton(t))))
+                   for t, f in zip(traj.times, traj.fields))
+
+    def test_kp_line_soliton(self):
+        coarse, fine = self.kp_line_soliton_error(128, 1.0), self.kp_line_soliton_error(192, 1.0)
+        # measured 3.3e-5 and 3.3e-8
+        assert coarse <= 1e-4 and fine <= 1e-7 and fine < coarse, (coarse, fine)
+
+    def test_kp_line_soliton_rejects_sigma_sign_flipped(self):
+        # the sigma = -1 flow carries the soliton at c - 1, not c + 1; measured 1.1
+        assert self.kp_line_soliton_error(128, -1.0) > 1e-4
+
 
 class TestStageWorkspace:
     """The evolver's buffers change no output."""
