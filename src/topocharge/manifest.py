@@ -134,7 +134,7 @@ CHECKS = {"mass": ({"type": str, "tolerance": _FINITE}, 1e-9), "balance": (
 MANIFEST = {
     "pde": _Required(str), "params": dict, "t_end": _FINITE, "cfl": _POSITIVE, "dt": _POSITIVE,
     "samples": _bound(int, lambda n: n >= 2, ">= 2 (t = 0 and t_end)"),
-    "f": str, "interp": str, "seed": int, "out": Path,
+    "f": str, "seed": int, "out": Path,
     "grid": {"resolutions": _bound([int], lambda ns: all(n > 0 for n in ns), "positive"),
              "periods": [float]},
     "u0": _u0,
@@ -156,7 +156,6 @@ class Plan:
     u0: GridField
     u0_on: Callable  # (shape, periods) -> the initial data on that grid
     stepping: dict  # evolve's t_end, n_samples, cfl and dt
-    interp: str
     seed: int
     out: str | None
     constraints: tuple
@@ -184,12 +183,10 @@ def plan(doc) -> Plan:
     from . import grids, quadrature
 
     m = _read(doc, MANIFEST)
-    t_end, samples, method = m.get("t_end", 0.0), m.get("samples", 9), m.get("interp", "cubic")
+    t_end, samples = m.get("t_end", 0.0), m.get("samples", 9)
     shape, periods = (tuple(m.get("grid", {}).get(key, [])) for key in ("resolutions", "periods"))
     if (m.get("charges") or m.get("checks")) and not t_end > 0:
         raise UsageError("charges and checks need t_end > 0")
-    if method not in quadrature.LOOP_METHODS:
-        raise UsageError(f"unknown interp {method!r} (known: {', '.join(quadrature.LOOP_METHODS)})")
 
     checks = []
     for i, spec in enumerate(m.get("checks", [])):
@@ -281,13 +278,13 @@ def plan(doc) -> Plan:
                          f"{2 * grids.MIN_RESOLUTION} points per axis; give tolerances "
                          f"or refine the grid")
     stepping = {"t_end": t_end, "n_samples": samples, "cfl": m.get("cfl", 0.5), "dt": m.get("dt")}
-    return Plan(entry, params, funs, u0, u0_on, stepping, method, m.get("seed", 0), m.get("out"),
+    return Plan(entry, params, funs, u0, u0_on, stepping, m.get("seed", 0), m.get("out"),
                 tuple(constraints), tuple(charges), tuple(checks))
 
 
 # kind: (the rungs (half grid, sample stride) a tolerance by doubling reads,
 # the verdict a pass earns, whether drift from the first value is judged, meta)
-_ROWS = {"charge": (((True, 1),), "conserved", False, ("interp", "scheme", "dealias", "steps")),
+_ROWS = {"charge": (((True, 1),), "conserved", False, ("scheme", "dealias", "steps")),
          "mass": ((), "conserved", True, ()),
          "balance": (((True, 1), (False, 2)), "satisfied", False, ())}
 
@@ -334,7 +331,7 @@ def run(plan: Plan) -> tuple[list[ChargeReport], int]:
             faces: dict = {}  # each Gamma component once a sample, for every job
             for (gamma, loop), vals in integrals.items():
                 vals.append(quadrature.loop_integral(gamma, fld, ut, loop, p.funs, p.params,
-                                                     method=p.interp, faces=faces))
+                                                     faces=faces))
         return traj, integrals
 
     reports: list[ChargeReport] = []
@@ -366,7 +363,6 @@ def run(plan: Plan) -> tuple[list[ChargeReport], int]:
                              + [1e-13])
         base = next(iter(vals.values())) if drift else 0.0
         verdict = passed if max(abs(v - base) for v in vals.values()) <= tol else "failed"
-        meta = {"interp": p.interp} | main[0].meta
         report(kind, label, [main[0].times[i] for i in vals], list(vals.values()), tol, verdict,
-               **{key: meta[key] for key in keys})
+               **{key: main[0].meta[key] for key in keys})
     return reports, max([EXIT_OK] + [VERDICT_EXIT.get(rep.verdict, EXIT_OK) for rep in reports])

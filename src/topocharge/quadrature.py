@@ -3,20 +3,20 @@
 A charge is the flux of Gamma through a closed boundary: a closed curve
 in 2D, which is an axis-aligned polyline, and the surface of an
 axis-aligned box in 3D.  Both are sums of signed faces of axis-aligned
-cells, and one face integral serves both.  Its integrand is a Gamma
-component evaluated on the grid, integrated by one of two methods.
-"cubic" interpolates with periodic cubic (Catmull-Rom) interpolation and
-sums with the composite trapezoid rule.  "exact" integrates the
-trigonometric interpolant of the grid values (its FFT) in closed form.
-The circulation convention follows the outward-flux form: the loop
-integral of (Gamma^x, Gamma^y) is closed-integral of Gamma^x dy - Gamma^y dx.
+cells, and one face integral serves both.  The circulation convention
+follows the outward-flux form: the loop integral of (Gamma^x, Gamma^y) is
+closed-integral of Gamma^x dy - Gamma^y dx.
 
-A cubic face's nodes, Catmull-Rom weights, gather indices and trapezoid
-weights depend only on the grid's shape and periods and the face's spans,
-so they form a stencil that is built once and cached on those; each grid
-sample then takes one gather and the same contractions in the same order,
-with results bit-identical to building the stencil at every call.
-`cubic_values` builds and applies the same stencil at arbitrary points.
+The face integral is exact for the trigonometric polynomial through the
+grid values, also when Gamma carries coordinate factors, which are not
+periodic.  Each Gamma component is split as sum x^a y^b z^c P_abc, where
+no P_abc has a coordinate factor; each P_abc is evaluated on the grid and
+transformed once, and its trigonometric polynomial times x^a y^b z^c is
+integrated over a face in closed form, from the moments M_j(k), the integral of
+s^j e^{iks} ds over each span.  For k != 0 they follow the recurrence
+M_j = [s^j e^{iks}] / ik - (j / ik) M_{j-1}, for k = 0
+M_j = (hi^{j+1} - lo^{j+1}) / (j + 1), and at a point span the factor is
+s^j e^{iks}.  Coordinates are taken as given, not wrapped into the cell.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridField, evaluate_on_grid
+from .grids import GridField, evaluate_on_grid, to_spectrum
 from .jetexpr import JetExpr
 
 
@@ -57,132 +57,69 @@ class CurveSpec:
         return CurveSpec(((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)))
 
 
-def _catmull_rom_weights(t: np.ndarray) -> tuple:
-    t2, t3 = t * t, t * t * t
-    return (
-        -0.5 * t3 + t2 - 0.5 * t,
-        1.5 * t3 - 2.5 * t2 + 1.0,
-        -1.5 * t3 + 2.0 * t2 + 0.5 * t,
-        0.5 * t3 - 0.5 * t2,
-    )
-
-
-def _stencil(shape: tuple, periods, points: np.ndarray) -> tuple:
-    """(index, weights) of separable periodic cubic interpolation at points:
-    per axis four node indices and their Catmull-Rom weights per point,
-    shaped so that one gather index takes the 4^dim neighbours of every
-    point and each axis's weights broadcast against the gathered block."""
-    dim, npts = len(shape), len(points)
-    index, weights = [], []
-    for axis in range(dim):
-        n = shape[axis]
-        s = points[:, axis] / (periods[axis] / n)
-        i0 = np.floor(s)
-        at = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
-        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(at))
-        weights.append(np.stack(_catmull_rom_weights(s - i0), axis=-1)
-                       .reshape((npts,) + (1,) * axis + (4,)))
-    return tuple(index), tuple(weights)
-
-
-def _interpolate(data: np.ndarray, index: tuple, weights: tuple) -> np.ndarray:
-    """The values of a _stencil on `data`: one gather, then the weights
-    contracted axis by axis, the last axis first."""
-    vals = data[index]
-    for w in reversed(weights):
-        vals = (vals * w).sum(axis=-1)
-    return vals
-
-
-def cubic_values(data: np.ndarray, periods, points) -> np.ndarray:
-    """Separable periodic cubic interpolation of `data` at many points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _interpolate(data, *_stencil(data.shape, periods, pts))
-
-
-LOOP_METHODS = ("cubic", "exact")  # the `method` values of loop_integral and surface_integral
-DENSITY = 2.0  # cubic quadrature nodes per grid spacing along each span of a face
-
-
-def _mode_factors(n: int, period: float, span) -> np.ndarray:
-    """Exact integrals of the Fourier modes over an (lo, hi) span, or their
-    values at a point."""
+@functools.lru_cache(maxsize=1024)
+def _moments(n: int, period: float, span, power: int) -> np.ndarray:
+    """M(k) = the integral of s^power e^{iks} ds over an (lo, hi) span, or
+    s^power e^{iks} at a point span, for the angular wavenumbers k of an
+    n-point grid of `period` in fftfreq order.  The Nyquist mode of an even
+    n reads its real part, the integral of s^power cos(ks), as the real
+    trigonometric polynomial through grid values has it.  Read-only, since
+    every face with these spans and this power shares it."""
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
     if np.isscalar(span):
-        return np.exp(1j * k * span)
-    lo, hi = span
-    out = np.full(n, hi - lo, dtype=complex)
-    nz = np.abs(k) > 1e-14
-    out[nz] = (np.exp(1j * k[nz] * hi) - np.exp(1j * k[nz] * lo)) / (1j * k[nz])
+        out = span ** power * np.exp(1j * k * span)
+    else:
+        lo, hi = span
+        ik = 1j * k[1:]  # k = 0 is the first mode only
+        out = np.zeros(n, dtype=complex)
+        out[0] = (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
+        for j in range(power + 1):  # M_j = ([s^j e^{iks}] - j M_{j-1}) / ik
+            out[1:] = (hi ** j * np.exp(ik * hi) - lo ** j * np.exp(ik * lo) - j * out[1:]) / ik
+    if n % 2 == 0:
+        out[n // 2] = out[n // 2].real
+    out.flags.writeable = False
     return out
 
 
-def _exact_integral(hat: np.ndarray, periods, spans) -> float:
-    """Exact integral of the trig interpolant with coefficients `hat` over
-    an axis-aligned cell: per axis a span is a point or an (lo, hi) pair."""
-    factors = [_mode_factors(n, period, span) for n, period, span in zip(hat.shape, periods, spans)]
-    letters = "abc"[: hat.ndim]
-    return float(np.real(np.einsum(",".join([letters, *letters]) + "->", hat, *factors)))
+def _split(g: JetExpr, dim: int) -> dict:
+    """g as {(a, b[, c]): P_abc} with g = sum x^a y^b z^c P_abc, where no
+    P_abc has a coordinate factor, so each is periodic on the grid."""
+    parts: dict = {}
+    for mono, coeff in g.terms:
+        powers = dict(mono[0])
+        key = tuple(powers.pop(axis, 0) for axis in range(1, dim + 1))
+        parts.setdefault(key, []).append((coeff, (tuple(powers.items()), *mono[1:])))
+    return {key: JetExpr.from_pairs(pairs) for key, pairs in parts.items()}
 
 
-@functools.lru_cache(maxsize=256)
-def _face_stencil(shape: tuple, periods: tuple, spans: tuple) -> tuple:
-    """(index, weights, w) of the composite trapezoid rule over an
-    axis-aligned cell of a grid of `shape` and `periods`: the _stencil of
-    its nodes, DENSITY per grid spacing along each (lo, hi) span and one of
-    weight 1 at a point span, and w, the nodes' trapezoid weights.  The
-    arrays are read-only, since every face with these spans shares them."""
-    nodes, weights = [], []
-    for n, period, span in zip(shape, periods, spans):
-        if np.isscalar(span):
-            nodes.append(np.array([span]))
-            weights.append(np.ones(1))
-            continue
-        lo, hi = span
-        count = max(2, int(math.ceil(abs(hi - lo) / (period / n) * DENSITY)) + 1)
-        w = np.full(count, (hi - lo) / (count - 1))
-        w[0] = w[-1] = 0.5 * w[0]
-        nodes.append(np.linspace(lo, hi, count))
-        weights.append(w)
-    points = np.stack([c.ravel() for c in np.meshgrid(*nodes, indexing="ij")], axis=-1)
-    index, cubic = _stencil(shape, periods, points)
-    w = functools.reduce(np.multiply.outer, weights).ravel()
-    for a in (*index, *cubic, w):
-        a.flags.writeable = False
-    return index, cubic, w
-
-
-def _cubic_integral(data: np.ndarray, periods, spans) -> float:
-    """Composite trapezoid rule over an axis-aligned cell on the cubic
-    interpolant of `data`; per axis a span is a point or an (lo, hi) pair."""
-    key = tuple(s if np.isscalar(s) else tuple(s) for s in spans)
-    index, cubic, w = _face_stencil(data.shape, tuple(periods), key)
-    return float(w @ _interpolate(data, index, cubic))
-
-
-def _face_integral(values: np.ndarray, periods, method: str):
-    """The integral of grid values over an axis-aligned face, as a function
-    of the face: per axis a point or an (lo, hi) span, where a reversed span
-    counts negatively.  "exact" transforms the values once per call of this
-    function, however many faces it then integrates."""
-    if method == "exact":
-        hat = np.fft.fftn(values) / values.size
-        return lambda spans: _exact_integral(hat, periods, spans)
-    return lambda spans: _cubic_integral(values, periods, spans)
-
-
-def _component_faces(gamma, grid: GridField, method: str, faces: dict | None,
-                     *fields) -> list:
-    """The face integral of each Gamma component; a zero component is not
-    evaluated on the grid and integrates to 0.0.  faces, when given, keeps
-    them by component for later calls on the same grid values."""
-    if method not in LOOP_METHODS:
-        raise ValueError(f"unknown interpolation method {method!r}")
+def _component_faces(gamma, grid: GridField, faces: dict | None, *fields) -> list:
+    """The face integral of each Gamma component, as a function of the face:
+    per axis a point or an (lo, hi) span, where a reversed span counts
+    negatively.  Each P_abc of a component's _split is evaluated and
+    transformed once, and its trigonometric polynomial times x^a y^b z^c
+    integrated over a face in closed form, by _moments; a zero component
+    has no P_abc.  faces, when given, keeps the integrals by component for
+    later calls on the same grid values."""
     faces = {} if faces is None else faces
+    n, letters = grid.shape, "abc"[: grid.dim]
     for g in gamma:
-        if g not in faces:
-            faces[g] = ((lambda spans: 0.0) if g.is_zero() else
-                        _face_integral(evaluate_on_grid(g, grid, *fields), grid.periods, method))
+        if g in faces:
+            continue
+        parts = []
+        for powers, part in _split(g, grid.dim).items():
+            hat = to_spectrum(evaluate_on_grid(part, grid, *fields)) / grid.data.size
+            hat[..., 1:(n[-1] + 1) // 2] *= 2  # each column with a mirror stands for both
+            parts.append((powers, hat))
+
+        def integral(spans, parts=parts):
+            total = 0.0
+            for powers, hat in parts:
+                factors = [_moments(*key) for key in zip(n, grid.periods, spans, powers)]
+                factors[-1] = factors[-1][: hat.shape[-1]]
+                total += np.einsum(",".join([letters, *letters]) + "->", hat, *factors).real
+            return float(total)
+
+        faces[g] = integral
     return [faces[g] for g in gamma]
 
 
@@ -195,23 +132,19 @@ def loop_integral(
     params: dict | None = None,
     extra_fields: dict | None = None,
     *,
-    method: str = "cubic",
     faces: dict | None = None,
 ) -> float:
     """Circulation of (Gamma^x dy - Gamma^y dx) around a closed polyline.
 
     A vertical segment is a face of Gamma^x with a y span, a horizontal
     one a face of -Gamma^y with an x span, each oriented as traversed.
-    Methods: "cubic" (periodic bicubic interpolation, composite
-    trapezoid) and "exact" (closed-form integrals of the trig interpolant).
     faces, a dict shared by the calls on one grid sample with the same
-    u_t, bindings and method, evaluates each component once for all of
-    their curves.
+    u_t and bindings, evaluates and transforms each component once for all
+    of their curves.
     """
     if grid.dim != 2:
         raise ValueError("loop integrals are two-dimensional")
-    gx, gy = _component_faces(gamma, grid, method, faces, u_t, fun_bindings, params,
-                              extra_fields)
+    gx, gy = _component_faces(gamma, grid, faces, u_t, fun_bindings, params, extra_fields)
     total = 0.0
     for (x0, y0), (x1, y1) in zip(curve.vertices[:-1], curve.vertices[1:]):
         if x0 == x1:
@@ -240,16 +173,13 @@ def surface_integral(
     fun_bindings: dict | None = None,
     params: dict | None = None,
     extra_fields: dict | None = None,
-    *,
-    method: str = "cubic",
 ) -> float:
     """Outward flux of Gamma through the boundary of an axis-aligned box:
     the faces of Gamma^a at the upper and lower a-bound, signed + and -."""
     if grid.dim != 3:
         raise ValueError("surface integrals are three-dimensional")
     total = 0.0
-    faces = _component_faces(gamma, grid, method, None, u_t, fun_bindings, params,
-                             extra_fields)
+    faces = _component_faces(gamma, grid, None, u_t, fun_bindings, params, extra_fields)
     for axis, face in enumerate(faces):
         for side, sign in ((box.bounds[axis][1], 1.0), (box.bounds[axis][0], -1.0)):
             spans = list(box.bounds)

@@ -237,7 +237,7 @@ class TestSimulate:
         assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
         assert [p.read_bytes() for p in reports[0]] == [p.read_bytes() for p in reports[1]]
 
-    @pytest.mark.parametrize("key", ["interp", "f"])
+    @pytest.mark.parametrize("key", ["f"])
     def test_null_key_is_the_default(self, key, kp_manifest, tmp_path, capsys):
         manifest = yaml.safe_load(kp_manifest.read_text())
         manifest[key] = None
@@ -454,13 +454,13 @@ class TestSimulateUsage:
         assert code == 2 and "resolution doubling" in err
         assert out == "" and not list(tmp_path.glob("rep/report_*"))
 
-    @pytest.mark.parametrize("interp", ["bogus", "spectral"])
+    @pytest.mark.parametrize("interp", ["bogus", "spectral", "cubic", "exact"])
     def test_unknown_interp(self, interp, kp_manifest, tmp_path, capsys):
-        manifest = yaml.safe_load(kp_manifest.read_text())
-        manifest["interp"] = interp
+        # one quadrature serves every charge, so no key chooses one, whatever its value
+        manifest = yaml.safe_load(kp_manifest.read_text()) | {"interp": interp}
         code, out, err = self.simulate(capsys, tmp_path, manifest)
-        assert code == 2 and interp in err
-        assert out == ""
+        assert code == 2 and "unknown manifest key(s) interp" in err
+        assert out == "" and not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("where, value", [
         ("t_end", "abc"),
@@ -766,8 +766,16 @@ class TestVerdicts:
     def test_charge_negative_control_fails(self):
         # Gamma + (u_x, 0) adds the flux of u_x, the cell integral of u_xx inside
         # the curve, under the unchanged rule; measured 3.1e-3 and 5.6e-3 against
-        # doubling tolerances of 9.4e-5 and 1.4e-4
-        plan = manifest.plan(copy.deepcopy(self.KP_CHARGE))
+        # doubling tolerances of 1.9e-9 and 3.5e-10
+        self.assert_control_fails(copy.deepcopy(self.KP_CHARGE))
+
+    def test_weighted_charge_negative_control_fails(self):
+        # the same control on KP charge-2, whose Gamma carries y: measured 3.1e-3
+        # and 5.6e-3 against doubling tolerances of 1.9e-9 and 3.6e-10
+        self.assert_control_fails(self.kp_charge_2())
+
+    def assert_control_fails(self, doc):
+        plan = manifest.plan(doc)
         u_x = JetExpr.jet("u", (0, 1, 0, 0))
         plan = dataclasses.replace(plan, charges=tuple(
             (label, (gx + u_x, gy), loop, tol) for label, (gx, gy), loop, tol in plan.charges))
@@ -777,6 +785,34 @@ class TestVerdicts:
             "constraint: satisfied", "charge: failed", "charge: failed",
             "mass: conserved", "balance: satisfied"]
         assert all(max(map(abs, rep.values)) > 10 * rep.tolerance for rep in reports[1:3])
+
+    def kp_charge_2(self):
+        doc = copy.deepcopy(self.KP_CHARGE)
+        for spec in doc["charges"]:
+            spec["id"] = "charge-2"
+        return doc
+
+    @pytest.mark.parametrize("case", ["kp-charge-2", "vorticity-charge-2", "vorticity-charge-3"])
+    def test_coordinate_weighted_charge_reads_zero(self, case):
+        # Gamma = sum x^a y^b P_ab: each face integral is exact on the grid's trig
+        # polynomial, so the charge reads round-off, measured at most 1.1e-12
+        if case == "kp-charge-2":
+            doc = self.kp_charge_2()
+        else:
+            doc = {"pde": "vorticity", "params": {"mu": "0"},
+                   "grid": {"resolutions": [64, 64], "periods": [TWO_PI, TWO_PI]},
+                   "u0": {"modes": [{"a": 0.3, "k": [1, 1]},
+                                    {"a": 0.1, "k": [2, 1], "phase": [math.pi / 2, 0]}]},
+                   "t_end": 0.2, "samples": 9,
+                   "charges": [{"id": case.removeprefix("vorticity-"), "curve": {"rect": RECT}}]}
+        plan = manifest.plan(doc)
+        assert all(tol is None for *_, tol in plan.charges)
+        reports, code = manifest.run(plan)
+        charges = [rep for rep in reports if rep.kind == "charge"]
+        assert code == 0 and len(charges) == len(doc["charges"])
+        for rep in charges:
+            assert rep.verdict == "conserved"
+            assert max(map(abs, rep.values)) <= 1e-11
 
     @pytest.mark.parametrize("beta, fired", [("1", True), ("0", False)],
                              ids=["alpha_eq_beta", "alpha_ne_beta"])

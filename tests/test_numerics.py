@@ -32,7 +32,6 @@ from topocharge.quadrature import (
     CurveSpec,
     CurveNotClosed,
     check_constraint,
-    cubic_values,
     extract_source_sink,
     loop_integral,
     surface_integral,
@@ -70,40 +69,22 @@ class TestLoopIntegral:
         g = grid_2d(64, 1.0)
         gamma = (parse_expr("u_y", 2), parse_expr("-u_x", 2))
         rect = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
-        assert abs(loop_integral(gamma, g, None, rect, method="exact")) <= 1e-12
-        assert abs(loop_integral(gamma, g, None, rect, method="cubic")) <= 1e-4
+        assert abs(loop_integral(gamma, g, None, rect)) <= 1e-12
 
-    @pytest.mark.parametrize("method", ["cubic", "exact"])
-    def test_clockwise_reads_minus_counter_clockwise(self, method):
+    def test_clockwise_reads_minus_counter_clockwise(self):
         g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
         gamma = (parse_expr("u^2 + u_x", 2), parse_expr("u*u_y", 2))
         ccw = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
         cw = CurveSpec(tuple(reversed(ccw.vertices)))
-        value = loop_integral(gamma, g, None, ccw, method=method)
+        value = loop_integral(gamma, g, None, ccw)
         assert abs(value) > 1e-2
-        assert loop_integral(gamma, g, None, cw, method=method) == pytest.approx(-value,
-                                                                               abs=1e-14)
+        assert loop_integral(gamma, g, None, cw) == pytest.approx(-value, abs=1e-14)
 
-    def test_cubic_interpolates_one_component_per_segment(self, monkeypatch):
-        calls = []
-        interpolate = quadrature._interpolate
-
-        def spy(data, index, weights):
-            calls.append(len(weights[0]))
-            return interpolate(data, index, weights)
-
-        monkeypatch.setattr(quadrature, "_interpolate", spy)
-        g = grid_2d(32)
-        gamma = (parse_expr("u_y", 2), parse_expr("-u_x", 2))
-        loop_integral(gamma, g, None, CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2), method="cubic")
-        assert len(calls) == 4
-
-    @pytest.mark.parametrize("method", ["cubic", "exact"])
-    def test_zero_component_is_not_evaluated(self, method, monkeypatch):
+    def test_zero_component_is_not_evaluated(self, monkeypatch):
         g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
         u = parse_expr("u", 2)
         x0, x1, y0, y1 = 0.7, 3.9, 1.1, 5.2
-        face = quadrature._face_integral(evaluate_on_grid(u, g), g.periods, method)
+        (face,) = quadrature._component_faces((u,), g, None)
         want = face((x1, (y0, y1))) + face((x0, (y1, y0)))
         calls = []
 
@@ -112,8 +93,7 @@ class TestLoopIntegral:
             return evaluate_on_grid(e, *args)
 
         monkeypatch.setattr(quadrature, "evaluate_on_grid", spy)
-        got = loop_integral((u, parse_expr("0", 2)), g, None, CurveSpec.rectangle(x0, x1, y0, y1),
-                            method=method)
+        got = loop_integral((u, parse_expr("0", 2)), g, None, CurveSpec.rectangle(x0, x1, y0, y1))
         assert calls == [u]
         assert got == want
 
@@ -130,16 +110,10 @@ class TestLoopIntegral:
             return evaluate_on_grid(e, *args)
 
         box = BoxSpec.cube(0.5, 2.5, 1.0, 4.0, 0.2, 3.3)
-        full = surface_integral(gamma, g, None, box, method="exact")
+        full = surface_integral(gamma, g, None, box)
         monkeypatch.setattr(quadrature, "evaluate_on_grid", spy)
-        assert surface_integral(gamma, g, None, box, method="exact") == full
+        assert surface_integral(gamma, g, None, box) == full
         assert calls == [gamma[1]]
-
-    def test_unknown_method_is_refused(self):
-        zero = parse_expr("0", 2)
-        with pytest.raises(ValueError, match="unknown interpolation method"):
-            loop_integral((zero, zero), grid_2d(16), None, CurveSpec.rectangle(0, 1, 0, 1),
-                          method="spline")
 
     def test_kp_charge_on_evolved_field(self):
         kp = get_entry("kp")
@@ -150,87 +124,17 @@ class TestLoopIntegral:
         rect = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
         inner = CurveSpec.rectangle(1.5, 3.1, 2.0, 4.2)
         vals = [
-            loop_integral(gamma, f, ut, rect, params={"sigma": 1.0}, method="exact")
+            loop_integral(gamma, f, ut, rect, params={"sigma": 1.0})
             for f, ut in zip(traj.fields, traj.ut)
         ]
         vals_inner = [
-            loop_integral(gamma, f, ut, inner, params={"sigma": 1.0}, method="exact")
+            loop_integral(gamma, f, ut, inner, params={"sigma": 1.0})
             for f, ut in zip(traj.fields, traj.ut)
         ]
-        # with exact line integrals the discrete charge vanishes identically
+        # with line integrals exact on the grid's trig polynomial the charge vanishes
         assert max(abs(v) for v in vals) <= 1e-10
         assert max(abs(a - b) for a, b in zip(vals, vals_inner)) <= 1e-10
 
-
-
-class TestCubicValues:
-    # values of the per-point loop interpolator this vectorised one replaced,
-    # recorded on the same seeded field and points
-    RECORDED = {
-        (16,): [0.3510943888971878, -0.21873992746699616, 0.09971280328323602,
-                0.38495318653197375],
-        (16, 20): [0.27508813647803104, 0.36582727203399246, -0.05329516464050101,
-                   0.03340078233731574],
-        (16, 17, 18): [0.012247562286735021, 0.1901369123362557, -0.13757772316823252,
-                       -0.3785957498943827],
-    }
-    PERIODS = {(16,): (2.0,), (16, 20): (6.0, 3.0), (16, 17, 18): (1.0, 2.0, 3.0)}
-
-    def test_matches_recorded_values(self):
-        rng = np.random.default_rng(7)
-        for shape, want in self.RECORDED.items():
-            data = rng.random(shape) - 0.5
-            pts = 8.0 * rng.random((4, len(shape))) - 1.0
-            got = cubic_values(data, self.PERIODS[shape], pts)
-            assert np.max(np.abs(got - want)) <= 1e-13
-
-    def test_nodes_reproduce_grid_values(self):
-        rng = np.random.default_rng(3)
-        for shape in ((16,), (16, 32), (16, 16, 32)):
-            data = rng.random(shape)
-            periods = tuple(n / 4.0 for n in shape)  # spacing 1/4: nodes are exact
-            idx = np.stack([rng.integers(-n, 2 * n, size=50) for n in shape], axis=1)
-            got = cubic_values(data, periods, idx / 4.0)
-            assert np.array_equal(got, data[tuple((idx % shape).T)])
-
-
-def trapezoid_reference(shape, periods, spans):
-    """(index, Catmull-Rom weights, trapezoid weights, points) of one face,
-    built the way each face integral built them before faces shared a
-    cached stencil: the composite trapezoid nodes, then cubic_values's
-    per-point gather index and per-axis weights."""
-    nodes, weights = [], []
-    for n, period, span in zip(shape, periods, spans):
-        if np.isscalar(span):
-            nodes.append(np.array([span]))
-            weights.append(np.ones(1))
-            continue
-        lo, hi = span
-        count = max(2, int(math.ceil(abs(hi - lo) / (period / n) * quadrature.DENSITY)) + 1)
-        w = np.full(count, (hi - lo) / (count - 1))
-        w[0] = w[-1] = 0.5 * w[0]
-        nodes.append(np.linspace(lo, hi, count))
-        weights.append(w)
-    points = np.stack([c.ravel() for c in np.meshgrid(*nodes, indexing="ij")], axis=-1)
-    w = functools.reduce(np.multiply.outer, weights).ravel()
-    dim, npts = len(shape), len(points)
-    index, cubic = [], []
-    for axis in range(dim):
-        n = shape[axis]
-        s = points[:, axis] / (periods[axis] / n)
-        i0 = np.floor(s)
-        at = (npts,) + (1,) * axis + (4,) + (1,) * (dim - 1 - axis)
-        index.append(((i0.astype(int)[:, None] + np.arange(-1, 3)) % n).reshape(at))
-        cubic.append(np.stack(quadrature._catmull_rom_weights(s - i0), axis=-1))
-    return index, cubic, w, points
-
-
-def reference_face_integral(data, periods, spans):
-    index, cubic, w, points = trapezoid_reference(data.shape, periods, spans)
-    vals = data[tuple(index)]
-    for axis in reversed(range(data.ndim)):
-        vals = (vals * cubic[axis].reshape((len(points),) + (1,) * axis + (4,))).sum(axis=-1)
-    return float(w @ vals)
 
 
 def seeded_faces(seed, periods):
@@ -250,47 +154,101 @@ def seeded_faces(seed, periods):
     return faces
 
 
-class TestFaceStencil:
-    """The cached face stencil of the cubic quadrature against the formula it caches."""
+class TestMoments:
+    """The closed-form face integral: its moments against Gauss-Legendre, a
+    face of x^a y^b z^c times a trig polynomial against its closed form, the
+    moment cache, and one evaluation and transform per part a sample."""
 
-    CASES = {"loop": ((32, 24), (TWO_PI, 3.0)), "box": ((16, 20, 18), (TWO_PI, 3.0, 5.0))}
+    @pytest.mark.parametrize("span", [(0.4, 2.1), (2.1, 0.4), (-0.7, 5.3)],
+                             ids=["forward", "reversed", "wide"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_moments_match_gauss_legendre(self, n, span):
+        period, (lo, hi) = 3.0, span
+        x, w = np.polynomial.legendre.leggauss(100)
+        s, w = 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
+        for power in range(4):
+            want = (w * s ** power) @ np.exp(1j * np.outer(s, k))
+            if n % 2 == 0:  # the Nyquist mode reads its cosine
+                want[n // 2] = want[n // 2].real
+            got = quadrature._moments(n, period, span, power)
+            assert got[0] == pytest.approx((hi ** (power + 1) - lo ** (power + 1)) / (power + 1),
+                                           rel=1e-14)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_point_span_is_the_mode_times_the_power(self, n):
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=3.0 / n)
+        for power in range(4):
+            want = 1.3 ** power * np.exp(1.3j * k)
+            if n % 2 == 0:
+                want[n // 2] = want[n // 2].real
+            assert np.max(np.abs(quadrature._moments(n, 3.0, 1.3, power) - want)) <= 1e-14
+
+    # per case: grid shape, the component (x^a y^b z^c u), and u as a sum of
+    # coefficient times one trig function per axis
+    CASES = {"loop": ((32, 24), "x^2*y*u", [(1.0, ("sin", 1), ("cos", 2)),
+                                             (0.5, ("cos", 3), ("sin", 1))]),
+             "box": ((16, 20, 18), "x*y^3*z^2*u", [(1.0, ("sin", 1), ("cos", 2), ("cos", 1)),
+                                                  (0.5, ("cos", 3), ("sin", 1), ("sin", 2))])}
+
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_the_trapezoid_formula(self, case, seed):
-        shape, periods = self.CASES[case]
-        data = np.random.default_rng(seed).standard_normal(shape)
-        for spans in seeded_faces(seed, periods):
-            index, cubic, w, points = trapezoid_reference(shape, periods, spans)
-            got_index, got_cubic, got_w = quadrature._face_stencil(shape, periods, tuple(spans))
-            assert (got_w == w).all()
-            assert all((a == b).all() for a, b in zip(got_index, index))
-            assert all((a.reshape(len(points), 4) == b).all() for a, b in zip(got_cubic, cubic))
-            assert quadrature._cubic_integral(data, periods, spans) == reference_face_integral(
-                data, periods, spans)
+    def test_face_matches_closed_form(self, case):
+        sympy = pytest.importorskip("sympy")
+        shape, text, u_terms = self.CASES[case]
+        dim, periods = len(shape), (TWO_PI,) * len(shape)
+        g = parse_expr(text, dim)
+        powers = next(iter(quadrature._split(g, dim)))
+        coords = np.meshgrid(*(np.arange(n) * TWO_PI / n for n in shape), indexing="ij")
+        data = sum(c * np.prod([getattr(np, f)(m * X) for (f, m), X in zip(fs, coords)], axis=0)
+                   for c, *fs in u_terms)
+        (face,) = quadrature._component_faces((g,), GridField(data, periods), None)
+        s = sympy.Symbol("s")
 
-    def test_is_shared_and_read_only(self):
-        shape, periods = self.CASES["loop"]
-        spans = (1.0, (0.5, 2.5))
-        stencil = quadrature._face_stencil(shape, periods, spans)
-        assert quadrature._face_stencil(shape, periods, spans) is stencil
+        @functools.cache
+        def antiderivative(f, m, p):
+            return sympy.integrate(s ** p * getattr(sympy, f)(m * s), s)
+
+        def factor(f, m, p, span):
+            if np.isscalar(span):
+                return span ** p * getattr(math, f)(m * span)
+            lo, hi = span
+            return float(antiderivative(f, m, p).subs(s, hi) - antiderivative(f, m, p).subs(s, lo))
+
+        for spans in seeded_faces(5, periods):
+            want = sum(c * math.prod(factor(f, m, p, span)
+                                     for (f, m), span, p in zip(fs, spans, powers))
+                       for c, *fs in u_terms)
+            assert face(spans) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_moments_are_shared_and_read_only(self):
+        m = quadrature._moments(16, 3.0, (0.4, 2.1), 2)
+        assert quadrature._moments(16, 3.0, (0.4, 2.1), 2) is m
+        assert quadrature._moments(16, 3.0, (0.4, 2.1), 1) is not m
+        assert quadrature._moments(18, 3.0, (0.4, 2.1), 2) is not m
         with pytest.raises(ValueError):
-            stencil[2][0] = 1.0
+            m[0] = 1.0
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_other_grid_gets_its_own_stencil(self, case):
-        shape, periods = self.CASES[case]
-        spans = seeded_faces(4, periods)[0]
-        other_shape = tuple(n + 2 for n in shape)
-        other_periods = tuple(1.5 * p for p in periods)
-        grids_ = [(shape, periods), (other_shape, periods), (shape, other_periods)]
-        stencils = [quadrature._face_stencil(sh, pe, tuple(spans)) for sh, pe in grids_]
-        assert len({id(st) for st in stencils}) == 3
-        rng = np.random.default_rng(4)
-        for sh, pe in grids_:
-            data = rng.standard_normal(sh)
-            assert quadrature._cubic_integral(data, pe, spans) == reference_face_integral(
-                data, pe, spans)
+    def test_each_part_is_evaluated_and_transformed_once_a_sample(self, monkeypatch):
+        # two components of two coordinate monomials each, on two curves and
+        # two samples: four evaluations and four transforms a sample
+        gamma = (parse_expr("u_y + x*u", 2), parse_expr("-u_x + y^2*u_x", 2))
+        curves = [CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2), CurveSpec.rectangle(1.5, 3.1, 2.0, 4.2)]
+        samples = [grid_2d(32), grid_2d(32, 0.1, modes=((2, 1),))]
+        alone = [loop_integral(gamma, g, None, c) for g in samples for c in curves]
+        evaluated, transformed = [], []
+        evaluate, transform = quadrature.evaluate_on_grid, quadrature.to_spectrum
+        monkeypatch.setattr(quadrature, "evaluate_on_grid",
+                            lambda e, *args: evaluated.append(str(e)) or evaluate(e, *args))
+        monkeypatch.setattr(quadrature, "to_spectrum",
+                            lambda data: transformed.append(data) or transform(data))
+        shared = []
+        for g in samples:
+            faces: dict = {}
+            shared += [loop_integral(gamma, g, None, c, faces=faces) for c in curves]
+        assert shared == alone
+        assert sorted(evaluated) == sorted(["u_y", "u", "-u_x", "u_x"] * 2)
+        assert len(transformed) == 8
 
 
 class TestSurfaceIntegral:
@@ -301,7 +259,7 @@ class TestSurfaceIntegral:
         g = GridField(np.sin(X) * np.sin(Y) * np.cos(Z), (TWO_PI,) * 3)
         gamma = (parse_expr("u_y", 3), parse_expr("-u_x", 3), parse_expr("0", 3))
         box = BoxSpec.cube(0.5, 4.0, 0.8, 5.0, 1.0, 4.4)
-        assert abs(surface_integral(gamma, g, None, box, method="exact")) <= 1e-12
+        assert abs(surface_integral(gamma, g, None, box)) <= 1e-12
 
     def test_shear_phi_charge_and_deformation(self):
         shear = get_entry("shear")
@@ -314,30 +272,32 @@ class TestSurfaceIntegral:
         phi = parse_expr("y^2", 3, shear.symbols)  # biharmonic in (y, z)
         gamma = tuple(substitute_arbfun(c, "phi", phi) for c in gamma)
 
-        def charge_series(u0_field, radius):
-            ev = KhatEvolver(shear.pde, u0_field, params)
-            delta = 2e-3
-            traj = evolve(ev, u0_field, 2 * delta, n_samples=3)
-            utt = (traj.ut[2] - traj.ut[0]) / (2 * delta)
-            box = BoxSpec.cube(
-                0.9, 0.9 + radius, 1.1, 1.1 + radius, 0.8, 0.8 + radius
-            )
-            return surface_integral(
-                gamma, traj.fields[1], traj.ut[1], box, params=params,
-                extra_fields={2: utt}, method="exact",
-            )
+        delta = 2e-3
 
-        coarse = charge_series(u0, 2.5)
-        n2 = 48
-        x2 = np.arange(n2) * TWO_PI / n2
-        X2, Y2, Z2 = np.meshgrid(x2, x2, x2, indexing="ij")
-        u0_fine = GridField(0.05 * np.sin(X2) * np.sin(Y2) * np.sin(Z2), (TWO_PI,) * 3)
-        fine = charge_series(u0_fine, 2.5)
-        tol = 10.0 * max(abs(coarse - fine), 1e-10)
-        assert abs(fine) <= tol
+        def readings(n, radii):
+            """The charge on the box of each radius at the middle of five samples
+            over 4 delta, with u_tt by the fourth-order centred difference of u_t
+            (order 4) and, as a control, by the second-order one (order 2)."""
+            x = np.arange(n) * TWO_PI / n
+            X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+            u0 = GridField(0.05 * np.sin(X) * np.sin(Y) * np.sin(Z), (TWO_PI,) * 3)
+            traj = evolve(KhatEvolver(shear.pde, u0, params), u0, 4 * delta, n_samples=5)
+            ut = traj.ut
+            utt = {4: (ut[0] - 8 * ut[1] + 8 * ut[3] - ut[4]) / (12 * delta),
+                   2: (ut[3] - ut[1]) / (2 * delta)}
+            return {(radius, order): surface_integral(
+                gamma, traj.fields[2], ut[2],
+                BoxSpec.cube(0.9, 0.9 + radius, 1.1, 1.1 + radius, 0.8, 0.8 + radius),
+                params=params, extra_fields={2: utt[order]})
+                for radius in radii for order in utt}
+
+        coarse, fine = readings(24, [2.5]), readings(48, [2.5, 1.7])
+        tol = 10.0 * max(abs(coarse[2.5, 4] - fine[2.5, 4]), 1e-10)
+        assert abs(fine[2.5, 4]) <= tol
         # deformation invariance: a different box agrees within the same tolerance
-        other = charge_series(u0_fine, 1.7)
-        assert abs(fine - other) <= tol
+        assert abs(fine[2.5, 4] - fine[1.7, 4]) <= tol
+        # control: the second-order u_tt's own error, about 4e-6, exceeds it
+        assert abs(fine[2.5, 2]) > tol
 
 
 class TestEvolution:
@@ -441,7 +401,7 @@ class TestEvolution:
             ev = KhatEvolver(vort.pde, field, {"mu": mu})
             traj = evolve(ev, field, 0.2, n_samples=4)
             return [
-                loop_integral(gamma, f, ut, rect, params={"mu": mu}, method="exact")
+                loop_integral(gamma, f, ut, rect, params={"mu": mu})
                 for f, ut in zip(traj.fields, traj.ut)
             ]
 
