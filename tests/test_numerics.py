@@ -71,20 +71,28 @@ class TestLoopIntegral:
         rect = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
         assert abs(loop_integral(gamma, g, None, rect)) <= 1e-12
 
-    def test_clockwise_reads_minus_counter_clockwise(self):
+    # [exact]: Gamma periodic on the grid; [cubic]: Gamma carrying the cubic
+    # coordinate weight x^2 y, integrated through the moments of s^1 and s^2
+    WEIGHTS = {"cubic": "x^2*y*", "exact": ""}
+
+    @pytest.mark.parametrize("weight", ["cubic", "exact"])
+    def test_clockwise_reads_minus_counter_clockwise(self, weight):
         g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
-        gamma = (parse_expr("u^2 + u_x", 2), parse_expr("u*u_y", 2))
+        w = self.WEIGHTS[weight]
+        gamma = (parse_expr(f"{w}u^2 + {w}u_x", 2), parse_expr(f"{w}u*u_y", 2))
         ccw = CurveSpec.rectangle(0.7, 3.9, 1.1, 5.2)
         cw = CurveSpec(tuple(reversed(ccw.vertices)))
         value = loop_integral(gamma, g, None, ccw)
         assert abs(value) > 1e-2
         assert loop_integral(gamma, g, None, cw) == pytest.approx(-value, abs=1e-14)
 
-    def test_zero_component_is_not_evaluated(self, monkeypatch):
+    @pytest.mark.parametrize("weight", ["cubic", "exact"])
+    def test_zero_component_is_not_evaluated(self, weight, monkeypatch):
         g = grid_2d(32, 1.0, modes=((1, 1), (2, 1)))
         u = parse_expr("u", 2)
+        gx = parse_expr(f"{self.WEIGHTS[weight]}u", 2)
         x0, x1, y0, y1 = 0.7, 3.9, 1.1, 5.2
-        (face,) = quadrature._component_faces((u,), g, None)
+        (face,) = quadrature._component_faces((gx,), g, None)
         want = face((x1, (y0, y1))) + face((x0, (y1, y0)))
         calls = []
 
@@ -93,7 +101,7 @@ class TestLoopIntegral:
             return evaluate_on_grid(e, *args)
 
         monkeypatch.setattr(quadrature, "evaluate_on_grid", spy)
-        got = loop_integral((u, parse_expr("0", 2)), g, None, CurveSpec.rectangle(x0, x1, y0, y1))
+        got = loop_integral((gx, parse_expr("0", 2)), g, None, CurveSpec.rectangle(x0, x1, y0, y1))
         assert calls == [u]
         assert got == want
 
