@@ -141,7 +141,7 @@ def cmd_reduce(args) -> int:
     entry = cat.instantiate(args.pde, _parse_params(args.params))
     cur = entry.current(args.object)
     pde = entry.pde_for_case(cur.case)
-    flux = reduce_to_spatial_flux(cur.family, pde, order_bound=args.order_bound)
+    flux = reduce_to_spatial_flux(cur.family, pde)
     print(f"{entry.name} {args.object}: spatial-flux vector Gamma")
     for axis, comp in zip("xyz", flux.Gamma):
         print(f"  Gamma^{axis} = {to_source(comp)}")
@@ -214,7 +214,6 @@ def main(argv=None) -> int:
     add_common(p)
     p = sub.add_parser("reduce", help="reduce a current to spatial-flux form")
     add_common(p)
-    p.add_argument("--order-bound", type=int, default=None)
     p = sub.add_parser("potential", help="print the spatial potential system of a charge")
     add_common(p)
     p.add_argument("--yaml", action="store_true", help="emit catalog-format text")

@@ -24,28 +24,20 @@ once per spec and family by `check_family`) gives Div Gamma|_E = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .jetexpr import JET_SLOT, JetExpr, T, arbfun_key, curl, divergence, total_derivative
+from .jetexpr import (
+    JET_SLOT, VAR_SLOT, JetExpr, T, X, Y, _substitute, arbfun_key, divergence, total_derivative,
+)
 from .pde import (
+    PdeError,
     PdeSpec,
-    derivative_on_solutions,
     expand_r_operator,
     substitute_on_solutions,
     substitute_with_ledger,
     verified,
 )
-from .variational import (
-    AnsatzExhausted,
-    _euler_sum,
-    _mono_expr,
-    build_pools,
-    euler_u,
-    solve_ansatz,
-)
-
-# Pool-growth rounds and pool-size cap of each curl-witness ansatz.
-CURL_ROUNDS = 2
-CURL_POOL_CAP = 4000
+from .variational import _euler_sum, euler_u
 
 
 class NotAMultiplier(ValueError):
@@ -101,8 +93,8 @@ class CurrentFamily:
 class FluxVector:
     Gamma: tuple
     dim: int
-    # nontriviality_certificate's value: an int order bound, "u_t-certificate",
-    # "nonzero-flux" or "trivial"; None if not certified or every bound exhausted the cap
+    # nontriviality_certificate's value: Gamma's highest jet order (a proof at
+    # every order), "u_t-certificate", "nonzero-flux", "trivial", or None if undecided
     nontrivial_up_to_order: object = None
 
 
@@ -249,9 +241,7 @@ def trivializing_potentials(cur: CurrentFamily) -> list[tuple]:
     return out[::-1]
 
 
-def reduce_to_spatial_flux(
-    cur: CurrentFamily, pde: PdeSpec, order_bound: int | None = None
-) -> FluxVector:
+def reduce_to_spatial_flux(cur: CurrentFamily, pde: PdeSpec) -> FluxVector:
     """Gamma = Phi_0 + D_t Psi_0, which is divergence-free on solutions.
 
     Div Gamma = sum_j (-D_t)^j r_j exactly, the r_j being the split
@@ -263,7 +253,7 @@ def reduce_to_spatial_flux(
     check_family(pde, cur)
     psi0 = trivializing_potentials(cur)[0]
     gamma = tuple(p + total_derivative(q, T) for p, q in zip(cur.Flux_coeffs[0], psi0))
-    return FluxVector(gamma, cur.dim, nontriviality_certificate(gamma, pde, order_bound))
+    return FluxVector(gamma, cur.dim, nontriviality_certificate(gamma, pde))
 
 
 def divergence_identity(pde: PdeSpec, cur: CurrentFamily, i: int) -> DivergenceIdentity:
@@ -285,40 +275,19 @@ def divergence_identity(pde: PdeSpec, cur: CurrentFamily, i: int) -> DivergenceI
 # -- non-triviality ------------------------------------------------------------
 
 
-def nontriviality_certificate(
-    gamma: tuple, pde: PdeSpec, order_bound: int | None = None
-) -> object:
+def nontriviality_certificate(gamma: tuple, pde: PdeSpec) -> object:
     """Certify that Gamma is not a curl on solutions.
 
     Returns "u_t-certificate" for fluxes of the form u_t k_hat - F with F
     free of time derivatives (the jet-counting argument), and in one
     dimension "nonzero-flux" or "trivial".
 
-    Where `not_a_curl_on_solutions` proves that no witness exists at any
-    order (every searched catalog charge but NV's), Gamma is not a curl
-    within any bound either, and `order_bound` (default: the highest jet
-    order in Gamma) is returned without building a pool.  Otherwise a
-    curl-witness search runs at the order bounds from `order_bound` down to
-    min(2, order_bound); the first bound whose ansatz pools fit the cap
-    decides: "trivial" if a witness exists, else that bound.  None means
-    every bound exhausted the cap.
-
-    A searched bound N certifies only the ansatz: a potential holding u_tx,
-    u_txx or u_txy, whose restriction has a jet order above N, lies outside
-    it, so such a curl can read N.  NV's three searched charges rest on the
-    search alone.
-
-    The searched value is that of the ascending search that stops at the
-    first exhausted bound: pools only filter by order, so pool(b) is a
-    subset of pool(b+1) and a bound that exhausts the cap makes every
-    higher one exhaust it too; and a witness over pool(b) is one over
-    pool(b+1) with the new columns set to zero, since the rows those
-    columns add have target zero.
-
-    The ladder's result is memoised in the PdeSpec's memo under (Gamma,
-    top bound, CURL_ROUNDS, CURL_POOL_CAP), the last two read at call time,
-    so it runs once per key for the spec and every catalog spec shared with
-    it.
+    Otherwise the Euler images of `curl_witness_on_solutions` decide, given
+    Div Gamma|_E = 0: Gamma's highest jet order when some image is nonzero,
+    which proves that no curl potential exists at any order; "trivial"
+    when all vanish; None when no frame qualifies.  The decision is
+    memoised in the PdeSpec's memo under ("certificate", Gamma), so it runs
+    once per Gamma for the spec and every catalog spec shared with it.
     """
     dim = pde.dim
     u_t = JetExpr.jet("u", (1, 0, 0, 0))
@@ -331,111 +300,112 @@ def nontriviality_certificate(
         # No curls in one dimension; non-triviality just means Gamma|_E != 0.
         g = substitute_on_solutions(gamma[0], pde)
         return "nonzero-flux" if not g.is_zero() else "trivial"
-    if order_bound is None:
-        order_bound = max(c.max_order() for c in gamma)
-    key = ("certificate", tuple(gamma), order_bound, CURL_ROUNDS, CURL_POOL_CAP)
-    return verified(pde, key, lambda: _curl_ladder(gamma, pde, order_bound))
 
+    def decide():
+        images = curl_witness_on_solutions(gamma, pde)
+        if images is None:
+            return None
+        if any(not r.is_zero() for r in images):
+            return max(c.max_order() for c in gamma)
+        return "trivial"
 
-def _curl_ladder(gamma: tuple, pde: PdeSpec, order_bound: int) -> object:
-    # Restricted once here: restricting an R-normal expression again only
-    # scans its terms and returns it, so the searches below reuse this work.
-    g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
-    if not_a_curl_on_solutions(g_sub, pde):
-        return order_bound
-    for bound in range(order_bound, min(2, order_bound) - 1, -1):
-        try:
-            witness = curl_witness_on_solutions(g_sub, pde, bound)
-        except AnsatzExhausted:
-            continue
-        return "trivial" if witness is not None else bound
-    return None
+    return verified(pde, ("certificate", tuple(gamma)), decide)
 
 
 def not_a_curl_on_solutions(gamma: tuple, pde: PdeSpec) -> bool:
-    """True when Gamma|_E is proven not to be a curl on solutions at any order.
+    """True when some Euler image of `curl_witness_on_solutions` is
+    nonzero: Gamma|_E is then no curl on solutions at any order."""
+    images = curl_witness_on_solutions(gamma, pde)
+    return images is not None and any(not r.is_zero() for r in images)
 
-    Take a spatial axis a such that the leading jet has no derivative along
-    any other spatial axis b.  Then D_b maps jets free of the leading jet's
-    consequences to such jets, so D_b acts freely on solutions, and
-    Gamma = curl(theta) on solutions puts Gamma_a|_E in the sum of the
-    images of the D_b.  Every Euler operator over the axes b annihilates
-    that sum (Olver, Applications of Lie Groups to Differential Equations,
-    Thm 4.7), each family of u-jets of one t-order and one a-order counting
-    as a field; coordinates and arbitrary functions are explicit functions
-    of the independent variables (under a rule such as shear's biharmonic
-    one, the canonical derivatives of phi can still take any values at a
-    point).  So one nonzero image is a proof.  False decides nothing: no
-    axis qualifies (NV's u_txy) or every image vanishes.
+
+def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec) -> Iterator | None:
+    """The family-wise Euler images that decide whether Gamma is a curl on
+    solutions, as an iterator, or None when no frame qualifies.
+
+    Take the first spatial axis a that is the only one the leading jet
+    differentiates along.  Then D_b, for every other spatial axis b, maps
+    jets free of the leading jet's consequences to such jets, so D_b acts
+    freely on solutions, and Gamma = curl(theta) on solutions exactly when
+    Gamma_a|_E lies in the sum of the images of the D_b (given
+    Div Gamma|_E = 0, the other components follow).  By the exactness of
+    the variational complex (Olver, Applications of Lie Groups to
+    Differential Equations, Thm 4.7; Poole & Hereman, Applicable Analysis
+    89 (2010)) it lies there exactly when every Euler operator over the
+    axes b annihilates it, each family of u-jets of one t-order and one
+    a-order counting as a field; coordinates and arbitrary functions are
+    explicit functions of the independent variables (under a rule such as
+    shear's biharmonic one, the canonical derivatives of phi can still take
+    any values at a point).  So one nonzero image proves that Gamma is no
+    curl at any order, and images that all vanish make it one.
+
+    When no coordinate axis qualifies (NV's u_txy), the 2D frame xi = x,
+    eta = x + y makes the leading jet a pure eta-derivative (u_teta,eta for
+    NV), and Gamma maps to (Gamma_x, Gamma_x + Gamma_y) there; the frame is
+    built once per spec, and only then.  A 3D leading jet with mixed
+    spatial derivatives, or a flux or equation holding a function of x or
+    y, gets no frame.
     """
     lead = pde.leading[1]
     spatial = range(1, pde.dim + 1)
-    for a in spatial:
-        if any(lead[b] for b in spatial if b != a):
-            continue
-        g_a = substitute_on_solutions(gamma[a - 1], pde)
+    a = next((a for a in spatial if not any(lead[b] for b in spatial if b != a)), None)
+    if a is not None:
+        g_a = gamma[a - 1]
+    else:
+        framed = verified(pde, ("frame",), lambda: framed_spec(pde))
+        g_a = gamma[0] + gamma[1]
+        if framed is None or spatial_functions(g_a):
+            return None
+        # restricted in x, y first, where the equation's own images are at
+        # hand: to_frame maps the ideal of the equation onto the frame's, so
+        # the frame's restriction of the image is the same either way
+        g_a, pde, a = to_frame(substitute_on_solutions(g_a, pde)), framed, Y
+    g_a = substitute_on_solutions(g_a, pde)
 
-        def family(key):
-            return key[0], key[1][T], key[1][a]
+    def family(key):
+        return key[0], key[1][T], key[1][a]
 
-        # the highest families occur in the fewest terms: cheapest first
-        for fam in sorted({family(k) for k in g_a.jet_keys()}, reverse=True):
-            def field(key, fam=fam):
-                if family(key) != fam:
-                    return None
-                return tuple(0 if axis in (T, a) else n for axis, n in enumerate(key[1]))
+    def field(fam):
+        return lambda key: (tuple(0 if axis in (T, a) else n for axis, n in enumerate(key[1]))
+                            if family(key) == fam else None)
 
-            if not _euler_sum(g_a, JET_SLOT, field).is_zero():
-                return True
-    return False
+    # lazily, the highest families first: they occur in the fewest terms,
+    # and a caller that meets a nonzero image computes no further one
+    return (_euler_sum(g_a, JET_SLOT, field(fam))
+            for fam in sorted({family(k) for k in g_a.jet_keys()}, reverse=True))
 
 
-def curl_witness_on_solutions(gamma: tuple, pde: PdeSpec, order_bound: int):
-    """Search for a skew potential with Gamma|_E = curl(theta)|_E.
+def spatial_functions(e: JetExpr) -> bool:
+    """True when e holds an arbitrary function of a spatial variable."""
+    return any(axis != T for key in e.fun_keys() for axis in key[1])
 
-    The ansatz for each potential component is drawn from antiderivative
-    closures of the flux components it feeds.  Returns the potential
-    (scalar in 2D, 3-vector in 3D) or None, which certifies
-    non-triviality up to `order_bound`.
-    """
-    dim = pde.dim
-    if dim not in (2, 3):
-        raise ValueError("curl witness search needs dim 2 or 3")
-    npots = 1 if dim == 2 else 3
 
-    def theta(pot: int, e: JetExpr) -> list:
-        return [e if i == pot else JetExpr.zero() for i in range(npots)]
+def to_frame(e: JetExpr) -> JetExpr:
+    """e in the 2D frame xi = x, eta = x + y: D_x = D_xi + D_eta,
+    D_y = D_eta, x = xi and y = eta - xi, with xi and eta on the x and y
+    slots.  Functions of t alone pass through."""
+    def jet(key):
+        dep, mi = key
+        out = JetExpr.jet(dep, (mi[T], 0, mi[Y], 0))
+        for _ in range(mi[X]):
+            out = total_derivative(out, X) + total_derivative(out, Y)
+        return out
 
-    g_sub = tuple(substitute_on_solutions(c, pde) for c in gamma)
-    feeds = []  # per slot, (component, axis, sign) of each Gamma component its curl feeds
-    columns: list[tuple[int, tuple]] = []
-    for pot in range(npots):
-        fed, pool = [], set()
-        for comp, d in enumerate(curl(theta(pot, JetExpr.jet("w")), dim)):
-            if d.is_zero():
-                continue
-            ((_, mi),), ((_, sign),) = d.jet_keys(), d.terms
-            axis = mi.index(1)
-            fed.append((comp, axis, sign))
-            target = g_sub[comp]
-            if not target.is_zero():
-                pool |= set(build_pools(target, [axis], order_bound,
-                                        {axis: target.var_degree(axis) + 1},
-                                        CURL_ROUNDS, CURL_POOL_CAP)[axis])
-        feeds.append(fed)
-        columns.extend((pot, m) for m in sorted(pool))
+    y = JetExpr.variable(Y) - JetExpr.variable(X)
+    return _substitute(_substitute(e, JET_SLOT, jet), VAR_SLOT,
+                       lambda axis: y if axis == Y else None)
 
-    def image(pot: int, m: tuple) -> list:
-        """curl(theta)|_E as (coeff, monomial) pairs per component; a
-        monomial holding leading-jet consequences restricts first."""
-        w = substitute_on_solutions(_mono_expr(m), pde)
-        parts = [()] * dim
-        for comp, axis, sign in feeds[pot]:
-            parts[comp] = [(sign * c, mm) for c, mm in derivative_on_solutions(w, axis, pde)]
-        return parts
 
-    sol = solve_ansatz(columns, (image(pot, m) for pot, m in columns), g_sub)
-    if sol is None:
+def framed_spec(pde: PdeSpec) -> PdeSpec | None:
+    """The 2D equation in the frame of `to_frame`, solved for the pure
+    eta-derivative of its leading jet, or None where that fails."""
+    dep, mi = pde.leading
+    if pde.dim != 2 or spatial_functions(pde.G):
         return None
-    comps = tuple(sol.get(pot, JetExpr.zero()) for pot in range(npots))
-    return comps[0] if dim == 2 else comps
+    lead = (dep, (mi[T], 0, mi[X] + mi[Y], 0))
+    rhs = to_frame(pde.rhs) - to_frame(JetExpr.jet(dep, mi)) + JetExpr.jet(*lead)
+    try:
+        return PdeSpec(f"{pde.name} (xi = x, eta = x + y)", 2, to_frame(pde.G), lead, rhs,
+                       pde.factor, symbols=pde.symbols)
+    except PdeError:
+        return None

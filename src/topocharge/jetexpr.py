@@ -46,7 +46,7 @@ Rat = Fraction
 # positive; parameter exponents may be negative (Laurent monomials).
 
 EMPTY_MONO = ((), (), (), ())
-JET_SLOT, FUN_SLOT, PARAM_SLOT = 1, 2, 3
+VAR_SLOT, JET_SLOT, FUN_SLOT, PARAM_SLOT = 0, 1, 2, 3
 
 
 def multi_index(spec: str) -> tuple[int, int, int, int]:

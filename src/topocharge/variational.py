@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .jetexpr import (
     FUN_SLOT,
     JET_SLOT,
+    ZERO_MI,
     JetExpr,
     Rat,
     T,
@@ -27,9 +28,9 @@ from .jetexpr import (
     arbfun_mi,
     mi_bump,
     mi_order,
-    partial,
-    total_derivative_mi,
     divergence,
+    partial,
+    total_derivative,
 )
 
 
@@ -52,15 +53,22 @@ def _euler_sum(e: JetExpr, slot: int, field) -> JetExpr:
     """Sum over the keys k of `slot` of (-D)^K de/dk, with K = field(k).
 
     field(k) is the multi-index of total derivatives that k carries as a
-    jet of the field, or None when k does not belong to the field.
+    jet of the field, or None when k does not belong to the field.  The
+    sum is taken in Horner form: the partials are summed per K, and from
+    the highest order down each sum takes one -D along its last axis and
+    joins the sum at K minus that axis, so each K costs one derivative.
     """
-    out = JetExpr.zero()
-    for key in sorted({k for m, _ in e.terms for k, _ in m[slot]}):
+    acc: dict = {}
+    for key in {k for m, _ in e.terms for k, _ in m[slot]}:
         mi = field(key)
         if mi is not None:
-            sign = -1 if mi_order(mi) % 2 else 1
-            out = out + sign * total_derivative_mi(partial(e, slot, key), mi)
-    return out
+            acc[mi] = acc.get(mi, JetExpr.zero()) + partial(e, slot, key)
+    for order in range(max(map(mi_order, acc), default=0), 0, -1):
+        for mi in [mi for mi in acc if mi_order(mi) == order]:
+            axis = max(a for a, n in enumerate(mi) if n)
+            lower = mi_bump(mi, axis, -1)
+            acc[lower] = acc.get(lower, JetExpr.zero()) - total_derivative(acc.pop(mi), axis)
+    return acc.get(ZERO_MI, JetExpr.zero())
 
 
 def euler_u(e: JetExpr) -> JetExpr:
@@ -200,10 +208,6 @@ def solve_ansatz(
 
 
 # -- ansatz pools ------------------------------------------------------------
-
-
-def _mono_expr(mono: tuple) -> JetExpr:
-    return JetExpr(((mono, 1),))
 
 
 def _mono_max_order(mono: tuple) -> int:

@@ -15,6 +15,7 @@ code of each.  To record them again from the tree on ``PYTHONPATH``, run
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import itertools
@@ -117,26 +118,41 @@ def _number_drift(want, have, tol: float) -> float:
     return abs(a - b) / tol
 
 
-def line_drifts(want: str, have: str) -> list[tuple[float, str, str]]:
-    """(drift, recorded line, line now) for each line of a report recorded
-    as want.
+def _keyed(text: str) -> dict:
+    """Each line of a report under its key: a header line by the text
+    before its ': ' (`meta.*`, `tolerance`, `verdict`, ...), a row after
+    `columns:` by its time cell, each with its occurrence number."""
+    out, seen, rows = {}, collections.Counter(), False
+    for line in text.splitlines():
+        key = ("row", line.split(" ")[0]) if rows else ("head", line.split(": ")[0])
+        seen[key] += 1
+        out[(*key, seen[key])] = line
+        rows = rows or line.startswith("columns: ")
+    return out
 
-    The tolerance line and the lines after `columns:` hold numbers, and a
-    line drifts by its numbers' largest |now - recorded| over the recorded
-    tolerance (a NaN matches a NaN).  Any other line, and a line that one
-    side lacks, drifts by 0 if it is byte-identical and by inf if not.
+
+def line_drifts(want: str, have: str) -> list[tuple[float, str, str]]:
+    """(drift, recorded line, line now) for each key of a report recorded
+    as want, then each key only the report now has (see _keyed).
+
+    The tolerance line and the rows hold numbers, and a line drifts by its
+    numbers' largest |now - recorded| over the recorded tolerance (a NaN
+    matches a NaN).  Any other line drifts by 0 if it is byte-identical and
+    by inf if not, and a line that one side lacks drifts by inf.
     """
-    want_lines, have_lines = want.splitlines(), have.splitlines()
-    tol = next(float(w.split(": ")[1]) for w in want_lines if w.startswith("tolerance: "))
-    rows, numeric = [], False
-    for w, h in itertools.zip_longest(want_lines, have_lines, fillvalue=""):
-        if numeric or w.startswith("tolerance: "):
+    tol = next(float(w.split(": ")[1]) for w in want.splitlines() if w.startswith("tolerance: "))
+    recorded, now = _keyed(want), _keyed(have)
+    rows = []
+    for key in [*recorded, *(k for k in now if k not in recorded)]:
+        w, h = recorded.get(key), now.get(key)
+        if w is None or h is None:
+            drift = math.inf
+        elif key[0] == "row" or key[1] == "tolerance":
             cells = [line.removeprefix("tolerance: ").split() for line in (w, h)]
             drift = max(_number_drift(a, b, tol) for a, b in itertools.zip_longest(*cells))
         else:
             drift = 0.0 if w == h else math.inf
-        numeric = numeric or w == "columns: time value"
-        rows.append((drift, w, h))
+        rows.append((drift, w or "", h or ""))
     return rows
 
 
@@ -179,8 +195,9 @@ def test_reports_match_the_recording(stem, simulated):
 
 
 class TestDriftControls:
-    """The comparison fails a number moved by 1 % of its report's tolerance
-    and a changed verdict line, and passes a move below DRIFT."""
+    """The comparison fails a number moved by 1 % of its report's tolerance,
+    a changed verdict line and a deleted line, and passes a move below
+    DRIFT."""
 
     NAME = "report_01_charge.txt"
 
@@ -208,6 +225,19 @@ class TestDriftControls:
         changed = dict(recorded, **{self.NAME: text.replace("verdict: conserved", "verdict: failed")})
         worst, table = drift_table(recorded, changed)
         assert worst == math.inf and "verdict: failed" in table
+
+    def test_a_deleted_meta_line_reads_inf_on_that_line_alone(self):
+        # lines align by key, so the rows after it still read their own drift
+        recorded, moved = self.moved(0.01)
+        line = "meta.scheme: 'RK4'\n"
+        assert line in moved[self.NAME]
+        deleted = moved[self.NAME].replace(line, "")
+        rows = line_drifts(recorded[self.NAME], deleted)
+        assert [(w, h) for drift, w, h in rows if drift == math.inf] == [(line.strip(), "")]
+        finite = sorted(drift for drift, _, _ in rows if drift != math.inf)
+        assert finite[-1] == pytest.approx(0.01, rel=1e-6) and finite[-2] == 0
+        worst, table = drift_table(recorded, dict(moved, **{self.NAME: deleted}))
+        assert worst == math.inf and "meta.scheme" in table
 
 
 def record_reports() -> None:

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topocharge.jetexpr import JetExpr, T, X, Y, divergence, total_derivative
+from topocharge.jetexpr import (
+    JET_SLOT, JetExpr, T, X, Y, divergence, mi_order, partial, total_derivative,
+    total_derivative_mi,
+)
 from topocharge.parsing import default_symbols, parse_expr
 from topocharge.variational import (
     AnsatzExhausted,
+    _euler_sum,
     euler_u,
     invert_divergence,
     invert_divergence_auto,
@@ -117,6 +121,24 @@ class TestInversion:
 def test_euler_annihilates_divergences(e, v):
     assert euler_u(total_derivative(e, v)).is_zero()
     assert euler_u(total_derivative(e, T)).is_zero()
+
+
+def termwise_euler_sum(e, slot, field):
+    """Reference for _euler_sum: (-D)^K de/dk, key by key."""
+    out = JetExpr.zero()
+    for key in {k for m, _ in e.terms for k, _ in m[slot]}:
+        mi = field(key)
+        if mi is not None:
+            out = out + (-1) ** mi_order(mi) * total_derivative_mi(partial(e, slot, key), mi)
+    return out
+
+
+@given(small_exprs(), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_horner_euler_sum_matches_termwise(e, t_order):
+    # the full field of u, and a spatial field of one t-order
+    for field in (lambda k: k[1], lambda k: (0, *k[1][1:]) if k[1][T] == t_order else None):
+        assert _euler_sum(e, JET_SLOT, field) == termwise_euler_sum(e, JET_SLOT, field)
 
 
 @given(small_exprs(), small_exprs())
