@@ -86,7 +86,7 @@ def cmd_catalog(args) -> int:
               f"R(G) = {to_source(ident.identity.R)}")
     for ch in entry.charges:
         print(f"charge {ch.id}: Gamma = {vector_source(ch.flux.Gamma)}")
-        print(f"    non-trivial: {ch.flux.nontrivial_up_to_order!r}")
+        print(f"    non-trivial: {ch.flux.certificate!r}")
     return EXIT_OK
 
 
@@ -145,7 +145,7 @@ def cmd_reduce(args) -> int:
     print(f"{entry.name} {args.object}: spatial-flux vector Gamma")
     for axis, comp in zip("xyz", flux.Gamma):
         print(f"  Gamma^{axis} = {to_source(comp)}")
-    print(f"  non-trivial: {flux.nontrivial_up_to_order!r}")
+    print(f"  non-trivial: {flux.certificate!r}")
     for i in range(cur.family.N + 1):
         ident = divergence_identity(pde, cur.family, i)
         print(f"identity i={i}:  T_{i} = Div Psi_{i} + R(G)")

@@ -95,7 +95,7 @@ class FluxVector:
     dim: int
     # nontriviality_certificate's value: Gamma's highest jet order (a proof at
     # every order), "u_t-certificate", "nonzero-flux", "trivial", or None if undecided
-    nontrivial_up_to_order: object = None
+    certificate: object = None
 
 
 @dataclass(frozen=True)

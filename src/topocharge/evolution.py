@@ -46,18 +46,15 @@ The first of a step's four right-hand sides holds those jets, so the
 estimate takes no transform, and a jet the plan never reads (u itself in
 potential KdV) cannot shrink the step.
 
-Each evolver owns the arrays its stages write: the stage program's grid
-buffers, one forward transform per part, and, in evolve, k1 to k4 and the
-stage input.  A step's result is formed in k1's array, which becomes the
-state while the old state's array becomes the next k1.  Every transform
-runs on the band of last-axis columns that the mask keeps.
-
-Each evolver compiles one stage program, the same kind of
-grids.SpectralEvaluator program that every grid evaluation runs: the
-distinct jets that the parts and the rates read are resolved to their
-derivative symbols once, every stage fills them all from its
-half-spectrum, and the products of the parts and the rates read them by
-slot.
+Each evolver compiles one stage program, the grids.SpectralEvaluator
+program that every grid evaluation runs, over the distinct jets that the
+parts and the rates read.  A stage runs its flat list of numpy calls,
+from u_hat's band to the parts' transforms, in arrays the program owns;
+rhs_hat then forms L u_hat and adds each weighted transform into its
+output.  evolve owns k1 to k4 and the stage input, and forms a step's
+result in k1's array, which becomes the state while the old state's
+array becomes the next k1.  Every transform runs on the band of
+last-axis columns that the mask keeps.
 """
 
 from __future__ import annotations
@@ -238,10 +235,10 @@ class KhatEvolver:
         rates = [(float(np.max(np.abs(w * sum(ik_symbol(grid, mi[1:]) for mi in mis)))), d)
                  for w, terms in self._parts for mis, d in _jacobian(terms)]
         # the stage program: every reset of self.ev computes the jets that the
-        # parts and the rates read, and both are evaluated by slot
-        numbered = self.ev.program(*(terms for _w, terms in self._parts), *(d for _s, d in rates))
-        self._products = numbered[:len(self._parts)]
-        self._hats = [np.empty(self.mask.shape, dtype=complex) for _ in self._parts]
+        # parts and the rates read and the parts' transforms, into its hats
+        numbered = self.ev.program(*(terms for _w, terms in self._parts), *(d for _s, d in rates),
+                                   spectra=len(self._parts))
+        self._weighted = [(w, hat) for (w, _terms), hat in zip(self._parts, self.ev.hats)]
         self._rates = [(s, d) for (s, _d), d in zip(rates, numbered[len(self._parts):])]
 
     def _symbol(self, linear: list) -> np.ndarray:
@@ -268,15 +265,13 @@ class KhatEvolver:
     def rhs_hat(self, u_hat: np.ndarray, t: float, forcing=None,
                 out: np.ndarray | None = None) -> np.ndarray:
         """L u_hat + sum_i W_i hat_i, written into `out` (a new array when None);
-        the transforms hat_i of the parts are formed in the evolver's own buffers."""
+        the stage program forms the transforms hat_i of the parts in its hats."""
         self.rhs_calls += 1
         self.ev.reset(u_hat)
-        hats = [to_spectrum(self.ev.products(terms), self._band, hat)
-                for terms, hat in zip(self._products, self._hats)]
         if self._plane is not None:
-            self._guard(u_hat, hats, t)
+            self._guard(u_hat, t)
         ut_hat = np.multiply(self._L, u_hat, out=out)
-        for (weight, _terms), hat in zip(self._parts, hats):
+        for weight, hat in self._weighted:
             hat *= weight
             ut_hat += hat
         if forcing is not None:
@@ -284,11 +279,11 @@ class KhatEvolver:
             ut_hat[zero] += forcing(t) * self.grid.data.size
         return ut_hat
 
-    def _guard(self, u_hat: np.ndarray, hats: list, t: float):
+    def _guard(self, u_hat: np.ndarray, t: float):
         """NonIntegrableSymbol at time t, blaming the data at t = 0 and the flow
-        later, when rest (its transforms lead `hats`) tops mean_tol * max(max|rest|,
+        later, when rest (its transforms lead self.ev.hats) tops mean_tol * max(max|rest|,
         1) on the zero set of P; max|rest| is built only above mean_tol there."""
-        at, plane = self._plane
+        at, plane, hats = *self._plane, self.ev.hats
         peak = float(np.abs(_summed(plane, u_hat.take(at), (h.take(at) for h in hats))).max())
         if peak <= self.mean_tol:
             return

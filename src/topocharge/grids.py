@@ -5,8 +5,6 @@ derivatives are taken spectrally; time derivatives of u must be supplied
 as separate field arrays (they are independent data, produced by the
 evolution right-hand side).  Every field is real, so spectral arrays are
 rfftn half-spectra: the last axis keeps its n//2 + 1 non-negative modes.
-Every grid evaluation runs one compiled SpectralEvaluator program, and
-the evolver's stage program is that same program filled from its state.
 
 The transform pair is numpy's own rfftn/irfftn, pass by pass and in its
 order, so it is bit-identical to them.  It takes a band: the complex
@@ -14,6 +12,14 @@ passes over the other axes run on the first `band` last-axis columns
 only, and the later columns count as zero.  A 2/3-masked spectrum keeps
 n//3 + 1 of the n//2 + 1 columns, so the evolver's band skips a third of
 those passes and loses nothing.
+
+Every grid evaluation, and every evolver stage, runs one compiled
+SpectralEvaluator program: a flat list of numpy calls, each into an array
+the program owns.  A transformed slot multiplies by its band symbol into
+the work array, then inverse-transforms into its grid buffer; a term list
+forms factor * jet^p and sums its terms, left to right (`** 2` is numpy's
+square); a part's forward transform writes into its hat.  These are the
+calls of the transform pair and of Python's array operators, bit for bit.
 """
 
 from __future__ import annotations
@@ -104,19 +110,30 @@ def _wavenumbers(shape: tuple, periods: tuple, axis: int) -> np.ndarray:
     return k.reshape(out)
 
 
+def _spectrum_calls(data: np.ndarray, hat: np.ndarray, band: int | None) -> list:
+    """to_spectrum's numpy calls, as (function, arguments), from data into hat."""
+    kept = hat[..., :band]
+    calls = [(np.fft.rfft, (data, None, -1, None, hat))]
+    calls += [(np.fft.fft, (kept, None, axis, None, kept)) for axis in range(data.ndim - 2, -1, -1)]
+    return calls if band is None else calls + [(hat[..., band:].fill, (0,))]
+
+
 def to_spectrum(data: np.ndarray, band: int | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum of real grid values: rfft on the last axis, then fft
     on the others from the second-to-last down to axis 0.  The fft passes
     run on the first `band` columns (all by default), which are rfftn's,
     and the later ones are set to zero.  Written into `out` when given."""
-    hat = np.fft.rfft(data, out=out)
-    kept = hat[..., :band]
-    for axis in range(data.ndim - 2, -1, -1):
-        np.fft.fft(kept, axis=axis, out=kept)
-    if band is not None:
-        hat[..., band:] = 0
+    hat = np.empty(data.shape[:-1] + (data.shape[-1] // 2 + 1,), complex) if out is None else out
+    for f, args in _spectrum_calls(data, hat, band):
+        f(*args)
     return hat
+
+
+def _grid_calls(shape: tuple, work: np.ndarray | None, out: np.ndarray | None) -> list:
+    """to_grid's numpy calls, each missing its first argument: the last one's result."""
+    return [(np.fft.ifft, (None, axis, None, work)) for axis in range(len(shape) - 1)] + [
+        (np.fft.irfft, (shape[-1], -1, None, out))]
 
 
 def to_grid(hat: np.ndarray, shape: tuple, band: int | None = None,
@@ -127,9 +144,9 @@ def to_grid(hat: np.ndarray, shape: tuple, band: int | None = None,
     later ones zeroed; the ifft passes write into `work`, an array of those
     columns, when given, and the grid values into `out`."""
     kept = hat[..., :band]
-    for axis in range(len(shape) - 1):
-        kept = np.fft.ifft(kept, axis=axis, out=work)
-    return np.fft.irfft(kept, shape[-1], out=out)
+    for f, args in _grid_calls(shape, work, out):
+        kept = f(kept, *args)
+    return kept
 
 
 def dealias_mask(shape: tuple) -> np.ndarray:
@@ -188,42 +205,54 @@ def _ik_symbol(shape: tuple, periods: tuple, spatial: tuple) -> np.ndarray:
     return out
 
 
+def _run(steps: list, spectrum: np.ndarray):
+    """Call each (function, arguments, reads), with `spectrum` first where it reads."""
+    for f, args, reads in steps:
+        f(spectrum, *args) if reads else f(*args)
+
+
 class SpectralEvaluator:
     """Pointwise u-jets on a grid, computed by one compiled program.
 
-    `program` numbers the distinct u-jets of some term lists by slot and
-    resolves each, once, to its time order and derivative symbol.  `fill`
-    then computes every slot, from grid values or half-spectra keyed by
-    time order: a jet without spatial derivatives passes its order's grid
-    values through, and every other order is transformed once.
-    `reset(u_hat)` fills from the half-spectrum of u alone, and `products`
-    sums numbered terms by slot.  Spectra are read, and transformed, on
-    the first `band` last-axis columns (all by default).  The program owns
-    a grid buffer for each slot that a fill transforms, which only a fill
-    writes, and the spectrum that each inverse transform runs in.
+    `program` numbers the distinct u-jets of some term lists by slot,
+    resolves each, once, to its time order and derivative symbol, and
+    compiles the flat list of the module docstring.  `fill` computes every
+    slot from grid values keyed by time order: a jet without spatial
+    derivatives copies its order's values, and every other order is
+    transformed once.  `reset(u_hat)` runs the list from the half-spectrum
+    of u alone, through the first `spectra` lists' `hats`; `products` sums
+    any list.  Spectra are read on the first `band` last-axis columns.
     """
 
     def __init__(self, grid: GridField, band: int | None = None):
         self.grid = grid
         self.band = grid.shape[-1] // 2 + 1 if band is None else band
-        self._program: tuple = ()  # (multi-index, time order, symbol on the band or None) per slot
-        self._slots: list = []
-        self._buffers: list = []
-        self._work = None
-        self._held = None
+        self.program()
 
-    def program(self, *term_lists) -> list:
-        """Each list of (factor, ((u-jet multi-index, power), ...)) terms with
-        its jets replaced by their slots: the distinct jets of all the lists,
-        checked and resolved here, which every later fill computes."""
-        slots: dict[tuple, int] = {}
-        out = [[(factor, tuple((slots.setdefault(mi, len(slots)), p) for mi, p in jets))
-                for factor, jets in terms] for terms in term_lists]
+    def program(self, *term_lists, spectra: int = 0) -> list:
+        """Handles for `products` of lists of (factor, ((u-jet multi-index,
+        power), ...)) terms, whose distinct jets, checked and resolved here,
+        are the slots that every later fill computes."""
+        slots, self._held = {}, None  # slot per u-jet multi-index; no spectrum is held
+        numbered = [[(factor, tuple((slots.setdefault(mi, len(slots)), p) for mi, p in jets))
+                     for factor, jets in terms] for terms in term_lists]
+        # per slot: (multi-index, time order, band symbol or None), grid buffer, chain
         self._program = tuple((mi, *self._resolve(mi)) for mi in slots)
         shape = self.grid.shape
-        self._buffers = [None] * len(slots)  # each made by the slot's first transform
-        self._work = np.empty(shape[:-1] + (self.band,), dtype=complex)
-        return out
+        self._slots = [np.empty(shape) for _ in slots]
+        work = np.empty(shape[:-1] + (self.band,), dtype=complex)
+        self._chains = [self._inverse(symbol, work, out)
+                        for (_mi, _order, symbol), out in zip(self._program, self._slots)]
+        scratch = np.empty(shape), np.empty(shape)  # a later term, a power
+        self._lists = [self._sum(terms, *scratch) for terms in numbered]
+        self.hats = [np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+                     for _ in range(spectra)]
+        # reset's flat list, when u's spectrum is all that the slots read
+        self._reads_u = all(order == 0 for _mi, order, _s in self._program)
+        self._steps = [step for chain in self._chains for step in chain] + [
+            (f, args, False) for (steps, total), hat in zip(self._lists, self.hats)
+            for f, args in steps + _spectrum_calls(total, hat, self.band)]
+        return list(range(len(term_lists)))
 
     def _resolve(self, mi: tuple) -> tuple:
         order = mi_order(mi[1:])
@@ -232,48 +261,64 @@ class SpectralEvaluator:
                 f"spatial derivative order {order} exceeds {MAX_STENCIL_ORDER}")
         return mi[T], ik_symbol(self.grid, mi[1:])[..., :self.band] if order else None
 
-    def fill(self, fields: dict, hats: dict | None = None):
-        """Compute the program's jets from the grid values `fields` and the
-        half-spectra `hats`, both keyed by time order."""
-        self._held = None  # the buffers change from here on
-        hats = dict(hats or {})
-        held, shape, band, work, slots = hats.get(0), self.grid.shape, self.band, self._work, []
-        for i, (_mi, order, symbol) in enumerate(self._program):
-            if symbol is None and order in fields:
-                slots.append(np.asarray(fields[order], dtype=float))
+    def _inverse(self, symbol, work: np.ndarray, out: np.ndarray) -> list:
+        """(function, arguments, reads): the product with `symbol`, if any, then to_grid's
+        calls into `out`, in work; the first reads the band spectrum, its first argument."""
+        steps = [(np.multiply, (symbol, work))] if symbol is not None else []
+        steps += _grid_calls(self.grid.shape, work, out)
+        return [(f, (work, *args) if i else args, not i) for i, (f, args) in enumerate(steps)]
+
+    def _sum(self, terms: list, term: np.ndarray, power: np.ndarray) -> tuple:
+        """(steps, total): the sum over terms of factor * prod jet^p, into total."""
+        total = np.empty(self.grid.shape)
+        steps = [] if terms else [(total.fill, (0.0,))]
+        for j, (factor, jets) in enumerate(terms):
+            into, value = (term if j else total), factor
+            for slot, p in jets:
+                jet = self._slots[slot]
+                if p != 1:
+                    steps.append((np.square, (jet, power)) if p == 2 else
+                                 (np.power, (jet, p, power)))
+                    jet = power
+                steps.append((np.multiply, (value, jet, into)))
+                value = into
+            if j:
+                steps.append((np.add, (total, value, total)))
+            elif not jets:
+                steps.append((np.copyto, (total, factor)))
+        return steps, total
+
+    def fill(self, fields: dict):
+        """Compute the program's jets from the grid values `fields` by time order."""
+        self._held, hats, band = None, {}, self.band
+        for (_mi, order, symbol), out, chain in zip(self._program, self._slots, self._chains):
+            if order not in fields:
+                raise MissingTimeDerivative(f"expression needs d_t^{order} u but only orders "
+                                            f"{sorted(fields)} are bound")
+            if symbol is None:
+                np.copyto(out, fields[order])
                 continue
-            hat = hats.get(order)
-            if hat is None:
-                if order not in fields:
-                    raise MissingTimeDerivative(
-                        f"expression needs d_t^{order} u but only orders "
-                        f"{sorted(fields)} are bound")
-                hat = hats[order] = to_spectrum(fields[order], band)
-            if symbol is not None:
-                hat = np.multiply(hat[..., :band], symbol, out=work)
-            self._buffers[i] = to_grid(hat, shape, band, self._buffers[i], work)
-            slots.append(self._buffers[i])
-        self._slots, self._held = slots, held
+            if order not in hats:
+                hats[order] = to_spectrum(fields[order], band)
+            _run(chain, hats[order][..., :band])
 
     def reset(self, u_hat: np.ndarray):
         """fill() from the half-spectrum u_hat of u alone."""
-        self.fill({}, {0: u_hat})
+        if not self._reads_u:
+            raise MissingTimeDerivative("a spectrum of u gives no time derivative of u")
+        self._held = None
+        _run(self._steps, u_hat[..., :self.band])
+        self._held = u_hat
 
     def holds(self, u_hat: np.ndarray) -> bool:
-        """True iff the last fill was given this very array as u's spectrum."""
+        """True iff the last fill was a reset from this very array."""
         return self._held is u_hat
 
-    def products(self, terms) -> np.ndarray:
-        """Sum of factor * prod jet^p over terms numbered by `program`, read
-        from the jets of the last fill."""
-        total, slots = None, self._slots
-        for factor, jets in terms:
-            value = factor
-            for slot, p in jets:
-                value = value * (slots[slot] if p == 1 else slots[slot] ** p)
-            total = value if total is None else total + value
-        if getattr(total, "shape", None) != self.grid.shape:  # no term has a u-jet
-            total = np.full(self.grid.shape, 0.0 if total is None else total)
+    def products(self, handle: int) -> np.ndarray:
+        """The program's buffer for the list `handle`, summed from the last fill."""
+        steps, total = self._lists[handle]
+        for f, args in steps:
+            f(*args)
         return total
 
 

@@ -79,7 +79,7 @@ class TestLoad:
     def test_charge_certificates(self, entries):
         for entry in entries.values():
             for ch in entry.charges:
-                assert ch.flux.nontrivial_up_to_order not in (None, "trivial"), (
+                assert ch.flux.certificate not in (None, "trivial"), (
                     entry.name, ch.id,
                 )
 

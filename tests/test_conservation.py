@@ -352,7 +352,7 @@ class TestCertificate:
         for entry in entries:
             for ch, gamma, pde in charge_cases(entry):
                 fresh = nontriviality_certificate(gamma, dataclasses.replace(pde))
-                assert ch.flux.nontrivial_up_to_order == fresh, (entry.name, ch.id)
+                assert ch.flux.certificate == fresh, (entry.name, ch.id)
 
     def test_memo_runs_one_search_per_key(self, monkeypatch):
         # one decision per (spec, Gamma); a copy of the spec shares no memo
@@ -698,7 +698,7 @@ class TestNotACurl:
     def test_decides_the_searched_charges(self, name, proven):
         searched = [(ch, gamma, pde) for ch, gamma, pde
                     in charge_cases(searched_entry(name))
-                    if isinstance(ch.flux.nontrivial_up_to_order, int)]
+                    if isinstance(ch.flux.certificate, int)]
         assert searched
         for ch, gamma, pde in searched:
             assert not_a_curl_on_solutions(gamma, pde) == proven, ch.id

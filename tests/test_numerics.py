@@ -574,6 +574,32 @@ class TestClosedFormOracles:
         assert self.kp_line_soliton_error(128, -1.0) > 1e-4
 
 
+def sines(shape, amplitude=0.05):
+    """Two products of sines over every axis, on 2 pi periods: no mode has a
+    zero wavenumber, so every line mean is zero."""
+    axes = np.meshgrid(*(np.arange(n) * TWO_PI / n for n in shape), indexing="ij")
+    data = (np.prod([np.sin(a) for a in axes], axis=0)
+            + 0.5 * np.prod([np.sin(2 * a) for a in axes], axis=0))
+    return GridField(amplitude * data, (TWO_PI,) * len(shape))
+
+
+def plain_rk4(ev, field, t_end, n_samples, cfl, forcing=None):
+    """Grid values of evolve's samples by RK4 written out on new arrays."""
+    state, t = np.fft.rfftn(field.data) * ev.mask, 0.0
+    want = [np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim)))]
+    for target in (t_end * i / (n_samples - 1) for i in range(1, n_samples)):
+        while t < target - 1e-14:
+            k1 = ev.rhs_hat(state, t, forcing)
+            dt = min(ev.dt_estimate(state, cfl), target - t)
+            k2 = ev.rhs_hat(state + 0.5 * dt * k1, t + 0.5 * dt, forcing)
+            k3 = ev.rhs_hat(state + 0.5 * dt * k2, t + 0.5 * dt, forcing)
+            k4 = ev.rhs_hat(state + dt * k3, t + dt, forcing)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+        want.append(np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim))))
+    return want
+
+
 class TestStageWorkspace:
     """The evolver's buffers change no output."""
 
@@ -587,29 +613,41 @@ class TestStageWorkspace:
         into = np.full_like(u_hat, np.nan)
         assert ev.rhs_hat(u_hat, 0.0, out=into) is into and np.array_equal(into, first)
 
-    @pytest.mark.parametrize("name, field, params", [
-        ("kp", grid_2d(32, modes=((1, 1), (2, 1))), {"sigma": 1.0}),
+    # every plan shape: one part or two, a guard plane or none, P = D_x, D_x D_y
+    # or the Laplacian, a cubic product, 1D to 3D, and the forced zero mode
+    @pytest.mark.parametrize("name, field, params, t_end, forcing, mean_tol", [
+        ("kp", grid_2d(32, modes=((1, 1), (2, 1))), {"sigma": 1.0}, 0.02, None, 1e-8),
         ("kdv_lagrangian", GridField(0.15 * np.sin(np.arange(128) * TWO_PI / 128)
                                      + 0.1 * np.sin(2 * np.arange(128) * TWO_PI / 128),
-                                     (TWO_PI,)), {})], ids=["kp", "kdv_lagrangian"])
-    def test_evolve_matches_plain_rk4(self, name, field, params):
-        ev = KhatEvolver(get_entry(name).pde, field, params)
-        t_end, n_samples, cfl = 0.02 if name == "kp" else 1e-3, 3, 0.7
-        traj = evolve(ev, field, t_end, n_samples=n_samples, cfl=cfl)
-        state, t = np.fft.rfftn(field.data) * ev.mask, 0.0
-        want = [np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim)))]
-        for target in (t_end * i / (n_samples - 1) for i in range(1, n_samples)):
-            while t < target - 1e-14:
-                k1 = ev.rhs_hat(state, t)
-                dt = min(ev.dt_estimate(state, cfl), target - t)
-                k2 = ev.rhs_hat(state + 0.5 * dt * k1, t + 0.5 * dt)
-                k3 = ev.rhs_hat(state + 0.5 * dt * k2, t + 0.5 * dt)
-                k4 = ev.rhs_hat(state + dt * k3, t + dt)
-                state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += dt
-            want.append(np.fft.irfftn(state, s=field.shape, axes=tuple(range(field.dim))))
+                                     (TWO_PI,)), {}, 1e-3, None, 1e-8),
+        ("nv", sines((32, 32)), {"alpha": 0.7, "beta": 1.3}, 0.015, None, 1e-8),
+        ("vorticity", sines((32, 32)), {"mu": 0.6}, 0.25, None, 1e-8),
+        ("umkp", sines((32, 20)), {"alpha": 0.6, "beta": 0.8, "sigma": 1.0}, 0.03, None,
+         np.inf),
+        ("shear", sines((16, 20, 16)), {"alpha": 0.6, "beta": 0.8}, 0.5, None, 1e-8),
+        ("kp", grid_2d(32, modes=((1, 1), (2, 1))), {"sigma": 1.0}, 0.02,
+         lambda t: 0.1 * math.cos(3.0 * t), 1e-8)],
+        ids=["kp", "kdv_lagrangian", "nv", "vorticity", "umkp", "shear", "kp_forcing"])
+    def test_evolve_matches_plain_rk4(self, name, field, params, t_end, forcing, mean_tol):
+        ev = KhatEvolver(get_entry(name).pde, field, params, mean_tol=mean_tol)
+        n_samples, cfl = 3, 0.7
+        traj = evolve(ev, field, t_end, n_samples=n_samples, cfl=cfl, forcing=forcing)
         assert traj.meta["steps"] > 10
-        assert all(np.array_equal(f.data, w) for f, w in zip(traj.fields, want))
+        assert all(np.array_equal(f.data, w) for f, w in zip(traj.fields, plain_rk4(
+            ev, field, t_end, n_samples, cfl, forcing), strict=True))
+
+    def test_evolvers_own_their_buffers(self):
+        kp = grid_2d(32, modes=((1, 1), (2, 1)))
+        a = KhatEvolver(get_entry("kp").pde, kp, {"sigma": 1.0})
+        first = evolve(a, kp, 0.02, n_samples=3, cfl=0.7)
+        x = np.arange(128) * TWO_PI / 128
+        kdv = GridField(0.15 * np.sin(x) + 0.1 * np.sin(2 * x), (TWO_PI,))
+        evolve(KhatEvolver(get_entry("kdv_lagrangian").pde, kdv, {}), kdv, 1e-3, n_samples=3)
+        evaluate_on_grid(parse_expr("u*u_xx + u_y^2", 2), kp)
+        again = evolve(a, kp, 0.02, n_samples=3, cfl=0.7)
+        assert again.meta["steps"] == first.meta["steps"] > 10
+        assert all(np.array_equal(f.data, g.data) for f, g in zip(first.fields, again.fields))
+        assert all(np.array_equal(f, g) for f, g in zip(first.ut, again.ut, strict=True))
 
 
 class TestReadOffEvolver:
@@ -681,21 +719,20 @@ def full_symbol(shape, periods, spatial):
 
 
 class FullSpectrumEvaluator(SpectralEvaluator):
-    """Reference jets from the full complex spectrum: real(ifftn(symbol * fftn)).
-    `fills` counts the fills this class has computed."""
+    """Reference jets from the full complex spectrum: real(ifftn(symbol * fftn)),
+    written into the slot buffers that the compiled products read.  `fills`
+    counts the fills this class has computed."""
 
     fills = 0
 
-    def fill(self, fields, hats=None):
-        assert hats is None, "the reference computes jets from grid values alone"
+    def fill(self, fields):
         FullSpectrumEvaluator.fills += 1
-        self._slots = []
-        for mi, _order, _symbol in self._program:
+        for (mi, _order, _symbol), slot in zip(self._program, self._slots, strict=True):
             data = np.asarray(fields[mi[0]], dtype=float)
             if any(mi[1:]):
                 symbol = full_symbol(data.shape, self.grid.periods, mi[1:])
                 data = np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
-            self._slots.append(data)
+            slot[...] = data
 
 
 def full_spectrum_ut(pde, field, params):
@@ -811,8 +848,10 @@ def evolver_pair(name, field, monkeypatch, **kwargs):
     return built, direct, fluxes
 
 
-def fft_calls(call, monkeypatch, names=("rfftn", "irfftn")):
-    """The names of the np.fft functions among `names` that call() calls, in order."""
+def counted_fft(monkeypatch, names):
+    """The list that the np.fft functions among `names` append their names to
+    when called, in order, for the rest of the test.  A compiled program holds
+    the functions it calls, so it is counted only if built after this."""
     calls = []
 
     def counted(name, transform):
@@ -821,29 +860,17 @@ def fft_calls(call, monkeypatch, names=("rfftn", "irfftn")):
             return transform(*args, **kwargs)
         return wrapper
 
-    with monkeypatch.context() as m:
-        for name in names:
-            m.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        call()
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     return calls
 
 
-def transforms_per_rhs(ev, u_hat, monkeypatch):
-    """Calls of the grids transform pair, to_spectrum and to_grid, in one rhs_hat."""
-    calls = []
-
-    def counted(transform):
-        def wrapper(*args, **kwargs):
-            calls.append(transform.__name__)
-            return transform(*args, **kwargs)
-        return wrapper
-
-    pair = (grids.to_spectrum, grids.to_grid)
-    with monkeypatch.context() as m:
-        for module in (grids, evolution):
-            for transform in pair:
-                m.setattr(module, transform.__name__, counted(transform))
-        ev.rhs_hat(u_hat, 0.0)
+def transforms_per_rhs(ev, u_hat, calls):
+    """Whole transforms in one rhs_hat: its np.fft.rfft and irfft calls, the
+    last pass of each forward and inverse transform, as counted into `calls`
+    by counted_fft, which ev was built under."""
+    calls.clear()
+    ev.rhs_hat(u_hat, 0.0)
     return len(calls)
 
 
@@ -867,13 +894,17 @@ class TestDivergenceFlux:
         assert fluxes == [(parse_expr("-u^2/2", 2), parse_expr("0", 2))]
 
     @pytest.mark.parametrize("name, fewer, direct", [
-        ("kp", 2, 3), ("nv", 5, 8), ("vorticity", 7, 7)])
+        ("kp", 2, 3), ("nv", 5, 8), ("vorticity", 7, 7), ("kdv_lagrangian", 2, 2),
+        ("shear", 3, 3)])
     def test_transforms_per_rhs(self, name, fewer, direct, monkeypatch):
-        field = masked_noise((32, 32), seed=5)
+        shape = {"kdv_lagrangian": (64,), "shear": (16, 20, 16)}.get(name)
+        field = (masked_noise((32, 32), seed=5) if shape is None else
+                 masked_noise(shape, seed=5, periods=(TWO_PI,) * len(shape)))
+        calls = counted_fft(monkeypatch, ("rfft", "irfft"))
         ev, by_product, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
         u_hat = np.fft.rfftn(field.data) * ev.mask
-        assert transforms_per_rhs(ev, u_hat, monkeypatch) == fewer
-        assert transforms_per_rhs(by_product, u_hat, monkeypatch) == direct
+        assert transforms_per_rhs(ev, u_hat, calls) == fewer
+        assert transforms_per_rhs(by_product, u_hat, calls) == direct
 
     # no axis length is a multiple of 3, so only the flux test decides
     @pytest.mark.parametrize("name, shape", [
@@ -991,16 +1022,16 @@ class TestStepEstimate:
         ("umkp", (32, 20)), ("shear", (16, 20, 16))])
     def test_no_transform_on_the_state_it_holds(self, name, shape, monkeypatch):
         field = masked_noise(shape, seed=4, periods=(TWO_PI,) * len(shape))
+        calls = counted_fft(monkeypatch, np.fft.__all__)
         ev, _, _ = evolver_pair(name, field, monkeypatch, mean_tol=np.inf)
         u_hat = np.fft.rfftn(field.data) * ev.mask
         ev.rhs_hat(u_hat, 0.0)
-        held, fresh = [], []
-        every = np.fft.__all__
-        assert fft_calls(lambda: held.append(ev.dt_estimate(u_hat, 0.5)), monkeypatch, every) == []
+        calls.clear()
+        held = ev.dt_estimate(u_hat, 0.5)
+        assert calls == []
         # a copy is not held, so its jets are transformed afresh, to the same estimate
-        assert fft_calls(lambda: fresh.append(ev.dt_estimate(u_hat.copy(), 0.5)), monkeypatch,
-                         every)
-        assert held == fresh
+        fresh = ev.dt_estimate(u_hat.copy(), 0.5)
+        assert calls and held == fresh
 
     def test_kdv_rate(self):
         n = 256
