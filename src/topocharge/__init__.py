@@ -10,33 +10,14 @@ from .jetexpr import JetExpr, total_derivative, divergence, eval_at, substitute_
 from .parsing import ParseError, SymbolTable, default_symbols, parse_expr
 from .printing import to_source, vector_source
 from .pde import DivForm, PdeSpec, substitute_on_solutions, substitute_with_ledger
-from .variational import (
-    AnsatzExhausted,
-    DivergenceWitness,
-    euler_u,
-    invert_divergence,
-    invert_divergence_auto,
-    is_total_spatial_divergence,
-    spatial_euler,
-)
-from .conservation import (
-    CurrentFamily,
-    DivergenceIdentity,
-    FluxVector,
-    NotAMultiplier,
-    divergence_identity,
-    reduce_to_spatial_flux,
-    split_by_arbitrary_function,
-    trivializing_potentials,
-    verify_current,
-    verify_multiplier,
-)
-from .potential import (
-    PotentialSystem,
-    UnsupportedDimension,
-    build_potential_system,
-    check_gauge_invariance,
-)
+from .variational import (AnsatzExhausted, DivergenceWitness, euler_u, invert_divergence,
+                          invert_divergence_auto, is_total_spatial_divergence, spatial_euler)
+from .conservation import (CurrentFamily, DivergenceIdentity, FluxVector, NotAMultiplier,
+                           divergence_identity, reduce_to_spatial_flux,
+                           split_by_arbitrary_function, trivializing_potentials, verify_current,
+                           verify_multiplier)
+from .potential import (PotentialSystem, UnsupportedDimension, build_potential_system,
+                        check_gauge_invariance)
 from .catalog import CatalogCorrupt, ConstraintViolation, get_entry, instantiate, load_catalog
 # The numerical half (numpy, grids, evolution, quadrature) loads on first
 # use (PEP 562), so the exact half never imports numpy.  A name is read

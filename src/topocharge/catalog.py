@@ -21,51 +21,27 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
-from .conservation import (
-    CurrentFamily,
-    CurrentVerificationError,
-    DivergenceIdentity,
-    FluxVector,
-    NotAMultiplier,
-    check_family,
-    current_divergence,
-    divergence_identity,
-    reduce_to_spatial_flux,
-    split_by_arbitrary_function,
-    substitute_on_solutions,
-    time_part,
-    verify_multiplier,
-)
-from .jetexpr import (
-    JetExpr,
-    T,
-    biharmonic_rule,
-    eval_at,
-    param_key,
-    substitute_params,
-)
+from .conservation import (CurrentFamily, CurrentVerificationError, DivergenceIdentity,
+                           FluxVector, NotAMultiplier, check_family, current_divergence,
+                           divergence_identity, reduce_to_spatial_flux,
+                           split_by_arbitrary_function, substitute_on_solutions, time_part,
+                           verify_multiplier)
+from .jetexpr import JetExpr, T, biharmonic_rule, eval_at, param_key, substitute_params
 from .parsing import SymbolTable, default_symbols, parse_expr
-from .pde import DivForm, PdeSpec, verified
+from .pde import DivForm, PdeError, PdeSpec, verified
 from .printing import to_source
+from .schema import ENTRY, UsageError, _read, _references, load_yaml
 from .variational import AnsatzExhausted, invert_divergence_auto
 
-ENTRY_FILES = (
-    "kdv_lagrangian.yaml",
-    "kp.yaml",
-    "umkp.yaml",
-    "shear.yaml",
-    "nv.yaml",
-    "vorticity.yaml",
-)
+ENTRY_FILES = ("kdv_lagrangian.yaml", "kp.yaml", "umkp.yaml", "shear.yaml", "nv.yaml",
+               "vorticity.yaml")
 
 ALIASES = {"kdv": "kdv_lagrangian", "zzk": "shear", "novikov_veselov": "nv"}
 
 
 class CatalogCorrupt(RuntimeError):
     def __init__(self, entry: str, obj: str, message: str, residual=None):
-        super().__init__(f"{entry}/{obj}: {message}")
+        super().__init__(f"{entry}/{obj}: {message}" if obj else f"{entry}: {message}")
         self.entry = entry
         self.object_id = obj
         self.residual = residual
@@ -149,12 +125,9 @@ class CatalogEntry:
         return _find(self.charges, obj_id, self.name)
 
     def repairs(self) -> list[tuple[str, str]]:
-        out = []
-        for group in (self.multipliers, self.currents, self.identities, self.charges):
-            for obj in group:
-                if obj.repair:
-                    out.append((obj.id, obj.repair))
-        return out
+        return [(obj.id, obj.repair) for group in (self.multipliers, self.currents,
+                                                    self.identities, self.charges)
+                for obj in group if obj.repair]
 
 
 def _find(seq, obj_id: str, entry: str):
@@ -178,44 +151,26 @@ def _resolve(name: str):
     return fname
 
 
-# libyaml's safe loader where PyYAML was built with it
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def load_yaml(source):
-    """The document of YAML text or an open text file, read with libyaml
-    where PyYAML has it.
-
-    A source that libyaml refuses is read again by the pure-Python loader,
-    which either reads it or raises an error that quotes the failing line.
-    """
-    try:
-        return yaml.load(source, Loader=_YAML_LOADER)
-    except yaml.YAMLError:
-        if not isinstance(source, str):
-            source.seek(0)
-        return yaml.load(source, Loader=yaml.SafeLoader)
-
-
 def _read_yaml(source) -> dict:
-    """The document of an entry-file Path or a catalog file name."""
+    """The document of an entry-file Path or a catalog file name, read
+    against schema.ENTRY: a refusal raises CatalogCorrupt naming the entry
+    (the file's stem) and the key path."""
     if not isinstance(source, Path):
         source = resources.files("topocharge").joinpath("catalog_data").joinpath(source)
     with source.open("r", encoding="utf-8") as fh:
-        return load_yaml(fh)
+        doc = load_yaml(fh)
+    try:
+        return _references(_read(doc, ENTRY, noun="catalog entry"))
+    except UsageError as exc:
+        raise CatalogCorrupt(Path(source.name).stem, "", str(exc)) from None
 
 
 def _build_symbols(doc: dict) -> SymbolTable:
     sym = default_symbols().with_deps("G")
-    for name, spec in (doc.get("params") or {}).items():
-        square = spec.get("square") if isinstance(spec, dict) else None
-        sym = sym.with_param(name, None if square is None else Fraction(square))
-    for name, spec in (doc.get("arbfuns") or {}).items():
-        sig = tuple("txyz".index(ch) for ch in spec["sig"])
-        rule = ()
-        if spec.get("rule") == "biharmonic":
-            rule = biharmonic_rule(0)
-        sym = sym.with_arbfun(name, sig, rule)
+    for name, spec in doc["params"].items():
+        sym = sym.with_param(name, spec["square"])
+    for name, spec in doc["arbfuns"].items():
+        sym = sym.with_arbfun(name, spec["sig"], biharmonic_rule(0) if spec["rule"] else ())
     return sym
 
 
@@ -243,19 +198,20 @@ def _parse_binding_value(value, dim: int, sym: SymbolTable, name: str):
         raise ValueError(f"{text!r} is not {BINDING_FORMS} ({exc})") from None
 
 
-def _case_bindings(doc: dict, dim: int, base_sym: SymbolTable) -> dict:
+def _case_bindings(doc: dict, base_sym: SymbolTable) -> dict:
     cases = {"generic": {}}
-    for case_name, raw in (doc.get("cases") or {}).items():
+    for case_name, raw in doc["cases"].items():
         sym = base_sym
-        bindings = {}
-        for pname, value in (raw or {}).items():
-            expr = _parse_binding_value(value, dim, sym, pname)
-            bindings[pname] = expr
+        bindings = cases[case_name] = {}
+        for pname, value in raw.items():
+            try:
+                expr = bindings[pname] = _parse_binding_value(value, doc["dim"], sym, pname)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CatalogCorrupt(doc["name"], f"cases.{case_name}.{pname}", str(exc)) from None
             # later bindings in the same case may reference this one
             for k in expr.param_keys():
                 if k[0] == pname and k[1]:
                     sym = sym.with_param(pname, Fraction(*k[1]))
-        cases[case_name] = bindings
     return cases
 
 
@@ -263,32 +219,16 @@ def _bind(e: JetExpr, bindings: dict) -> JetExpr:
     return substitute_params(e, bindings) if bindings else e
 
 
-def _case_pde(name: str, dim: int, doc: dict, sym: SymbolTable, bindings: dict) -> PdeSpec:
+def _case_pde(doc: dict, sym: SymbolTable, bindings: dict) -> PdeSpec:
+    name, dim = doc["name"], doc["dim"]
     P = lambda s: _bind(parse_expr(s, dim, sym), bindings)
-    G = P(doc["G"])
     leading = parse_expr(doc["leading"], dim, sym)
-    ((mono, coeff),) = leading.terms
-    ((jet_key, exp),) = mono[1]
-    if exp != 1 or coeff != 1 or mono[0] or mono[2] or mono[3]:
-        raise ValueError(f"{name}: leading must be a bare jet coordinate")
-    div_form = None
-    if doc.get("div_form"):
-        df = doc["div_form"]
-        div_form = DivForm(
-            "txyz".index(df["k"]),
-            tuple(P(s) for s in df["F"]),
-            P(df.get("factor", "1")),
-        )
-    return PdeSpec(
-        name,
-        dim,
-        G,
-        jet_key,
-        P(doc["rhs"]),
-        P(doc.get("factor", "1")),
-        div_form,
-        sym,
-    )
+    jets = list(leading.jet_keys())
+    if len(jets) != 1 or leading != JetExpr.jet(*jets[0]):
+        raise PdeError(f"{name}: leading must be a bare jet coordinate")
+    df = doc["div_form"] if "div_form" in doc else None
+    div_form = df and DivForm(df["k"], tuple(P(s) for s in df["F"]), P(df["factor"]))
+    return PdeSpec(name, dim, P(doc["G"]), jets[0], P(doc["rhs"]), P(doc["factor"]), div_form, sym)
 
 
 def _reconstruct_fluxes(pde: PdeSpec, fun: tuple, T_coeffs: tuple, cQ: JetExpr) -> tuple:
@@ -307,18 +247,14 @@ def _reconstruct_fluxes(pde: PdeSpec, fun: tuple, T_coeffs: tuple, cQ: JetExpr) 
 
 
 def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
-    name = doc["name"]
-    dim = int(doc["dim"])
+    name, dim = doc["name"], doc["dim"]
     sym = _build_symbols(doc)
-    cases = _case_bindings(doc, dim, sym)
+    cases = _case_bindings(doc, sym)
 
     if overlay is not None:
         # instantiate(): a single binding replaces the case system; objects
         # are kept when their case equations hold under the user binding.
-        kept_cases = {
-            cn: b for cn, b in cases.items() if _case_consistent(b, overlay)
-        }
-        cases = {cn: dict(overlay) for cn in kept_cases}
+        cases = {cn: dict(overlay) for cn, b in cases.items() if _case_consistent(b, overlay)}
         cases.setdefault("generic", dict(overlay))
 
     # A case equation equal to one already built here or in the cached
@@ -330,16 +266,16 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
     shared = list(cached.case_pdes.values()) if cached else []
     case_pdes = {}
     for cn, b in cases.items():
-        spec = _case_pde(name, dim, doc, sym, b)
+        spec = _case_pde(doc, sym, b)
         case_pdes[cn] = next((s for s in shared if s == spec), spec)
         shared.append(case_pdes[cn])
     pde = case_pdes["generic"]
-    P = lambda s, b: _bind(parse_expr(str(s), dim, sym), b)
+    P = lambda s, b: _bind(parse_expr(s, dim, sym), b)
 
+    # an object is dropped only where an instantiate overlay dropped its case
     multipliers = []
-    for m in doc.get("multipliers") or []:
-        case = m.get("case", "generic")
-        if case not in cases:
+    for m in doc["multipliers"]:
+        if (case := m["case"]) not in cases:
             continue
         Q = P(m["Q"], cases[case])
         cpde = case_pdes[case]
@@ -347,23 +283,20 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
             verified(cpde, ("multiplier", Q), lambda: verify_multiplier(cpde, Q))
         except NotAMultiplier as exc:
             raise CatalogCorrupt(name, m["id"], str(exc), exc.residual) from None
-        multipliers.append(
-            CatalogMultiplier(m["id"], case, Q, m.get("repair", ""))
-        )
+        multipliers.append(CatalogMultiplier(m["id"], case, Q, m["repair"]))
 
     currents = []
-    for c in doc.get("currents") or []:
-        case = c.get("case", "generic")
-        if case not in cases:
+    for c in doc["currents"]:
+        if (case := c["case"]) not in cases:
             continue
         cpde = case_pdes[case]
         bindings = cases[case]
-        pairing = P(c.get("pairing", "1"), bindings)
+        pairing = P(c["pairing"], bindings)
         mult = _find(multipliers, c["multiplier"], name)
         cQ = pairing * mult.Q
         T_expr = P(c["T"], bindings)
         reconstructed = False
-        if c.get("Phi") == "reconstruct":
+        if c["Phi"] == "reconstruct":
             fam0 = split_by_arbitrary_function(cpde, T_expr, (JetExpr.zero(),) * dim, check=False)
             fun = fam0.fun or ("f", (T,), ())
             try:
@@ -387,30 +320,24 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
         if not pairing_exact:
             on_sol = substitute_on_solutions(exact, cpde)
             if not on_sol.is_zero():
-                raise CatalogCorrupt(
-                    name, c["id"], "multiplier pairing fails on solutions", on_sol
-                )
-        currents.append(
-            CatalogCurrent(
-                c["id"], case, c["multiplier"], pairing, T_expr, Phi, family,
-                reconstructed, pairing_exact, c.get("repair", ""),
-            )
-        )
+                raise CatalogCorrupt(name, c["id"], "multiplier pairing fails on solutions", on_sol)
+        currents.append(CatalogCurrent(c["id"], case, c["multiplier"], pairing, T_expr, Phi, family,
+                                       reconstructed, pairing_exact, c["repair"]))
 
+    case_of = {c["id"]: c["case"] for c in doc["currents"]}
     identities = []
-    for ident in doc.get("identities") or []:
-        try:
-            cur = _find(currents, ident["current"], name)
-        except KeyError:
-            continue  # source current excluded by the active instantiation
+    for ident in doc["identities"]:
+        if case_of[ident["current"]] not in cases:
+            continue
+        cur = _find(currents, ident["current"], name)
         cpde = case_pdes[cur.case]
-        idx = int(ident.get("index", 0))
+        idx = ident["index"]
         try:
             result = verified(cpde, ("identity", cur.family, idx),
                               lambda: divergence_identity(cpde, cur.family, idx))
         except (CurrentVerificationError, AssertionError) as exc:
             raise CatalogCorrupt(name, ident["id"], str(exc)) from None
-        if ident.get("R"):
+        if "R" in ident:
             expected = P(ident["R"], cases[cur.case])
             if result.R != expected:
                 raise CatalogCorrupt(
@@ -419,27 +346,25 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
                     f"expected {to_source(expected)}",
                     result.R - expected,
                 )
-        if ident.get("R_touches"):
+        if "R_touches" in ident:
             have = {k[1][T] for k in result.R.jet_keys() if k[0] == "G"}
-            want = {int(i) for i in ident["R_touches"]}
+            want = set(ident["R_touches"])
             if not want <= have:
                 raise CatalogCorrupt(
                     name, ident["id"],
                     f"R(G) touches D_t^i G for i in {sorted(have)}, expected {sorted(want)}",
                 )
-        identities.append(
-            CatalogIdentity(ident["id"], ident["current"], idx, result, ident.get("repair", ""))
-        )
+        identities.append(CatalogIdentity(ident["id"], ident["current"], idx, result,
+                                          ident["repair"]))
 
     charges = []
-    for ch in doc.get("charges") or []:
-        try:
-            cur = _find(currents, ch["current"], name)
-        except KeyError:
+    for ch in doc["charges"]:
+        if case_of[ch["current"]] not in cases:
             continue
+        cur = _find(currents, ch["current"], name)
         # the current's split relations, checked above, give Div Gamma|_E = 0
         flux = reduce_to_spatial_flux(cur.family, case_pdes[cur.case])
-        if ch.get("printed_gamma"):
+        if "printed_gamma" in ch:
             printed = tuple(P(s, cases[cur.case]) for s in ch["printed_gamma"])
             if printed != flux.Gamma:
                 diff = tuple(a - b for a, b in zip(printed, flux.Gamma))
@@ -448,24 +373,10 @@ def _build_entry(doc: dict, overlay: dict | None = None) -> CatalogEntry:
                     "derived Gamma differs from the recorded printed form: "
                     + "; ".join(to_source(d) for d in diff),
                 )
-        charges.append(
-            CatalogCharge(ch["id"], ch["current"], flux, ch.get("repair", ""))
-        )
+        charges.append(CatalogCharge(ch["id"], ch["current"], flux, ch["repair"]))
 
-    return CatalogEntry(
-        name,
-        doc.get("title", name),
-        dim,
-        sym,
-        pde,
-        cases,
-        case_pdes,
-        multipliers,
-        currents,
-        identities,
-        charges,
-        dict(overlay or {}),
-    )
+    return CatalogEntry(name, doc["title"], dim, sym, pde, cases, case_pdes, multipliers,
+                        currents, identities, charges, dict(overlay or {}))
 
 
 def _case_consistent(case_bindings: dict, overlay: dict) -> bool:
@@ -513,14 +424,14 @@ def _exact_params(doc: dict, params: dict) -> dict:
     bound before it in params.  ConstraintViolation, naming the parameter,
     for an undeclared name, a value that holds a coordinate, a jet, an
     arbitrary function or an unbound parameter, or one that breaks a
-    declared square or constraint.
+    declared square.
     """
-    name, dim = doc["name"], int(doc["dim"])
+    name, dim = doc["name"], doc["dim"]
     declared = _build_symbols(doc)
     squares = declared.params
-    # values and constraints are parsed with the square rewrites stripped, so
-    # that a relation survives to be tested and a parameter named before its
-    # binding stays a free key
+    # values are parsed with the square rewrites stripped, so that a square
+    # survives to be tested and a parameter named before its binding stays a
+    # free key
     sym = replace(declared, params=dict.fromkeys(squares))
     overlay: dict[str, JetExpr] = {}
     for pname, value in params.items():
@@ -541,12 +452,6 @@ def _exact_params(doc: dict, params: dict) -> dict:
             raise ConstraintViolation(
                 f"{name}: parameter {pname!r} must satisfy {pname}^2 = {squares[pname]}")
         overlay[pname] = expr
-    # an undetermined (still symbolic) probe is not a violation
-    for text in doc.get("constraints") or []:
-        probe = _bind(parse_expr(text, dim, sym), overlay)
-        if not probe.param_keys() and not probe.is_zero():
-            raise ConstraintViolation(
-                f"{name}: constraint {text!r} violated ({to_source(probe)} != 0)")
     return overlay
 
 

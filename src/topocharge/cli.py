@@ -27,10 +27,12 @@ from .conservation import (
 )
 from .manifest import EXIT_OK, EXIT_RESIDUAL, EXIT_USAGE, UsageError
 from .parsing import ParseError
+from .pde import PdeError
 from .potential import UnsupportedDimension, build_potential_system
 from .printing import jet_name, to_source, vector_source
 
-USAGE_ERRORS = (KeyError, cat.ConstraintViolation, UsageError, ParseError, OSError, yaml.YAMLError)
+USAGE_ERRORS = (KeyError, cat.ConstraintViolation, UsageError, ParseError, PdeError, OSError,
+                yaml.YAMLError)
 
 
 def _parse_params(pairs) -> dict:

@@ -1,4 +1,4 @@
-"""Simulation manifests: `plan(doc)` reads one against MANIFEST and runs
+"""Simulation manifests: `plan(doc)` reads one against schema.MANIFEST and runs
 every refusal, evolving nothing; `run(plan)` evolves and judges.  numpy and
 the numerical modules (grids, evolution, quadrature) are imported by the
 functions that use them, each call reading its name off the defining
@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import catalog as cat
 from .jetexpr import JetExpr, T
+from .schema import MANIFEST, UsageError, _read
 
 if TYPE_CHECKING:
     from .grids import GridField
@@ -30,118 +30,6 @@ EXIT_USAGE = 2
 EXIT_CONSTRAINT = 3
 VERDICT_EXIT = {"failed": EXIT_RESIDUAL, "violated": EXIT_CONSTRAINT}
 MAX_SAMPLE_BYTES = 2 ** 30  # a run holds a field and a u_t per sample, 16 bytes a point
-
-
-class UsageError(ValueError):
-    """Bad command-line or manifest input; exits with EXIT_USAGE."""
-
-
-@dataclass(frozen=True)
-class _Required:
-    kind: object  # of a table key that must be given, and not as null
-
-
-def _read(value, kind, path: str = ""):
-    """value read as a MANIFEST kind and named by its key path.
-
-    A table refuses keys it does not name and drops null values, so a null
-    key takes its default, and a null or missing _Required key is refused;
-    an int refuses a number with a fractional part.
-    """
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise UsageError(f"{path} must be a list, got {value!r}")
-        # a number in a list is named by the list, a mapping by its index
-        return [_read(item, kind[0], path if kind[0] in (int, float) else f"{path}[{i}]")
-                for i, item in enumerate(value)]
-    if kind in (int, float):
-        try:
-            if isinstance(value, bool):  # YAML reads true, yes and on as booleans
-                raise TypeError
-            number = kind(value)
-            integral = kind is float or number == float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"{path} must be a number, got {value!r}") from None
-        if not integral:
-            raise UsageError(f"{path} must be an integer, got {value!r}")
-        return number
-    if not isinstance(kind, (type, dict)):
-        return kind(value, path)
-    if kind in (str, Path):
-        if not isinstance(value, str):
-            raise UsageError(f"{path} must be {'a path' if kind is Path else 'text'}, "
-                             f"got {value!r}")
-        return value
-    if not isinstance(value, dict):
-        raise UsageError(f"{path or 'a manifest'} must be a mapping, got {value!r}")
-    if kind is dict:
-        return value
-    where = f"{path}." if path else ""
-    unknown = [f"{where}{key}" for key in value if key not in kind]
-    if unknown:
-        raise UsageError(f"unknown manifest key(s) {', '.join(unknown)}")
-    for key, sub in kind.items():
-        if isinstance(sub, _Required) and value.get(key) is None:
-            raise UsageError(f"{where}{key} is required")
-    return {key: _read(item, getattr(kind[key], "kind", kind[key]), f"{where}{key}")
-            for key, item in value.items() if item is not None}
-
-
-def _bound(kind, holds, needs: str):
-    """The reader of a kind whose value must satisfy holds; a value that
-    does not is refused as "<path> must be <needs>"."""
-
-    def read(value, path: str):
-        value = _read(value, kind, path)
-        if not holds(value):
-            raise UsageError(f"{path} must be {needs}, got {value!r}")
-        return value
-
-    return read
-
-
-def _u0(value, path: str) -> dict:
-    """u0 is a table; an expression is short for {expr: ...}."""
-    return _read({"expr": value} if isinstance(value, str) else value, _U0, path)
-
-
-def _check(value, path: str) -> dict:
-    """A check: its type picks its key table and its default tolerance."""
-    kind = _read(value, dict, path).get("type")
-    if not isinstance(kind, str) or kind not in CHECKS:
-        raise UsageError(f"unknown check type {kind!r} (known: {', '.join(CHECKS)})")
-    keys, tolerance = CHECKS[kind]
-    return {"tolerance": tolerance} | _read(value, keys, path)
-
-
-# The manifest format.  A key's kind is str (text), Path (a path), dict (a
-# mapping its reader checks), float or int, a nested table, a one-item list
-# of a kind, or a function that reads the value, such as a _bound; a kind
-# wrapped in _Required must be given.
-_POSITIVE = _bound(_bound(float, lambda v: v > 0, "> 0"), math.isfinite, "finite")
-_FINITE = _bound(_bound(float, lambda v: v >= 0, ">= 0"), math.isfinite, "finite")
-_CURVE = {"rect": _bound(_bound([float], lambda r: len(r) == 4, "[x0, x1, y0, y1]"),
-                         lambda r: all(map(math.isfinite, r)) and r[0] != r[1] and r[2] != r[3],
-                         "finite with x0 != x1 and y0 != y1")}
-_CURVED = (lambda spec: "rect" in spec.get("curve", {}),
-           "a table with curve: {rect: [x0, x1, y0, y1]}")
-_REAL = _bound(float, math.isfinite, "finite")
-_U0 = {"expr": str, "constant": float,
-       "modes": [{"a": _Required(_REAL), "k": _Required([int]), "phase": [_REAL]}]}
-# check types: their keys and default tolerance (None is resolution doubling)
-CHECKS = {"mass": ({"type": str, "tolerance": _FINITE}, 1e-9), "balance": (
-    _bound({"type": str, "tolerance": _FINITE, "curve": _CURVE}, *_CURVED), None)}
-MANIFEST = {
-    "pde": _Required(str), "params": dict, "t_end": _FINITE, "cfl": _POSITIVE, "dt": _POSITIVE,
-    "samples": _bound(int, lambda n: n >= 2, ">= 2 (t = 0 and t_end)"),
-    "f": str, "seed": int, "out": Path,
-    "grid": {"resolutions": _bound([int], lambda ns: all(n > 0 for n in ns), "positive"),
-             "periods": [float]},
-    "u0": _u0,
-    "constraints": [{"density": _Required(str), "tolerance": _FINITE}],
-    "charges": [_bound({"id": _Required(str), "tolerance": _FINITE, "curve": _CURVE}, *_CURVED)],
-    "checks": [_check],
-}
 
 
 @dataclass(frozen=True)

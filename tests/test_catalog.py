@@ -1,5 +1,6 @@
 """Catalog self-verification, typo repairs, and parameter instantiation."""
 
+import copy
 import dataclasses
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from topocharge.jetexpr import JetExpr
 from topocharge.parsing import parse_expr
 from topocharge.pde import substitute_on_solutions, verified
 from topocharge.potential import build_potential_system
+from test_manifest import DELETED, key_paths, mutations
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -197,6 +199,26 @@ class TestInstantiate:
         entry = instantiate("umkp", {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"})
         ids = {m.id for m in entry.multipliers}
         assert {"multiplier-q3", "multiplier-q4"} <= ids
+
+    @pytest.mark.parametrize("name, params, ids", [
+        ("umkp", {"alpha": "sqrt(2)", "beta": "0", "sigma": "1"}, [
+            ["multiplier-f", "multiplier-q1", "multiplier-q3", "multiplier-q4"],
+            ["current-f", "current-1", "current-3", "current-4"], ["id-1", "id-3", "id-4"],
+            ["charge-f", "charge-1", "charge-3", "charge-4"]]),
+        ("umkp", {"alpha": "sqrt(2/3)", "beta": "2*alpha", "sigma": "1"}, [
+            ["multiplier-f", "multiplier-q1", "multiplier-q2"],
+            ["current-f", "current-1", "current-2"], ["id-1", "id-2"],
+            ["charge-f", "charge-1", "charge-2"]]),
+        ("umkp", {"alpha": "1/2", "beta": "-1", "sigma": "1"}, [
+            ["multiplier-f", "multiplier-q1"], ["current-f", "current-1"], ["id-1"],
+            ["charge-f", "charge-1"]]),
+        ("vorticity", {"mu": "1/100"}, [["multiplier-f"], ["current-1"], [], ["charge-1"]]),
+    ], ids=["umkp-integrable", "umkp-gardner", "umkp-generic", "vorticity-viscous"])
+    def test_overlay_drops_the_objects_of_the_cases_it_drops(self, name, params, ids):
+        # an identity or a charge goes with its current, and a current with its case
+        entry = instantiate(name, params)
+        assert [[obj.id for obj in group] for group in (
+            entry.multipliers, entry.currents, entry.identities, entry.charges)] == ids
 
     def test_vorticity_inviscid_gates_xf_yf(self):
         inviscid = instantiate("vorticity", {"mu": "0"})
@@ -396,3 +418,41 @@ class TestBindingValues:
         with pytest.raises(ConstraintViolation) as exc:
             cat.exact_params("vorticity", {"mu": text})
         assert "'mu'" in str(exc.value) and cat.BINDING_FORMS in str(exc.value)
+
+
+CATALOG_DATA = Path(cat.__file__).parent / "catalog_data"
+ENTRY_DOCS = {path.stem: cat.load_yaml(path.read_text(encoding="utf-8"))
+              for path in sorted(CATALOG_DATA.glob("*.yaml"))}
+ENTRY_CASES = [(stem, path) for stem, doc in ENTRY_DOCS.items() for path in key_paths(doc)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stem, path", ENTRY_CASES,
+                         ids=[f"{stem}:{'.'.join(map(str, path))}" for stem, path in ENTRY_CASES])
+def test_mutant_is_built_or_refused_on_one_line(stem, path, monkeypatch):
+    """Each key path of a shipped entry, mutated as a manifest's are, loads
+    through the entry-file path or is refused as bad input on one line."""
+    load_catalog()  # a mutant shares the verified case equations it did not change
+    *parents, last = path
+    parent = ENTRY_DOCS[stem]
+    for node in parents:
+        parent = parent[node]
+    cases = mutations(parent[last]) | ({"deleted": DELETED} if isinstance(parent, dict) else {})
+    for name, value in cases.items():
+        doc = copy.deepcopy(ENTRY_DOCS[stem])
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is DELETED:
+            del node[last]
+        else:
+            node[last] = value
+        monkeypatch.setattr(cat, "load_yaml", lambda fh: doc)
+        try:
+            cat.load_entry_file(CATALOG_DATA / f"{stem}.yaml")
+        except (*cli.USAGE_ERRORS, CatalogCorrupt) as exc:
+            assert str(exc) and "\n" not in str(exc), f"{name}: {exc!r}"
+            # a missing key is refused as such, not as a KeyError of the code that reads it
+            assert value is not DELETED or not isinstance(exc, KeyError), f"{name}: {exc!r}"
+        except Exception as exc:  # noqa: BLE001  (any other error is a finding)
+            pytest.fail(f"{name} ({value!r}): {type(exc).__name__}: {exc}")

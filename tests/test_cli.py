@@ -147,6 +147,56 @@ class TestInputFiles:
         assert out == ""
 
 
+CATALOG_DATA = Path(cat.__file__).parent / "catalog_data"
+
+
+def edited_entry(tmp_path, stem: str, old: str, new: str) -> Path:
+    """A copy of a shipped entry file, named as it, with one passage edited."""
+    text = (CATALOG_DATA / f"{stem}.yaml").read_text(encoding="utf-8")
+    assert text.count(old) == 1, old
+    path = tmp_path / f"{stem}.yaml"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path
+
+
+class TestEntryFiles:
+    """An entry file against the catalog format: a misspelled key, a wrong
+    type or an id that names nothing exits 2 on one line naming its key
+    path, before any object is verified."""
+
+    @pytest.mark.parametrize("stem, old, new, message", [
+        ("kp", "\ncharges:\n", "\nchargez:\n", "kp: unknown catalog entry key(s) chargez"),
+        ("kp", "\nidentities:\n", "\nidentitys:\n",
+         "kp: unknown catalog entry key(s) identitys"),
+        ("kp", "    printed_gamma:\n      - \"1/2*u^2", "    printed_gama:\n      - \"1/2*u^2",
+         "kp: unknown catalog entry key(s) charges[2].printed_gama"),
+        ("kp", "charge-1\n    current: current-1\n", "charge-1\n    current: current-99\n",
+         "kp: charges[0].current names no current 'current-99'"),
+        ("kp", "\ndim: 2\n", "\ndim: two\n", "kp: dim must be a number, got 'two'"),
+        ("kp", "\n  k: x\n", "\n  k: w\n", "kp: div_form.k must be t, x, y or z, got 'w'"),
+        ("kp", "current: current-3\n    index: 0\n", "current: current-3\n    index: zero\n",
+         "kp: identities[0].index must be a number, got 'zero'"),
+        ("shear", "    rule: biharmonic\n", "    rule: biharmonik\n",
+         "shear: arbfuns.phi.rule must be biharmonic, got 'biharmonik'"),
+        ("umkp", "1/2*y^2*f'\"\n    case: integrable\n", "1/2*y^2*f'\"\n    case: integrabel\n",
+         "umkp: multipliers[4].case names no case 'integrabel'"),
+    ], ids=["chargez", "identitys", "printed_gama", "dangling_current", "dim_two", "k_w",
+            "index_zero", "rule_biharmonik", "case_integrabel"])
+    def test_exits_2_naming_the_key_path(self, stem, old, new, message, tmp_path, capsys):
+        path = edited_entry(tmp_path, stem, old, new)
+        code, out, err = run(capsys, "catalog", "show", str(path))
+        assert (code, out, err) == (2, "", f"catalog corrupt: {message}\n")
+
+    @pytest.mark.parametrize("text, got", [("", "None"), ("- G\n- rhs\n", "['G', 'rhs']")],
+                             ids=["empty", "list"])
+    def test_a_document_that_is_not_a_mapping_exits_2(self, text, got, tmp_path, capsys):
+        (tmp_path / "entry.yaml").write_text(text, encoding="utf-8")
+        message = f"catalog corrupt: entry: a catalog entry must be a mapping, got {got}\n"
+        assert run(capsys, "catalog", "show", str(tmp_path / "entry.yaml")) == (2, "", message)
+        manifest = write_manifest(tmp_path, {"pde": str(tmp_path / "entry.yaml")})
+        assert run(capsys, "simulate", "--manifest", str(manifest)) == (2, "", message)
+
+
 @pytest.fixture()
 def kp_manifest(tmp_path):
     manifest = {
